@@ -1,10 +1,13 @@
-// Serving-path benchmarks: the latency tier's per-request cost. All
-// three run against a prebuilt snapshot over a warmed in-memory cache,
-// so they measure exactly what a steady-state production hit pays —
-// mux dispatch, ETag derivation, and one pre-encoded []byte write.
+// Serving-path benchmarks: the latency tier's per-request cost. The
+// GET benches run against a prebuilt snapshot over a warmed in-memory
+// cache, so they measure exactly what a steady-state production hit
+// pays — mux dispatch, ETag lookup, and one pre-encoded []byte write.
+// The refresh bench measures the rebuild path: cache reads, body
+// encoding and the snapshot swap.
 package serve_test
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -23,7 +26,7 @@ var benchSrv struct {
 
 // benchServer builds (once) a warm server over a memory-only cache:
 // a computing engine fills the cache, a cache-only engine over the
-// same *Cache serves it, and both snapshots are prebuilt.
+// same *Cache serves it, and every snapshot is prebuilt.
 func benchServer(b *testing.B) *serve.Server {
 	b.Helper()
 	benchSrv.once.Do(func() {
@@ -50,7 +53,10 @@ func benchServer(b *testing.B) *serve.Server {
 			return
 		}
 		eng := engine.New(engine.Config{Workers: 4, Cache: cache, CacheOnly: true})
-		if benchSrv.srv, benchSrv.err = serve.New(eng, pa, ps,
+		// The server outlives the benchmark that builds it, and each
+		// b.Context() is cancelled when its run ends, so refreshes in
+		// later benchmarks need a base context of their own.
+		if benchSrv.srv, benchSrv.err = serve.NewCtx(context.Background(), eng, pa, ps,
 			serve.WithShootoutRhos(shootRhos)); benchSrv.err != nil {
 			return
 		}
@@ -62,16 +68,16 @@ func benchServer(b *testing.B) *serve.Server {
 	return benchSrv.srv
 }
 
-func benchRequest(b *testing.B, url string) {
+func benchRequest(b *testing.B, method, url string) {
 	srv := benchServer(b)
-	req := httptest.NewRequest("GET", url, nil)
+	req := httptest.NewRequest(method, url, nil)
 	// One untimed warm-up hit so a -benchtime=1x smoke (b.N == 1)
 	// measures the steady state, not first-call lazy initialisation
 	// (mux routing caches and the like).
 	warm := httptest.NewRecorder()
 	srv.ServeHTTP(warm, req)
 	if warm.Code != http.StatusOK {
-		b.Fatalf("GET %s: status %d", url, warm.Code)
+		b.Fatalf("%s %s: status %d", method, url, warm.Code)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -79,29 +85,35 @@ func benchRequest(b *testing.B, url string) {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
-			b.Fatalf("GET %s: status %d", url, rec.Code)
+			b.Fatalf("%s %s: status %d", method, url, rec.Code)
 		}
 	}
 }
 
 // BenchmarkServeOptimal is one steady-state tuning query.
 func BenchmarkServeOptimal(b *testing.B) {
-	benchRequest(b, "/api/optimal?surface=analytic&metric=reach&rho=40")
+	benchRequest(b, "GET", "/api/optimal?surface=analytic&metric=reach&rho=40")
 }
 
 // BenchmarkServeSurfaceRow is one steady-state single-density slice.
 func BenchmarkServeSurfaceRow(b *testing.B) {
-	benchRequest(b, "/api/surface?surface=analytic&rho=100")
+	benchRequest(b, "GET", "/api/surface?surface=analytic&rho=100")
 }
 
 // BenchmarkServeSurfaceFull is the full-surface dump — the largest
 // pre-encoded body on the fast path.
 func BenchmarkServeSurfaceFull(b *testing.B) {
-	benchRequest(b, "/api/surface?surface=analytic")
+	benchRequest(b, "GET", "/api/surface?surface=analytic")
 }
 
 // BenchmarkServeShootoutCell is one steady-state shootout cell query
 // (single model, single density) off the pre-encoded snapshot.
 func BenchmarkServeShootoutCell(b *testing.B) {
-	benchRequest(b, "/api/shootout?model=SINR&rho=40")
+	benchRequest(b, "GET", "/api/shootout?model=SINR&rho=40")
+}
+
+// BenchmarkServeRefresh is one POST /api/refresh: every table rebuilt
+// from the warm cache, then swapped in.
+func BenchmarkServeRefresh(b *testing.B) {
+	benchRequest(b, "POST", "/api/refresh")
 }

@@ -7,11 +7,11 @@ import (
 	"strconv"
 	"strings"
 
-	"sensornet/internal/experiments"
+	"sensornet/internal/engine"
 )
 
 // ETags are content-addressed, like everything else in the serving
-// path: a surface's identity is the ordered list of its job
+// path: a table's identity is the ordered list of its job
 // fingerprints, which already encode every parameter that can change a
 // cached result (presets, grids, code-version salt). A response body is
 // a pure function of that digest plus the normalised query parameters,
@@ -20,11 +20,11 @@ import (
 // goes stale. That is what lets If-None-Match short-circuit BEFORE any
 // cache read: a match proves the client already holds the exact bytes.
 
-// surfaceDigest hashes the ordered fingerprints of the jobs behind a
-// preset's surface.
-func surfaceDigest(pre experiments.Preset, simulated bool) string {
+// jobsDigest hashes the ordered fingerprints of the jobs behind a
+// table.
+func jobsDigest(jobs []engine.Job) string {
 	h := sha256.New()
-	for _, j := range experiments.SurfaceJobs(pre, simulated, 1) {
+	for _, j := range jobs {
 		h.Write([]byte(j.Fingerprint()))
 		h.Write([]byte{0x1f})
 	}
@@ -32,7 +32,7 @@ func surfaceDigest(pre experiments.Preset, simulated bool) string {
 }
 
 // etagOf derives the quoted strong ETag for one response shape from
-// the surface digest and the normalised query parameters.
+// the table digest and the normalised query parameters.
 func etagOf(parts ...string) string {
 	h := sha256.New()
 	for _, p := range parts {

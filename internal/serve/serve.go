@@ -7,9 +7,9 @@
 // answered without recomputing anything, and a query whose rows are
 // missing fails with 503 and the list of unpublished jobs — unless the
 // engine carries an admission Budget, in which case misses may be
-// filled write-through within that budget. Warm surfaces are served
-// from a precompacted in-memory snapshot (see store.go): steady-state
-// hits never touch the cache at all.
+// filled write-through within that budget. Warm data sets are served
+// from an in-memory table of pre-encoded bodies (see store.go):
+// steady-state hits never touch the cache at all.
 package serve
 
 import (
@@ -26,44 +26,6 @@ import (
 	"sensornet/internal/optimize"
 )
 
-// surfaceState is one preset's serving state: its content digest, the
-// ETag tables (pure functions of the digest, computed once at
-// construction so even a cold server can answer 304), and the
-// snapshot store.
-type surfaceState struct {
-	name      string // canonical surface= query value
-	pre       experiments.Preset
-	simulated bool
-	digest    string
-	store     store[snapshot]
-	// optimalETag[metric][rhoIdx], rowETag[rhoIdx], fullETag: the
-	// strong validators for every 200 shape this surface can serve.
-	optimalETag map[string][]string
-	rowETag     []string
-	fullETag    string
-}
-
-func newSurfaceState(name string, pre experiments.Preset, simulated bool) *surfaceState {
-	st := &surfaceState{
-		name: name, pre: pre, simulated: simulated,
-		digest:      surfaceDigest(pre, simulated),
-		optimalETag: make(map[string][]string),
-		rowETag:     make([]string, len(pre.Rhos)),
-	}
-	for _, sel := range optimize.Selectors() {
-		tags := make([]string, len(pre.Rhos))
-		for i, rho := range pre.Rhos {
-			tags[i] = etagOf("optimal", st.digest, sel.Name, rhoKey(rho))
-		}
-		st.optimalETag[sel.Name] = tags
-	}
-	for i, rho := range pre.Rhos {
-		st.rowETag[i] = etagOf("surface", st.digest, rhoKey(rho))
-	}
-	st.fullETag = etagOf("surface", st.digest, "all")
-	return st
-}
-
 // Server is the HTTP query layer over cached surfaces.
 //
 // Endpoints:
@@ -73,13 +35,14 @@ func newSurfaceState(name string, pre experiments.Preset, simulated bool) *surfa
 //	GET  /api/metrics              the optimisation metric registry
 //	GET  /api/optimal?surface=analytic|sim&metric=<name>&rho=<density>
 //	GET  /api/surface?surface=analytic|sim[&rho=<density>]
-//	POST /api/refresh[?surface=analytic|sim]   rebuild snapshots
+//	GET  /api/shootout[?model=<name>][&rho=<density>]
+//	POST /api/refresh[?surface=analytic|sim|shootout]   rebuild snapshots
 type Server struct {
-	eng      *engine.Engine
-	analytic *surfaceState
-	sim      *surfaceState
-	shoot    *shootState
-	mux      *http.ServeMux
+	eng *engine.Engine
+	// tables are the analytic and sim surfaces, then the shootout: the
+	// order /api/refresh reports them in.
+	tables []*table
+	mux    *http.ServeMux
 	// baseCtx bounds snapshot builds. Builds are coalesced across
 	// requests, so they run on the server's context, not the leader
 	// request's: a dropped leader client must not cancel the build its
@@ -103,19 +66,14 @@ func WithShootoutRhos(rhos []float64) Option {
 	return func(o *options) { o.shootRhos = rhos }
 }
 
-// New builds a Server over eng on a background base context; see
-// NewCtx.
-func New(eng *engine.Engine, analytic, sim experiments.Preset, opts ...Option) (*Server, error) {
-	return NewCtx(context.Background(), eng, analytic, sim, opts...)
-}
-
 // NewCtx builds a Server over eng, which must be cache-only — the
 // serving contract is "answers come from the cache, never from
 // unbounded recomputation" (an engine.Budget may admit bounded
 // write-through fills) — and should carry the same cache (and presets)
 // the shard processes populated. ctx bounds coalesced snapshot builds;
 // cancel it to abort in-flight builds at shutdown. The shootout
-// surface uses the sim preset.
+// surface uses the sim preset; an invalid shootout campaign (a
+// non-positive density, a preset without replications) is an error.
 func NewCtx(ctx context.Context, eng *engine.Engine, analytic, sim experiments.Preset, opts ...Option) (*Server, error) {
 	if !eng.CacheOnly() {
 		return nil, errors.New("serve: engine must be cache-only (engine.Config.CacheOnly)")
@@ -127,13 +85,19 @@ func NewCtx(ctx context.Context, eng *engine.Engine, analytic, sim experiments.P
 	for _, opt := range opts {
 		opt(&o)
 	}
+	shoot, err := shootoutTable(eng, sim, o.shootRhos)
+	if err != nil {
+		return nil, fmt.Errorf("serve: shootout: %w", err)
+	}
 	s := &Server{
-		eng:      eng,
-		analytic: newSurfaceState("analytic", analytic, false),
-		sim:      newSurfaceState("sim", sim, true),
-		shoot:    newShootState(sim, o.shootRhos),
-		mux:      http.NewServeMux(),
-		baseCtx:  ctx,
+		eng: eng,
+		tables: []*table{
+			surfaceTable(eng, "analytic", analytic, false),
+			surfaceTable(eng, "sim", sim, true),
+			shoot,
+		},
+		mux:     http.NewServeMux(),
+		baseCtx: ctx,
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /api/cache", s.handleCache)
@@ -150,52 +114,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // Warm eagerly builds every snapshot — both surfaces and the shootout
 // — so a server started over a populated cache pays its cache reads
-// before the first request. Surfaces whose rows are not yet published
+// before the first request. Tables whose rows are not yet published
 // are left cold (their requests keep retrying); the first error is
 // returned for logging.
 func (s *Server) Warm(ctx context.Context) error {
 	var firstErr error
-	for _, st := range []*surfaceState{s.analytic, s.sim} {
-		if _, err := st.store.build(ctx, func() (*snapshot, error) {
-			return s.loadSnapshot(ctx, st)
-		}, false); err != nil && firstErr == nil {
+	for _, t := range s.tables {
+		if _, err := t.build(ctx, ctx, false); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	if _, err := s.shoot.store.build(ctx, func() (*shootSnapshot, error) {
-		return s.loadShootout(ctx)
-	}, false); err != nil && firstErr == nil {
-		firstErr = err
-	}
 	return firstErr
-}
-
-// loadSnapshot runs the engine load for one surface and compacts it.
-func (s *Server) loadSnapshot(ctx context.Context, st *surfaceState) (*snapshot, error) {
-	var surf *experiments.Surface
-	var err error
-	if st.simulated {
-		surf, err = experiments.SimSurfaceCtx(ctx, s.eng, st.pre)
-	} else {
-		surf, err = experiments.AnalyticSurfaceCtx(ctx, s.eng, st.pre)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return buildSnapshot(st.name, surf)
-}
-
-// snapshot returns st's published snapshot, building it (coalesced
-// across concurrent cold requests) when necessary. The build runs on
-// the server's base context; the request context only bounds this
-// caller's wait.
-func (s *Server) snapshot(r *http.Request, st *surfaceState) (*snapshot, error) {
-	if snap := st.store.get(); snap != nil {
-		return snap, nil
-	}
-	return st.store.build(r.Context(), func() (*snapshot, error) {
-		return s.loadSnapshot(s.baseCtx, st)
-	}, false)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -225,33 +154,40 @@ type errorBody struct {
 // MissingError is 503 Service Unavailable (the data may simply not be
 // published yet), everything else is the given fallback status.
 func fail(w http.ResponseWriter, err error, fallback int) {
-	var missing *engine.MissingError
-	if errors.As(err, &missing) {
-		body := errorBody{Error: missing.Error()}
-		const maxListed = 20
-		for i, j := range missing.Jobs {
-			if i == maxListed {
-				body.MissingJobs = append(body.MissingJobs, "...")
-				break
-			}
-			body.MissingJobs = append(body.MissingJobs, j.Name)
-		}
-		writeJSON(w, http.StatusServiceUnavailable, body)
+	if missing, jobs := missingJobs(err); missing != nil {
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: missing.Error(), MissingJobs: jobs})
 		return
 	}
 	writeJSON(w, fallback, errorBody{Error: err.Error()})
 }
 
+// missingJobs finds a cache-only MissingError in err and names its
+// unpublished jobs, capped at maxListed; missing is nil for any other
+// error.
+func missingJobs(err error) (missing *engine.MissingError, jobs []string) {
+	if !errors.As(err, &missing) {
+		return nil, nil
+	}
+	const maxListed = 20
+	for i, j := range missing.Jobs {
+		if i == maxListed {
+			return missing, append(jobs, "...")
+		}
+		jobs = append(jobs, j.Name)
+	}
+	return missing, jobs
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	snapshots := make(map[string]bool, len(s.tables))
+	for _, t := range s.tables {
+		snapshots[t.name] = t.store.get() != nil
+	}
 	body := map[string]any{
 		"status":    "ok",
 		"cacheOnly": true,
 		"hasCache":  s.eng.Cache() != nil,
-		"snapshots": map[string]bool{
-			"analytic": s.analytic.store.get() != nil,
-			"sim":      s.sim.store.get() != nil,
-			"shootout": s.shoot.store.get() != nil,
-		},
+		"snapshots": snapshots,
 	}
 	if b := s.eng.Budget(); b != nil {
 		body["budget"] = b.Stats()
@@ -290,35 +226,14 @@ type refreshResult struct {
 	MissingJobs []string `json:"missingJobs,omitempty"`
 }
 
-// refreshTarget is one rebuildable snapshot: the (ρ, p) surfaces and
-// the shootout share the refresh endpoint through it.
-type refreshTarget struct {
-	name    string
-	rebuild func(ctx context.Context) error
-}
-
-// refreshTargets lists every snapshot /api/refresh can rebuild, in
-// response order.
-func (s *Server) refreshTargets() []refreshTarget {
-	targets := make([]refreshTarget, 0, 3)
-	for _, st := range []*surfaceState{s.analytic, s.sim} {
-		st := st
-		targets = append(targets, refreshTarget{name: st.name,
-			rebuild: func(ctx context.Context) error {
-				_, err := st.store.build(ctx, func() (*snapshot, error) {
-					return s.loadSnapshot(s.baseCtx, st)
-				}, true)
-				return err
-			}})
+// lookup finds the table named name among tables.
+func lookup(tables []*table, name string) *table {
+	for _, t := range tables {
+		if t.name == name {
+			return t
+		}
 	}
-	targets = append(targets, refreshTarget{name: "shootout",
-		rebuild: func(ctx context.Context) error {
-			_, err := s.shoot.store.build(ctx, func() (*shootSnapshot, error) {
-				return s.loadShootout(s.baseCtx)
-			}, true)
-			return err
-		}})
-	return targets
+	return nil
 }
 
 // handleRefresh forces snapshot rebuilds — after shards publish new
@@ -326,75 +241,67 @@ func (s *Server) refreshTargets() []refreshTarget {
 // keeps the last good snapshot published. Refreshing every snapshot is
 // the default; surface=analytic|sim|shootout narrows it.
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
-	targets := s.refreshTargets()
+	tables := s.tables
 	if name := r.URL.Query().Get("surface"); name != "" {
-		found := false
-		for _, t := range targets {
-			if t.name == name {
-				targets, found = []refreshTarget{t}, true
-				break
-			}
-		}
-		if !found {
+		t := lookup(s.tables, name)
+		if t == nil {
 			fail(w, fmt.Errorf("serve: surface=%q: want analytic, sim or shootout", name), http.StatusBadRequest)
 			return
 		}
+		tables = []*table{t}
 	}
 	status := http.StatusOK
-	out := make([]refreshResult, len(targets))
-	for i, t := range targets {
-		res := refreshResult{Surface: t.name, OK: true}
-		if err := t.rebuild(r.Context()); err != nil {
+	out := make([]refreshResult, len(tables))
+	for i, t := range tables {
+		out[i] = refreshResult{Surface: t.name, OK: true}
+		if _, err := t.build(r.Context(), s.baseCtx, true); err != nil {
 			status = http.StatusServiceUnavailable
-			res.OK = false
-			res.Error = err.Error()
-			var missing *engine.MissingError
-			if errors.As(err, &missing) {
-				const maxListed = 20
-				for j, job := range missing.Jobs {
-					if j == maxListed {
-						res.MissingJobs = append(res.MissingJobs, "...")
-						break
-					}
-					res.MissingJobs = append(res.MissingJobs, job.Name)
-				}
-			}
+			out[i] = refreshResult{Surface: t.name, Error: err.Error()}
+			_, out[i].MissingJobs = missingJobs(err)
 		}
-		out[i] = res
 	}
 	writeJSON(w, status, out)
 }
 
-// surfaceState resolves a surface= value.
-func (s *Server) surfaceState(name string) (*surfaceState, error) {
-	switch name {
-	case "analytic":
-		return s.analytic, nil
-	case "sim":
-		return s.sim, nil
-	default:
-		return nil, fmt.Errorf("serve: surface=%q: want analytic or sim", name)
+// surface resolves a surface= value to its (ρ, p) table.
+func (s *Server) surface(name string) (*table, error) {
+	if t := lookup(s.tables[:2], name); t != nil {
+		return t, nil
 	}
+	return nil, fmt.Errorf("serve: surface=%q: want analytic or sim", name)
 }
 
-// rhoIndex finds the row index of the queried density. Densities are
-// preset grid values echoed back by clients, so matching is by small
-// absolute tolerance rather than float equality.
-func rhoIndex(pre experiments.Preset, rho float64) (int, bool) {
-	return rhoIndexIn(pre.Rhos, rho)
-}
-
-func rhoIndexIn(rhos []float64, rho float64) (int, bool) {
-	for i, r := range rhos {
-		if math.Abs(r-rho) < 1e-9 {
-			return i, true
+// answer serves t's body under k: a 304 when the request's validator
+// matches (before any snapshot access — or, cold, any cache read),
+// else the snapshot's bytes, building the snapshot first when the
+// table is cold. Builds are coalesced and run on the server's base
+// context; the request context only bounds this caller's wait. answer
+// reports false, having written nothing, when k has an ETag but no
+// body: an infeasible optimum, which the caller answers 404.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, t *table, k key) bool {
+	etag := t.etags[k]
+	if notModified(w, r, etag) {
+		return true
+	}
+	snap := t.store.get()
+	if snap == nil {
+		var err error
+		if snap, err = t.build(r.Context(), s.baseCtx, false); err != nil {
+			fail(w, err, http.StatusInternalServerError)
+			return true
 		}
 	}
-	return 0, false
+	body, ok := (*snap)[k]
+	if !ok {
+		return false
+	}
+	w.Header().Set("ETag", etag)
+	writeRaw(w, http.StatusOK, body)
+	return true
 }
 
-func parseRho(r *http.Request) (float64, error) {
-	raw := r.URL.Query().Get("rho")
+// parseRho parses a rho= query value.
+func parseRho(raw string) (float64, error) {
 	if raw == "" {
 		return 0, errors.New("serve: missing rho parameter")
 	}
@@ -425,44 +332,30 @@ type optimalBody struct {
 }
 
 func (s *Server) handleOptimal(w http.ResponseWriter, r *http.Request) {
-	sel, ok := optimize.SelectorByName(r.URL.Query().Get("metric"))
+	q := r.URL.Query()
+	sel, ok := optimize.SelectorByName(q.Get("metric"))
 	if !ok {
-		fail(w, fmt.Errorf("serve: unknown metric %q (see /api/metrics)", r.URL.Query().Get("metric")), http.StatusBadRequest)
+		fail(w, fmt.Errorf("serve: unknown metric %q (see /api/metrics)", q.Get("metric")), http.StatusBadRequest)
 		return
 	}
-	rho, err := parseRho(r)
+	rho, err := parseRho(q.Get("rho"))
 	if err != nil {
 		fail(w, err, http.StatusBadRequest)
 		return
 	}
-	st, err := s.surfaceState(r.URL.Query().Get("surface"))
+	t, err := s.surface(q.Get("surface"))
 	if err != nil {
 		fail(w, err, http.StatusBadRequest)
 		return
 	}
-	idx, ok := rhoIndex(st.pre, rho)
+	i, ok := t.rhoIndex(rho)
 	if !ok {
-		fail(w, fmt.Errorf("serve: rho=%g not in the preset densities %v", rho, st.pre.Rhos), http.StatusNotFound)
+		fail(w, fmt.Errorf("serve: rho=%g not in the preset densities %v", rho, t.rhos), http.StatusNotFound)
 		return
 	}
-	// The answer is a pure function of the surface digest, the metric,
-	// and the density — so a validator match proves the client already
-	// has it, before touching the snapshot (or, cold, the cache).
-	etag := st.optimalETag[sel.Name][idx]
-	if notModified(w, r, etag) {
-		return
-	}
-	snap, err := s.snapshot(r, st)
-	if err != nil {
-		fail(w, err, http.StatusBadRequest)
-		return
-	}
-	if !snap.optima[sel.Name][idx].ok {
+	if !s.answer(w, r, t, key{"optimal", sel.Name, i}) {
 		fail(w, fmt.Errorf("serve: no feasible grid point for metric %q at rho=%g", sel.Name, rho), http.StatusNotFound)
-		return
 	}
-	w.Header().Set("ETag", etag)
-	writeRaw(w, http.StatusOK, snap.optimalBody[sel.Name][idx])
 }
 
 // pointBody is the NaN-safe JSON shape of one surface point:
@@ -508,41 +401,51 @@ type surfaceBody struct {
 }
 
 func (s *Server) handleSurface(w http.ResponseWriter, r *http.Request) {
-	st, err := s.surfaceState(r.URL.Query().Get("surface"))
+	q := r.URL.Query()
+	t, err := s.surface(q.Get("surface"))
 	if err != nil {
 		fail(w, err, http.StatusBadRequest)
 		return
 	}
-	rowIdx, hasRho := -1, false
-	if raw := r.URL.Query().Get("rho"); raw != "" {
-		rho, err := parseRho(r)
+	k := key{route: "surface", rho: -1}
+	if raw := q.Get("rho"); raw != "" {
+		rho, err := parseRho(raw)
 		if err != nil {
 			fail(w, err, http.StatusBadRequest)
 			return
 		}
-		idx, ok := rhoIndex(st.pre, rho)
+		i, ok := t.rhoIndex(rho)
 		if !ok {
-			fail(w, fmt.Errorf("serve: rho=%g not in the preset densities %v", rho, st.pre.Rhos), http.StatusNotFound)
+			fail(w, fmt.Errorf("serve: rho=%g not in the preset densities %v", rho, t.rhos), http.StatusNotFound)
 			return
 		}
-		rowIdx, hasRho = idx, true
+		k.rho = i
 	}
-	etag := st.fullETag
-	if hasRho {
-		etag = st.rowETag[rowIdx]
-	}
-	if notModified(w, r, etag) {
+	s.answer(w, r, t, k)
+}
+
+// handleShootout answers GET /api/shootout[?model=<name>][&rho=<density>]
+// from the shootout table.
+func (s *Server) handleShootout(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	t := s.tables[2]
+	k := key{route: "shootout", filter: q.Get("model"), rho: -1}
+	if _, ok := t.etags[k]; !ok {
+		fail(w, fmt.Errorf("serve: model=%q: want one of %v", k.filter, shootoutModels()), http.StatusBadRequest)
 		return
 	}
-	snap, err := s.snapshot(r, st)
-	if err != nil {
-		fail(w, err, http.StatusBadRequest)
-		return
+	if raw := q.Get("rho"); raw != "" {
+		rho, err := parseRho(raw)
+		if err != nil {
+			fail(w, err, http.StatusBadRequest)
+			return
+		}
+		i, ok := t.rhoIndex(rho)
+		if !ok {
+			fail(w, fmt.Errorf("serve: rho=%g not in the shootout densities %v", rho, t.rhos), http.StatusNotFound)
+			return
+		}
+		k.rho = i
 	}
-	body := snap.fullBody
-	if hasRho {
-		body = snap.rowBody[rowIdx]
-	}
-	w.Header().Set("ETag", etag)
-	writeRaw(w, http.StatusOK, body)
+	s.answer(w, r, t, k)
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"sensornet/internal/engine"
@@ -46,7 +47,7 @@ func newServer(t *testing.T, dir string) (*serve.Server, *engine.Cache) {
 	pa, ps := testPresets()
 	cache := engine.NewCache(dir, experiments.CacheSalt)
 	eng := engine.New(engine.Config{Workers: 4, Cache: cache, CacheOnly: true})
-	srv, err := serve.New(eng, pa, ps)
+	srv, err := serve.NewCtx(t.Context(), eng, pa, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +72,10 @@ func get(t *testing.T, srv *serve.Server, url string, out any) int {
 
 func TestServeRejectsWrongEngines(t *testing.T) {
 	pa, ps := testPresets()
-	if _, err := serve.New(engine.New(engine.Config{Workers: 1}), pa, ps); err == nil {
+	if _, err := serve.NewCtx(t.Context(), engine.New(engine.Config{Workers: 1}), pa, ps); err == nil {
 		t.Error("New accepted a computing (non-cache-only) engine")
 	}
-	if _, err := serve.New(engine.New(engine.Config{Workers: 1, CacheOnly: true,
+	if _, err := serve.NewCtx(t.Context(), engine.New(engine.Config{Workers: 1, CacheOnly: true,
 		Shard: engine.ShardSpec{Index: 0, Total: 2}}), pa, ps); err == nil {
 		t.Error("New accepted a sharded engine")
 	}
@@ -266,5 +267,73 @@ func TestServeUnknownRho404(t *testing.T) {
 		if code := get(t, srv, q, nil); code != http.StatusNotFound {
 			t.Errorf("GET %s: status %d, want 404 for a rho outside the preset grid", q, code)
 		}
+	}
+}
+
+// TestServeRejectsInvalidShootout: a shootout campaign that cannot be
+// built fails construction instead of serving ETags of an empty job
+// set and answering every /api/shootout with an error.
+func TestServeRejectsInvalidShootout(t *testing.T) {
+	pa, ps := testPresets()
+	eng := engine.New(engine.Config{Workers: 1, CacheOnly: true})
+	if _, err := serve.NewCtx(t.Context(), eng, pa, ps, serve.WithShootoutRhos([]float64{-1})); err == nil {
+		t.Error("NewCtx accepted a non-positive shootout density")
+	}
+	ps.Runs = 0
+	if _, err := serve.NewCtx(t.Context(), eng, pa, ps); err == nil {
+		t.Error("NewCtx accepted a sim preset without replications")
+	}
+}
+
+// TestServeBuildFailure500: a snapshot build that fails for any reason
+// other than unpublished rows is a server error, not a bad request.
+func TestServeBuildFailure500(t *testing.T) {
+	dir := t.TempDir()
+	pa, ps := testPresets()
+	warmAnalyticOnly(t, dir, pa)
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	eng := engine.New(engine.Config{Workers: 4, Cache: engine.NewCache(dir, experiments.CacheSalt), CacheOnly: true})
+	srv, err := serve.NewCtx(ctx, eng, pa, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if code := get(t, srv, "/api/surface?surface=analytic", &body); code != http.StatusInternalServerError {
+		t.Fatalf("build on a cancelled base context: status %d, want 500", code)
+	}
+	if body.Error == "" {
+		t.Fatal("500 body missing the reason")
+	}
+}
+
+// TestServeInfeasibleOptimum404: a metric with no feasible grid point
+// at a density answers 404 without a validator, while the surface's
+// other metrics still serve.
+func TestServeInfeasibleOptimum404(t *testing.T) {
+	dir := t.TempDir()
+	pa, ps := testPresets()
+	pa.Constraints.Reach = 1.01 // no grid point reaches more than every node
+	warmAnalyticOnly(t, dir, pa)
+	eng := engine.New(engine.Config{Workers: 4, Cache: engine.NewCache(dir, experiments.CacheSalt), CacheOnly: true})
+	srv, err := serve.NewCtx(t.Context(), eng, pa, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/api/optimal?surface=analytic&metric=latency&rho=40", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("infeasible optimum: status %d, want 404", rec.Code)
+	}
+	if etag := rec.Header().Get("ETag"); etag != "" {
+		t.Fatalf("404 carried ETag %q", etag)
+	}
+	if want := `no feasible grid point for metric \"latency\" at rho=40`; !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("404 body %q does not contain %q", rec.Body.String(), want)
+	}
+	if code := get(t, srv, "/api/optimal?surface=analytic&metric=reach&rho=40", nil); code != http.StatusOK {
+		t.Fatalf("feasible metric on the same surface: status %d, want 200", code)
 	}
 }

@@ -40,7 +40,7 @@ func newShootServer(t *testing.T, dir string) (*serve.Server, *engine.Cache) {
 	pa, ps := testPresets()
 	cache := engine.NewCache(dir, experiments.CacheSalt)
 	eng := engine.New(engine.Config{Workers: 4, Cache: cache, CacheOnly: true})
-	srv, err := serve.New(eng, pa, ps, serve.WithShootoutRhos(shootoutRhos()))
+	srv, err := serve.NewCtx(t.Context(), eng, pa, ps, serve.WithShootoutRhos(shootoutRhos()))
 	if err != nil {
 		t.Fatal(err)
 	}

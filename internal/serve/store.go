@@ -4,23 +4,26 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"sync"
 	"sync/atomic"
 
+	"sensornet/internal/engine"
 	"sensornet/internal/experiments"
 	"sensornet/internal/optimize"
 )
 
-// The precompacted surface store. A warm server answers every
-// /api/optimal and /api/surface hit from an immutable in-memory
-// snapshot: the surface's rows loaded ONCE through the engine, packed
-// into flat per-metric float slices, the per-metric argmax tables
-// precomputed, and every 200-path response body pre-encoded to its
-// exact wire bytes. The snapshot is published through an atomic
-// pointer, so steady-state requests are a single atomic load plus a
-// []byte write — lock-free, alloc-light, zero cache reads.
+// The serving table. Each published data set — the analytic and sim
+// (ρ, p) surfaces and the shootout — is one table: a map of strong
+// ETags, fixed at construction, and a snapshot of pre-encoded 200
+// bodies under the same keys. A warm server answers every data
+// request from the snapshot: the data set loaded ONCE through the
+// engine and every response it can serve encoded to its exact wire
+// bytes. The snapshot is published through an atomic pointer, so
+// steady-state requests are a single atomic load, one map lookup and
+// a []byte write — lock-free, alloc-light, zero cache reads.
 //
-// Cold surfaces coalesce: concurrent requests that find no snapshot
+// Cold tables coalesce: concurrent requests that find no snapshot
 // elect one leader to run the engine load while the rest wait on the
 // same buildCall, so N racing cold requests cost one pass over the
 // cache. A failed build (rows unpublished, the cache-only engine
@@ -29,99 +32,192 @@ import (
 // behaviour — and on a forced refresh the last good snapshot stays
 // published until a newer build succeeds.
 
-// compactSurface is the flat layout: one slice per metric, row-major
-// over (rho index, grid index), NaN preserved for infeasible cells.
-// Compared with [][]optimize.Point it is one allocation per metric and
-// keeps each metric's row contiguous for the argmax scan.
-type compactSurface struct {
-	s    int
-	rhos []float64
-	cols int
-	p    []float64
-
-	reachAtL, latency, broadcasts []float64
-	reachAtBudget, successRate    []float64
-	final                         []float64
+// key addresses one response shape: the route ("optimal", "surface"
+// or "shootout"), its filter (the metric or the channel model, "" for
+// none) and the index of the queried density in the table's
+// densities, -1 for every density. It is comparable, so a request's
+// lookup allocates nothing.
+type key struct {
+	route, filter string
+	rho           int
 }
 
-func compactFrom(surf *experiments.Surface) *compactSurface {
-	rows := len(surf.Points)
-	cols := 0
-	if rows > 0 {
-		cols = len(surf.Points[0])
-	}
-	n := rows * cols
-	c := &compactSurface{
-		s:    surf.Pre.S,
-		rhos: append([]float64(nil), surf.Pre.Rhos...),
-		cols: cols,
+// bodies is one snapshot: the pre-encoded 200 body of every servable
+// key, immutable once built. A key with an ETag but no body is an
+// infeasible optimum.
+type bodies map[key][]byte
 
-		p:             make([]float64, n),
-		reachAtL:      make([]float64, n),
-		latency:       make([]float64, n),
-		broadcasts:    make([]float64, n),
-		reachAtBudget: make([]float64, n),
-		successRate:   make([]float64, n),
-		final:         make([]float64, n),
-	}
-	for i, row := range surf.Points {
-		for j, pt := range row {
-			k := i*cols + j
-			c.p[k] = pt.P
-			c.reachAtL[k] = pt.ReachAtL
-			c.latency[k] = pt.Latency
-			c.broadcasts[k] = pt.Broadcasts
-			c.reachAtBudget[k] = pt.ReachAtBudget
-			c.successRate[k] = pt.SuccessRate
-			c.final[k] = pt.Final
+// table is one published data set.
+type table struct {
+	name  string // the surface= value naming it in queries and refreshes
+	rhos  []float64
+	etags map[key]string
+	load  func(ctx context.Context) (*bodies, error)
+	store store[bodies]
+}
+
+// rhoIndex finds the queried density among the table's. Densities are
+// grid values echoed back by clients, so matching is by small absolute
+// tolerance rather than float equality.
+func (t *table) rhoIndex(rho float64) (int, bool) {
+	for i, r := range t.rhos {
+		if math.Abs(r-rho) < 1e-9 {
+			return i, true
 		}
 	}
-	return c
+	return 0, false
 }
 
-// point reconstructs the optimize.Point at (rho index i, grid index j).
-func (c *compactSurface) point(i, j int) optimize.Point {
-	k := i*c.cols + j
-	return optimize.Point{
-		P:             c.p[k],
-		ReachAtL:      c.reachAtL[k],
-		Latency:       c.latency[k],
-		Broadcasts:    c.broadcasts[k],
-		ReachAtBudget: c.reachAtBudget[k],
-		SuccessRate:   c.successRate[k],
-		Final:         c.final[k],
+// build publishes a fresh snapshot (coalesced with any build in
+// flight) loaded on loadCtx; ctx bounds only this caller's wait.
+func (t *table) build(ctx, loadCtx context.Context, force bool) (*bodies, error) {
+	return t.store.build(ctx, func() (*bodies, error) { return t.load(loadCtx) }, force)
+}
+
+// surfaceTable serves one preset's (ρ, p) surface: every optimum per
+// (metric, ρ), every per-ρ row and the full dump.
+func surfaceTable(eng *engine.Engine, name string, pre experiments.Preset, simulated bool) *table {
+	digest := jobsDigest(experiments.SurfaceJobs(pre, simulated, 1))
+	t := &table{name: name, rhos: pre.Rhos, etags: map[key]string{
+		{"surface", "", -1}: etagOf("surface", digest, "all"),
+	}}
+	for i, rho := range pre.Rhos {
+		t.etags[key{"surface", "", i}] = etagOf("surface", digest, rhoKey(rho))
+		for _, sel := range optimize.Selectors() {
+			t.etags[key{"optimal", sel.Name, i}] = etagOf("optimal", digest, sel.Name, rhoKey(rho))
+		}
 	}
-}
-
-// row materialises one density's grid sweep.
-func (c *compactSurface) row(i int) []optimize.Point {
-	out := make([]optimize.Point, c.cols)
-	for j := range out {
-		out[j] = c.point(i, j)
+	loadSurface := experiments.AnalyticSurfaceCtx
+	if simulated {
+		loadSurface = experiments.SimSurfaceCtx
 	}
-	return out
+	t.load = func(ctx context.Context) (*bodies, error) {
+		surf, err := loadSurface(ctx, eng, pre)
+		if err != nil {
+			return nil, err
+		}
+		return surfaceBodies(name, surf)
+	}
+	return t
 }
 
-// optimumCell is one entry of a per-metric argmax table; ok is false
-// when no grid point at that density is feasible under the metric's
-// constraints.
-type optimumCell struct {
-	opt optimize.Optimum
-	ok  bool
+// surfaceBodies runs every metric's argmax over a loaded surface and
+// pre-encodes each body it can serve. name is the canonical surface
+// query value echoed in the bodies.
+func surfaceBodies(name string, surf *experiments.Surface) (*bodies, error) {
+	b := bodies{}
+	s, rhos := surf.Pre.S, surf.Pre.Rhos
+	full := surfaceBody{Surface: name, S: s, Rhos: rhos}
+	for i, rho := range rhos {
+		row := surf.Points[i]
+		for _, sel := range optimize.Selectors() {
+			opt, ok := sel.Pick(row)
+			if !ok {
+				continue
+			}
+			if err := b.put(key{"optimal", sel.Name, i}, optimalBody{
+				Surface: name, Metric: sel.Name, Rho: rho, S: s, P: opt.P, Value: opt.Value,
+			}); err != nil {
+				return nil, err
+			}
+		}
+		pts := pointsBody(row)
+		full.Rows = append(full.Rows, pts)
+		if err := b.put(key{"surface", "", i}, surfaceBody{
+			Surface: name, S: s, Rhos: []float64{rho}, Rows: [][]pointBody{pts},
+		}); err != nil {
+			return nil, err
+		}
+	}
+	if err := b.put(key{"surface", "", -1}, full); err != nil {
+		return nil, err
+	}
+	return &b, nil
 }
 
-// snapshot is everything a warm request needs, immutable once built.
-type snapshot struct {
-	compact *compactSurface
-	// optima[metric][rhoIdx] is the precomputed argmax table.
-	optima map[string][]optimumCell
-	// optimalBody[metric][rhoIdx] is the pre-encoded 200 body for
-	// /api/optimal (nil where the cell is infeasible).
-	optimalBody map[string][][]byte
-	// fullBody / rowBody[rhoIdx] are the pre-encoded /api/surface
-	// bodies.
-	fullBody []byte
-	rowBody  [][]byte
+// shootoutModels lists the shootout's channel models by query name.
+func shootoutModels() []string {
+	var names []string
+	for _, m := range experiments.ShootoutModels() {
+		names = append(names, m.String())
+	}
+	return names
+}
+
+// shootoutTable serves the cross-scheme shootout over the sim preset
+// at rhos (experiments.DefaultShootoutRhos when empty): the full
+// cross, one channel model's rows, one density's rows, or one
+// (model, ρ) cell. It fails if the campaign itself is invalid.
+func shootoutTable(eng *engine.Engine, pre experiments.Preset, rhos []float64) (*table, error) {
+	if len(rhos) == 0 {
+		rhos = experiments.DefaultShootoutRhos()
+	}
+	jobs, err := experiments.ShootoutJobs(pre, rhos)
+	if err != nil {
+		return nil, err
+	}
+	// The digest hashes the ordered fingerprints of the campaign's
+	// jobs, which encode every parameter that can change a cached cell.
+	digest := jobsDigest(jobs)
+	t := &table{name: "shootout", rhos: rhos, etags: map[key]string{}}
+	for _, m := range append([]string{""}, shootoutModels()...) {
+		t.etags[key{"shootout", m, -1}] = etagOf("shootout", digest, m+"|")
+		for i, rho := range rhos {
+			t.etags[key{"shootout", m, i}] = etagOf("shootout", digest, m+"|"+rhoKey(rho))
+		}
+	}
+	t.load = func(ctx context.Context) (*bodies, error) {
+		data, err := experiments.ShootoutDataCtx(ctx, eng, pre, rhos)
+		if err != nil {
+			return nil, err
+		}
+		b := bodies{}
+		for k := range t.etags {
+			if err := b.put(k, shootoutFilter(data, k)); err != nil {
+				return nil, err
+			}
+		}
+		return &b, nil
+	}
+	return t, nil
+}
+
+// shootoutBody is the JSON shape of every /api/shootout response: the
+// (possibly narrowed) model and density axes plus the matching rows.
+type shootoutBody struct {
+	Models []string                  `json:"models"`
+	Rhos   []float64                 `json:"rhos"`
+	Rows   []experiments.ShootoutRow `json:"rows"`
+}
+
+// shootoutFilter narrows the campaign to k's model and density. Rows
+// are model-major over the densities, so they are matched by index.
+func shootoutFilter(data *experiments.ShootoutData, k key) shootoutBody {
+	var body shootoutBody
+	for i, rho := range data.Rhos {
+		if k.rho < 0 || k.rho == i {
+			body.Rhos = append(body.Rhos, rho)
+		}
+	}
+	for m, model := range data.Models {
+		if k.filter != "" && k.filter != model {
+			continue
+		}
+		body.Models = append(body.Models, model)
+		for i := range data.Rhos {
+			if k.rho < 0 || k.rho == i {
+				body.Rows = append(body.Rows, data.Rows[m*len(data.Rhos)+i])
+			}
+		}
+	}
+	return body
+}
+
+// put pre-encodes v as the body served under k.
+func (b bodies) put(k key, v any) error {
+	enc, err := encodeJSON(v)
+	b[k] = enc
+	return err
 }
 
 // encodeJSON renders v exactly as writeJSON puts it on the wire —
@@ -137,63 +233,6 @@ func encodeJSON(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// buildSnapshot compacts a loaded surface and pre-encodes every
-// 200-path body it can serve. name is the canonical surface query
-// value ("analytic" or "sim") echoed in the bodies.
-func buildSnapshot(name string, surf *experiments.Surface) (*snapshot, error) {
-	c := compactFrom(surf)
-	snap := &snapshot{
-		compact:     c,
-		optima:      make(map[string][]optimumCell),
-		optimalBody: make(map[string][][]byte),
-		rowBody:     make([][]byte, len(c.rhos)),
-	}
-	rows := make([][]optimize.Point, len(c.rhos))
-	for i := range c.rhos {
-		rows[i] = c.row(i)
-	}
-	for _, sel := range optimize.Selectors() {
-		cells := make([]optimumCell, len(c.rhos))
-		bodies := make([][]byte, len(c.rhos))
-		for i, rho := range c.rhos {
-			opt, ok := sel.Pick(rows[i])
-			cells[i] = optimumCell{opt: opt, ok: ok}
-			if !ok {
-				continue
-			}
-			b, err := encodeJSON(optimalBody{
-				Surface: name, Metric: sel.Name, Rho: rho,
-				S: c.s, P: opt.P, Value: opt.Value,
-			})
-			if err != nil {
-				return nil, err
-			}
-			bodies[i] = b
-		}
-		snap.optima[sel.Name] = cells
-		snap.optimalBody[sel.Name] = bodies
-	}
-	full := surfaceBody{Surface: name, S: c.s, Rhos: c.rhos}
-	for i, rho := range c.rhos {
-		pts := pointsBody(rows[i])
-		full.Rows = append(full.Rows, pts)
-		b, err := encodeJSON(surfaceBody{
-			Surface: name, S: c.s,
-			Rhos: []float64{rho}, Rows: [][]pointBody{pts},
-		})
-		if err != nil {
-			return nil, err
-		}
-		snap.rowBody[i] = b
-	}
-	fb, err := encodeJSON(full)
-	if err != nil {
-		return nil, err
-	}
-	snap.fullBody = fb
-	return snap, nil
-}
-
 // buildCall is one in-progress snapshot build; waiters share its
 // outcome instead of racing their own engine loads.
 type buildCall[T any] struct {
@@ -202,9 +241,7 @@ type buildCall[T any] struct {
 	err  error
 }
 
-// store publishes one surface's snapshot. It is generic over the
-// snapshot type: the (ρ, p) surfaces publish *snapshot, the shootout
-// publishes *shootSnapshot, and both get the same coalescing and
+// store publishes one table's snapshot with coalesced builds and
 // last-good-stays semantics.
 type store[T any] struct {
 	snap     atomic.Pointer[T]

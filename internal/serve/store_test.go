@@ -233,7 +233,7 @@ func TestServeWriteThroughBudget(t *testing.T) {
 	cache := engine.NewCache(t.TempDir(), experiments.CacheSalt)
 	eng := engine.New(engine.Config{Workers: 4, Cache: cache, CacheOnly: true,
 		Budget: engine.NewBudget(1e6, jobs, 0)})
-	srv, err := serve.New(eng, pa, ps)
+	srv, err := serve.NewCtx(t.Context(), eng, pa, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestServeWriteThroughBudget(t *testing.T) {
 	// unfilled sim rows still 503, while the rows the budgeted engine
 	// wrote through now serve without recomputation.
 	drained := engine.New(engine.Config{Workers: 4, Cache: cache, CacheOnly: true})
-	srv2, err := serve.New(drained, pa, ps)
+	srv2, err := serve.NewCtx(t.Context(), drained, pa, ps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,9 @@
 # (Fig4Reachability), the simulated sweep behind Fig. 8
 # (Fig8SimReachability), the engine-scheduled campaign
 # (EngineCampaign), the cross-scheme channel-model shootout
-# (ShootoutCampaign), and the serving fast path (ServeOptimal /
-# ServeSurfaceRow / ServeSurfaceFull — steady-state snapshot hits).
+# (ShootoutCampaign), the serving fast path (ServeOptimal /
+# ServeSurfaceRow / ServeSurfaceFull / ServeShootoutCell — steady-state
+# snapshot hits) and the serving rebuild path (ServeRefresh).
 #
 # The latency tier then boots a real `experiments -serve` over a
 # warmed quick cache, drives it with cmd/loadgen (closed loop, mixed
@@ -25,7 +26,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH.json}"
 benchtime="${2:-1x}"
 
-pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$'
+pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$'
 
 echo "== bench: $pattern (benchtime=$benchtime)" >&2
 go test -run=NONE -bench="$pattern" -benchtime="$benchtime" -benchmem . ./internal/serve/ |
