@@ -32,9 +32,12 @@ func benchPresetSim() experiments.Preset {
 	return pre
 }
 
+// benchEngine is a fresh uncached engine with one worker per CPU.
+func benchEngine() *engine.Engine { return engine.New(engine.Config{}) }
+
 func analyticSurface(b *testing.B) *experiments.Surface {
 	b.Helper()
-	s, err := experiments.AnalyticSurface(benchPresetAnalytic())
+	s, err := experiments.AnalyticSurfaceCtx(context.Background(), benchEngine(), benchPresetAnalytic())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,7 +46,7 @@ func analyticSurface(b *testing.B) *experiments.Surface {
 
 func simSurface(b *testing.B) *experiments.Surface {
 	b.Helper()
-	s, err := experiments.SimSurface(benchPresetSim())
+	s, err := experiments.SimSurfaceCtx(context.Background(), benchEngine(), benchPresetSim())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -217,7 +220,7 @@ func BenchmarkAblationAsync(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := pre.SimConfig(80)
 				cfg.Seed = int64(i)
-				if _, err := optimize.SweepSim(cfg, []float64{0.2}, pre.Constraints, 2, 0); err != nil {
+				if _, err := optimize.SweepSim(context.Background(), cfg, []float64{0.2}, pre.Constraints, 2, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -253,7 +256,7 @@ func BenchmarkCostFunctions(b *testing.B) {
 func BenchmarkPercolation(b *testing.B) {
 	grid := []float64{0.4, 0.55, 0.6, 0.65, 0.8}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Percolation(12, grid, 3, int64(i)); err != nil {
+		if _, err := experiments.Percolation(context.Background(), benchEngine(), 12, grid, 3, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -266,7 +269,7 @@ func BenchmarkCollisionProfile(b *testing.B) {
 	pre.Grid = []float64{0.1, 1}
 	pre.Runs = 2
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CollisionProfile(pre, 60); err != nil {
+		if _, err := experiments.CollisionProfile(context.Background(), benchEngine(), pre, 60); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -298,7 +301,7 @@ func BenchmarkSchemeComparison(b *testing.B) {
 	pre := benchPresetSim()
 	pre.Runs = 2
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SchemeComparison(pre, []float64{40}); err != nil {
+		if _, err := experiments.SchemeComparison(context.Background(), benchEngine(), pre, []float64{40}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -311,7 +314,7 @@ func BenchmarkShootoutCampaign(b *testing.B) {
 	pre := benchPresetSim()
 	pre.Runs = 2
 	for i := 0; i < b.N; i++ {
-		f, err := experiments.Shootout(pre, []float64{40})
+		f, err := experiments.ShootoutCtx(context.Background(), benchEngine(), pre, []float64{40})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,7 +329,7 @@ func BenchmarkHeterogeneity(b *testing.B) {
 	pre := benchPresetSim()
 	pre.Runs = 2
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Heterogeneity(pre, 60); err != nil {
+		if _, err := experiments.Heterogeneity(context.Background(), benchEngine(), pre, 60); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -358,7 +361,7 @@ func BenchmarkEngineCampaign(b *testing.B) {
 					Analytic: pa, Sim: ps,
 					Engine: engine.New(engine.Config{Workers: workers}),
 				}
-				figs, err := c.RunContext(context.Background(), nil)
+				figs, err := c.Run(context.Background(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -378,12 +381,12 @@ func BenchmarkEngineCachedCampaign(b *testing.B) {
 	ps := benchPresetSim()
 	eng := engine.New(engine.Config{Cache: engine.NewCache("", experiments.CacheSalt)})
 	c := experiments.Campaign{Analytic: pa, Sim: ps, Engine: eng}
-	if _, err := c.RunContext(context.Background(), nil); err != nil {
+	if _, err := c.Run(context.Background(), nil); err != nil {
 		b.Fatal(err) // warm the cache
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.RunContext(context.Background(), nil); err != nil {
+		if _, err := c.Run(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -412,7 +415,7 @@ func BenchmarkJointDesign(b *testing.B) {
 	pre.Runs = 2
 	pre.Grid = []float64{0.05, 0.1, 0.2, 0.4, 0.8}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.JointDesign(pre, 100, 15, []int{1, 3, 6}); err != nil {
+		if _, err := experiments.JointDesign(context.Background(), benchEngine(), pre, 100, 15, []int{1, 3, 6}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -60,8 +60,7 @@ import (
 
 func main() {
 	var (
-		figure = flag.String("figure", "all",
-			"fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig12sim|cfm|carrier|costfn|percolation|collisions|slots|field|schemes|hetero|refinedcfm|joint|mumode|degradation|shootout|all")
+		figure   = flag.String("figure", "all", strings.Join(experiments.FigureIDs(), "|"))
 		quick    = flag.Bool("quick", false, "coarse grids and few runs (fast)")
 		skipSim  = flag.Bool("skip-sim", false, "omit the simulated figures")
 		out      = flag.String("out", "", "write the report to a file instead of stdout")
@@ -116,17 +115,16 @@ func main() {
 	}
 	defer stopPprof()
 
-	deg := degParams{rho: *degRho}
-	if deg.crash, err = parseRates(*crashRates); err != nil {
+	spec := experiments.FigureSpec{DegRho: *degRho, SkipSim: *skipSim}
+	if spec.CrashRates, err = parseRates(*crashRates); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: -crash-rates:", err)
 		os.Exit(2)
 	}
-	if deg.loss, err = parseRates(*lossRates); err != nil {
+	if spec.LossRates, err = parseRates(*lossRates); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: -loss-rates:", err)
 		os.Exit(2)
 	}
-	shootRhos, err := parseRhos(*shootRhoSpec)
-	if err != nil {
+	if spec.ShootRhos, err = parseRhos(*shootRhoSpec); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: -shoot-rhos:", err)
 		os.Exit(2)
 	}
@@ -142,18 +140,18 @@ func main() {
 		w = f
 	}
 
-	pa, ps := experiments.PaperAnalytic(), experiments.PaperSim()
+	spec.Analytic, spec.Sim = experiments.PaperAnalytic(), experiments.PaperSim()
 	if *quick {
-		pa, ps = experiments.QuickAnalytic(), experiments.QuickSim()
+		spec.Analytic, spec.Sim = experiments.QuickAnalytic(), experiments.QuickSim()
 	}
 	if *runs > 0 {
-		ps.Runs = *runs
+		spec.Sim.Runs = *runs
 	}
-	ps.Async = *async
+	spec.Sim.Async = *async
 
-	var spec engine.ShardSpec
+	var shardSpec engine.ShardSpec
 	if *shard != "" {
-		if spec, err = engine.ParseShardSpec(*shard); err != nil {
+		if shardSpec, err = engine.ParseShardSpec(*shard); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: -shard:", err)
 			os.Exit(2)
 		}
@@ -204,34 +202,42 @@ func main() {
 		Workers:   *workers,
 		Timeout:   *timeout,
 		Cache:     cache,
-		Shard:     spec,
+		Shard:     shardSpec,
 		CacheOnly: cacheOnly,
 		// A zero -serve-budget leaves Budget nil: the strict
 		// never-recompute serving contract stays the explicit default.
 		Budget: engine.NewBudget(*serveBudget, *serveBurst, *serveInflight),
 	})
 
+	spec.Workers = eng.Workers()
+
 	// Ctrl-C cancels outstanding jobs and exits cleanly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	switch {
-	case *coordAddr != "":
-		err = runCoordinator(ctx, *coordAddr, *addrFile, cache, distConfig{
-			figure: *figure, pa: pa, ps: ps, deg: deg, shootRhos: shootRhos, skipSim: *skipSim,
-			shards: *distShard, ttl: *leaseTTL, workers: eng.Workers(),
-		}, w)
-	case *workerURL != "":
-		err = runWorker(ctx, *workerURL, *workerID, eng, distConfig{
-			figure: *figure, pa: pa, ps: ps, deg: deg, shootRhos: shootRhos, skipSim: *skipSim,
-			failAfter: *failAfter, chaosProf: chaosProf, chaosSeed: *chaosSeed,
-		}, w)
 	case *serveAddr != "":
-		err = runServe(ctx, *serveAddr, *addrFile, eng, pa, ps, shootRhos)
-	case *shard != "":
-		err = runShard(ctx, eng, *figure, pa, ps, deg, shootRhos, *skipSim, w)
+		err = runServe(ctx, *serveAddr, *addrFile, eng, spec)
+	case *shard != "" || *coordAddr != "" || *workerURL != "":
+		// The figure's job set is the unit every split agrees on.
+		dc := distConfig{shards: *distShard, ttl: *leaseTTL,
+			failAfter: *failAfter, chaosProf: chaosProf, chaosSeed: *chaosSeed}
+		if dc.jobs, err = experiments.FigureJobs(*figure, spec); err != nil {
+			break
+		}
+		switch {
+		case *coordAddr != "":
+			err = runCoordinator(ctx, *coordAddr, *addrFile, cache, dc, w)
+		case *workerURL != "":
+			err = runWorker(ctx, *workerURL, *workerID, eng, dc, w)
+		default:
+			err = runShard(ctx, eng, dc.jobs, w)
+		}
 	default:
-		err = run(ctx, eng, *figure, pa, ps, deg, shootRhos, *skipSim, w, *csvDir)
+		var figs []*experiments.FigureResult
+		if figs, err = experiments.RunFigure(ctx, eng, *figure, spec, w); err == nil {
+			err = dumpCSV(*csvDir, spec.Analytic.Rhos, figs...)
+		}
 	}
 	if *stats {
 		fmt.Fprintln(os.Stderr, eng.Stats())
@@ -301,12 +307,7 @@ func printMissingJSON(w io.Writer, missing *engine.MissingError, total int) erro
 // runShard computes this process's shard of the figure's jobs into the
 // shared cache and reports what it did; rendering is the merge step's
 // business.
-func runShard(ctx context.Context, eng *engine.Engine, figure string,
-	pa, ps experiments.Preset, deg degParams, shootRhos []float64, skipSim bool, w io.Writer) error {
-	jobs, err := experiments.FigureJobs(figure, pa, ps, deg.rho, deg.crash, deg.loss, shootRhos, skipSim, eng.Workers())
-	if err != nil {
-		return err
-	}
+func runShard(ctx context.Context, eng *engine.Engine, jobs []engine.Job, w io.Writer) error {
 	rep, err := experiments.RunShard(ctx, eng, jobs)
 	if err != nil {
 		return err
@@ -315,25 +316,16 @@ func runShard(ctx context.Context, eng *engine.Engine, figure string,
 	return err
 }
 
-// distConfig carries the flags both distributed roles need to rebuild
-// the same job set: the figure, presets, and degradation knobs pin the
-// fingerprints, which are the protocol's only job identity.
+// distConfig carries what the distributed roles run: the figure's job
+// set (whose fingerprints are the protocol's only job identity, so both
+// roles build it from the same flags) and each role's own knobs.
 type distConfig struct {
-	figure    string
-	pa, ps    experiments.Preset
-	deg       degParams
-	shootRhos []float64
-	skipSim   bool
+	jobs      []engine.Job
 	shards    int
 	ttl       time.Duration
-	workers   int
 	failAfter int
 	chaosProf *chaos.Profile
 	chaosSeed int64
-}
-
-func (d distConfig) jobs() ([]engine.Job, error) {
-	return experiments.FigureJobs(d.figure, d.pa, d.ps, d.deg.rho, d.deg.crash, d.deg.loss, d.shootRhos, d.skipSim, d.workers)
 }
 
 // runCoordinator serves the figure's job queue until every job is
@@ -342,10 +334,6 @@ func (d distConfig) jobs() ([]engine.Job, error) {
 // repeated worker failures make the run fail.
 func runCoordinator(ctx context.Context, addr, addrFile string, cache *engine.Cache,
 	cfg distConfig, w io.Writer) error {
-	jobs, err := cfg.jobs()
-	if err != nil {
-		return err
-	}
 	coord, err := dist.NewCoordinator(dist.Config{
 		Sink:     cache,
 		Shards:   cfg.shards,
@@ -353,7 +341,7 @@ func runCoordinator(ctx context.Context, addr, addrFile string, cache *engine.Ca
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
 		},
-	}, jobs)
+	}, cfg.jobs)
 	if err != nil {
 		return err
 	}
@@ -378,7 +366,7 @@ func runCoordinator(ctx context.Context, addr, addrFile string, cache *engine.Ca
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "experiments: coordinating %d job(s) on %s (%d shard queues, %s lease TTL)\n",
-		len(jobs), ln.Addr(), cfg.shards, cfg.ttl)
+		len(cfg.jobs), ln.Addr(), cfg.shards, cfg.ttl)
 
 	select {
 	case err := <-errCh:
@@ -443,10 +431,6 @@ func runCoordinator(ctx context.Context, addr, addrFile string, cache *engine.Ca
 // dist.ErrFailInjected, which main maps to exit code 7.
 func runWorker(ctx context.Context, url, id string, eng *engine.Engine,
 	cfg distConfig, w io.Writer) error {
-	jobs, err := cfg.jobs()
-	if err != nil {
-		return err
-	}
 	if id == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -470,7 +454,7 @@ func runWorker(ctx context.Context, url, id string, eng *engine.Engine,
 		ID:        id,
 		BaseURL:   url,
 		Engine:    eng,
-		Jobs:      jobs,
+		Jobs:      cfg.jobs,
 		Client:    client,
 		FailAfter: cfg.failAfter,
 		Logf: func(format string, args ...any) {
@@ -495,8 +479,8 @@ func runWorker(ctx context.Context, url, id string, eng *engine.Engine,
 // later). addrFile, when set, receives the bound listen address (for
 // :0 listeners in scripts).
 func runServe(ctx context.Context, addr, addrFile string, eng *engine.Engine,
-	pa, ps experiments.Preset, shootRhos []float64) error {
-	srv, err := serve.NewCtx(ctx, eng, pa, ps, serve.WithShootoutRhos(shootRhos))
+	spec experiments.FigureSpec) error {
+	srv, err := serve.NewCtx(ctx, eng, spec.Analytic, spec.Sim, serve.WithShootoutRhos(spec.ShootRhos))
 	if err != nil {
 		return err
 	}
@@ -611,13 +595,6 @@ func startProfiles(cpuPath, memPath string) func() {
 	}
 }
 
-// degParams collects the -figure degradation knobs. Empty rate slices
-// pick the study's defaults.
-type degParams struct {
-	rho         float64
-	crash, loss []float64
-}
-
 // parseRhos parses a comma-separated list of positive densities; an
 // empty string means "use the default pair". Unlike parseRates, rhos
 // are not bounded by 1.
@@ -684,99 +661,4 @@ func dumpCSV(dir string, rhos []float64, figs ...*experiments.FigureResult) erro
 		}
 	}
 	return nil
-}
-
-func run(ctx context.Context, eng *engine.Engine, figure string, pa, ps experiments.Preset,
-	deg degParams, shootRhos []float64, skipSim bool, w io.Writer, csvDir string) error {
-	if figure == "all" {
-		c := experiments.Campaign{Analytic: pa, Sim: ps, SkipSim: skipSim,
-			Extras: true, Engine: eng}
-		figs, err := c.RunContext(ctx, w)
-		if err != nil {
-			return err
-		}
-		return dumpCSV(csvDir, pa.Rhos, figs...)
-	}
-
-	var f *experiments.FigureResult
-	var err error
-	switch {
-	case experiments.NeedsAnalyticSurface(figure):
-		var surf *experiments.Surface
-		surf, err = experiments.AnalyticSurfaceCtx(ctx, eng, pa)
-		if err != nil {
-			return err
-		}
-		switch figure {
-		case "fig4":
-			f = experiments.Fig4(surf)
-		case "fig5":
-			f = experiments.Fig5(surf)
-		case "fig6":
-			f = experiments.Fig6(surf)
-		case "fig7":
-			f = experiments.Fig7(surf)
-		case "fig12":
-			f, err = experiments.Fig12(surf)
-		}
-	case experiments.NeedsSimSurface(figure):
-		var surf *experiments.Surface
-		surf, err = experiments.SimSurfaceCtx(ctx, eng, ps)
-		if err != nil {
-			return err
-		}
-		switch figure {
-		case "fig8":
-			f = experiments.Fig8(surf)
-		case "fig9":
-			f = experiments.Fig9(surf)
-		case "fig10":
-			f = experiments.Fig10(surf)
-		case "fig11":
-			f = experiments.Fig11(surf)
-		case "fig12sim":
-			f, err = experiments.SimSuccessRate(ps, surf)
-		}
-	case figure == "cfm":
-		f, err = experiments.CFMBaseline(pa)
-	case figure == "carrier":
-		f, err = experiments.CarrierSenseAblation(pa)
-	case figure == "costfn":
-		f, err = experiments.CostFunctions(pa, 5)
-	case figure == "collisions":
-		f, err = experiments.CollisionProfile(ps, 100)
-	case figure == "schemes":
-		f, err = experiments.SchemeComparison(ps, []float64{40, 100})
-	case figure == "hetero":
-		f, err = experiments.Heterogeneity(ps, 80)
-	case figure == "refinedcfm":
-		f, err = experiments.RefinedCFM(pa, 5)
-	case figure == "joint":
-		f, err = experiments.JointDesign(ps, 100, 15, []int{1, 2, 3, 4, 6, 9})
-	case figure == "mumode":
-		f, err = experiments.MuModeAblation(pa)
-	case figure == "degradation":
-		f, err = experiments.DegradationCtx(ctx, eng, ps, deg.rho, deg.crash, deg.loss)
-	case figure == "shootout":
-		f, err = experiments.ShootoutCtx(ctx, eng, ps, shootRhos)
-	case figure == "slots":
-		f, err = experiments.SlotSweep(80, []int{1, 2, 3, 4, 6, 8, 12}, pa.Grid, pa.Constraints)
-	case figure == "field":
-		f, err = experiments.FieldScaling(80, []int{3, 5, 8, 12, 16}, 0.15, pa.Constraints)
-	case figure == "percolation":
-		var grid []float64
-		for p := 0.35; p <= 0.9; p += 0.05 {
-			grid = append(grid, p)
-		}
-		f, err = experiments.Percolation(18, grid, 10, 1)
-	default:
-		return fmt.Errorf("unknown figure %q", figure)
-	}
-	if err != nil {
-		return err
-	}
-	if err := f.Render(w); err != nil {
-		return err
-	}
-	return dumpCSV(csvDir, pa.Rhos, f)
 }

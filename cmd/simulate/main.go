@@ -10,9 +10,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
 	"text/tabwriter"
 
@@ -69,7 +71,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	agg, err := sim.RunMany(cfg, *runs, 0)
+	// Ctrl-C abandons the replications not yet started.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	agg, err := sim.RunMany(ctx, cfg, *runs, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -62,7 +63,7 @@ func main() {
 }
 
 func meanReach(m core.NetworkModel, p float64) float64 {
-	agg, err := m.SimulateMany(p, 7, 8)
+	agg, err := m.SimulateMany(context.Background(), p, 7, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

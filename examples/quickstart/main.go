@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 		opt.P, opt.Value*100, c.Latency)
 
 	// Validate on the simulator (10 random deployments).
-	agg, err := m.SimulateMany(opt.P, 1, 10)
+	agg, err := m.SimulateMany(context.Background(), opt.P, 1, 10)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -44,7 +45,7 @@ func main() {
 }
 
 func simulatedReach(m core.NetworkModel, p, latency float64) float64 {
-	agg, err := m.SimulateMany(p, 1, 10)
+	agg, err := m.SimulateMany(context.Background(), p, 1, 10)
 	if err != nil {
 		log.Fatal(err)
 	}

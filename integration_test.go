@@ -5,11 +5,13 @@ package sensornet_test
 // framework, asserting the paper's headline claims on small campaigns.
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"sensornet/internal/core"
+	"sensornet/internal/engine"
 	"sensornet/internal/experiments"
 	"sensornet/internal/metrics"
 )
@@ -19,7 +21,7 @@ func TestEndToEndHeadlineClaims(t *testing.T) {
 		t.Skip("end-to-end campaign in -short mode")
 	}
 	pre := experiments.QuickAnalytic()
-	surf, err := experiments.AnalyticSurface(pre)
+	surf, err := experiments.AnalyticSurfaceCtx(context.Background(), engine.New(engine.Config{}), pre)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestEndToEndMethodologyLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	mean := func(p float64) float64 {
-		agg, err := m.SimulateMany(p, 3, 8)
+		agg, err := m.SimulateMany(context.Background(), p, 3, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +105,7 @@ func TestEndToEndCampaignReport(t *testing.T) {
 	pre.Rhos = []float64{40, 120}
 	var b strings.Builder
 	c := experiments.Campaign{Analytic: pre, SkipSim: true, Extras: true}
-	figs, err := c.Run(&b)
+	figs, err := c.Run(context.Background(), &b)
 	if err != nil {
 		t.Fatal(err)
 	}

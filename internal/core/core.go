@@ -15,6 +15,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -144,10 +145,11 @@ func (m NetworkModel) SimulateProtocol(pr protocol.Protocol, seed int64) (*sim.R
 }
 
 // SimulateMany runs `runs` independent simulations of PB_CAM and
-// aggregates them.
-func (m NetworkModel) SimulateMany(p float64, seed int64, runs int) (*sim.Aggregate, error) {
+// aggregates them; cancelling ctx skips the replications not yet
+// started.
+func (m NetworkModel) SimulateMany(ctx context.Context, p float64, seed int64, runs int) (*sim.Aggregate, error) {
 	cfg := m.simConfig(protocol.Probability{P: p}, seed, false)
-	return sim.RunMany(cfg, runs, 0)
+	return sim.RunMany(ctx, cfg, runs, 0)
 }
 
 // Objective selects which §4.1 metric OptimalProbability optimises.

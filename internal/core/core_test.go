@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -175,7 +176,7 @@ func TestSimulateProtocolFlooding(t *testing.T) {
 func TestSimulateMany(t *testing.T) {
 	m := DefaultModel()
 	m.Rho = 30
-	agg, err := m.SimulateMany(0.3, 11, 5)
+	agg, err := m.SimulateMany(context.Background(), 0.3, 11, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestAnalysisPredictsSimulationBallpark(t *testing.T) {
 	m := DefaultModel()
 	m.Rho = 80
 	simReach := func(p float64) float64 {
-		agg, err := m.SimulateMany(p, 5, 8)
+		agg, err := m.SimulateMany(context.Background(), p, 5, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,60 +1,84 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"sensornet/internal/analytic"
-	"sensornet/internal/metrics"
+	"sensornet/internal/engine"
 	"sensornet/internal/optimize"
 	"sensornet/internal/protocol"
 	"sensornet/internal/sim"
-	"sensornet/internal/trace"
 )
+
+// collCell is the cached aggregate of one collision-profile cell: the
+// mean, over replications, of PB's channel outcome at one probability.
+type collCell struct {
+	ReachAtL   float64 `json:"reachAtL"`
+	Deliveries float64 `json:"deliveries"`
+	Collisions float64 `json:"collisions"`
+	// Rate is the mean per-run fraction of reception opportunities lost
+	// to collisions.
+	Rate float64 `json:"rate"`
+}
+
+func (c *collCell) add(res *sim.Result, deadline float64) {
+	c.ReachAtL += res.Timeline.ReachabilityAtPhase(deadline)
+	c.Deliveries += float64(res.Delivered)
+	c.Collisions += float64(res.LostToCollision)
+	if n := res.Delivered + res.LostToCollision; n > 0 {
+		c.Rate += float64(res.LostToCollision) / float64(n)
+	}
+}
+
+func (c *collCell) div(n float64) {
+	c.ReachAtL /= n
+	c.Deliveries /= n
+	c.Collisions /= n
+	c.Rate /= n
+}
 
 // CollisionProfile explains the bell curves mechanistically: at one
 // density it sweeps the broadcast probability and measures, in the
 // simulator, the fraction of reception opportunities destroyed by
 // collisions alongside the achieved reachability.
-func CollisionProfile(pre Preset, rho float64) (*FigureResult, error) {
-	f := &FigureResult{ID: "collisions",
-		Title:  fmt.Sprintf("Collision profile of PB_CAM at rho=%g", rho),
-		Series: map[string][]float64{}}
-	t := Table{Title: fmt.Sprintf("channel outcome vs p (mean of %d runs)", pre.Runs)}
-	t.Header = []string{"p", "reach@L", "deliveries", "collisions", "collision rate"}
+func CollisionProfile(ctx context.Context, eng *engine.Engine, pre Preset, rho float64) (*FigureResult, error) {
+	return runStudy(ctx, eng)(collisionStudy(pre, rho))
+}
 
-	var rates, reach []float64
-	for _, p := range pre.Grid {
-		var sumRate, sumReach, sumDel, sumCol float64
-		for r := 0; r < pre.Runs; r++ {
-			var col trace.Collector
-			cfg := pre.SimConfig(rho)
-			cfg.Protocol = protocol.Probability{P: p}
-			//lint:ignore seedderive sequential seeds pair replications across grid probabilities (variance reduction by common random numbers)
-			cfg.Seed = pre.Seed + int64(r)
-			cfg.Tracer = &col
-			res, err := sim.Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			sumRate += col.CollisionRate()
-			sumReach += res.Timeline.ReachabilityAtPhase(pre.Constraints.Latency)
-			tot := col.Totals()
-			sumDel += float64(tot.Deliveries)
-			sumCol += float64(tot.Collisions)
-		}
-		n := float64(pre.Runs)
-		rates = append(rates, sumRate/n)
-		reach = append(reach, sumReach/n)
-		t.Add(fmt.Sprintf("%.2f", p), fmtF(sumReach/n), fmtF1(sumDel/n),
-			fmtF1(sumCol/n), fmtF(sumRate/n))
+// collisionStudy is one cell per grid probability; every probability
+// sees the same deployments.
+func collisionStudy(pre Preset, rho float64) (study, error) {
+	if err := checkRuns("collisions", pre.Runs); err != nil {
+		return nil, err
 	}
-	f.Series["collisionRate"] = rates
-	f.Series["reach"] = reach
-	f.Tables = []Table{t}
-	f.Notes = append(f.Notes,
-		"reachability bells over p because the collision rate rises monotonically while the transmission count grows")
-	return f, nil
+	cells := make([]engine.Job, len(pre.Grid))
+	for i, p := range pre.Grid {
+		cfg := pre.SimConfig(rho)
+		cfg.Protocol = protocol.Probability{P: p}
+		cells[i] = cellJob[collCell](keyedCell("collision-cell",
+			fmt.Sprintf("collisions(p=%g,rho=%g)", p, rho),
+			cfg, pre.Runs, pre.Constraints.Latency))
+	}
+	return cellStudy[collCell]{cells, func(aggs []collCell) *FigureResult {
+		t := Table{Title: fmt.Sprintf("channel outcome vs p (mean of %d runs)", pre.Runs)}
+		t.Header = []string{"p", "reach@L", "deliveries", "collisions", "collision rate"}
+		var rates, reach []float64
+		for i, p := range pre.Grid {
+			c := aggs[i]
+			rates = append(rates, c.Rate)
+			reach = append(reach, c.ReachAtL)
+			t.Add(fmt.Sprintf("%.2f", p), fmtF(c.ReachAtL), fmtF1(c.Deliveries),
+				fmtF1(c.Collisions), fmtF(c.Rate))
+		}
+		return &FigureResult{ID: "collisions",
+			Title:  fmt.Sprintf("Collision profile of PB_CAM at rho=%g", rho),
+			Series: map[string][]float64{"collisionRate": rates, "reach": reach},
+			Tables: []Table{t},
+			Notes: []string{
+				"reachability bells over p because the collision rate rises monotonically while the transmission count grows"}}
+	}}, nil
 }
 
 // SlotSweep studies the backoff window: the paper fixes s = 3 slots per
@@ -80,13 +104,7 @@ func SlotSweep(rho float64, slots []int, grid []float64, c optimize.Constraints)
 			return nil, fmt.Errorf("experiments: no optimum for s=%d", s)
 		}
 		// Latency at the same operating point.
-		lat := math.NaN()
-		for _, pt := range pts {
-			//lint:ignore floateq o.P is a verbatim copy of one pts[i].P; this looks up that same point by identity
-			if pt.P == o.P {
-				lat = pt.Latency
-			}
-		}
+		lat := pts[o.Index].Latency
 		t.Add(fmt.Sprintf("%d", s), fmt.Sprintf("%.2f", o.P), fmtF(o.Value), fmtF(lat))
 		optPs = append(optPs, o.P)
 		reachs = append(reachs, o.Value)
@@ -138,14 +156,4 @@ func FieldScaling(rho float64, fields []int, p float64, c optimize.Constraints) 
 	f.Notes = append(f.Notes,
 		"latency grows linearly in the field radius: the collision-aware wavefront still advances O(1) rings per phase at a well-chosen p")
 	return f, nil
-}
-
-// timelineAt is a small helper for tests: the analytic timeline at one
-// configuration.
-func timelineAt(pp, s int, rho, p float64) (metrics.Timeline, error) {
-	res, err := analytic.Run(analytic.Config{P: pp, S: s, Rho: rho, Prob: p})
-	if err != nil {
-		return metrics.Timeline{}, err
-	}
-	return res.Timeline, nil
 }

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"sensornet/internal/analytic"
 	"sensornet/internal/mathx"
+	"sensornet/internal/metrics"
 	"sensornet/internal/optimize"
 )
 
@@ -13,7 +16,7 @@ func TestCollisionProfileShape(t *testing.T) {
 	pre.Rhos = []float64{60}
 	pre.Grid = []float64{0.05, 0.3, 1}
 	pre.Runs = 3
-	f, err := CollisionProfile(pre, 60)
+	f, err := CollisionProfile(context.Background(), testEngine(), pre, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +97,19 @@ func TestTimelineAtHelper(t *testing.T) {
 	}
 }
 
+// timelineAt is the analytic timeline at one configuration.
+func timelineAt(pp, s int, rho, p float64) (metrics.Timeline, error) {
+	res, err := analytic.Run(analytic.Config{P: pp, S: s, Rho: rho, Prob: p})
+	if err != nil {
+		return metrics.Timeline{}, err
+	}
+	return res.Timeline, nil
+}
+
 func TestSchemeComparison(t *testing.T) {
 	pre := QuickSim()
 	pre.Runs = 3
-	f, err := SchemeComparison(pre, []float64{40})
+	f, err := SchemeComparison(context.Background(), testEngine(), pre, []float64{40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +127,7 @@ func TestSchemeComparison(t *testing.T) {
 func TestHeterogeneity(t *testing.T) {
 	pre := QuickSim()
 	pre.Runs = 4
-	f, err := Heterogeneity(pre, 60)
+	f, err := Heterogeneity(context.Background(), testEngine(), pre, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +168,7 @@ func TestJointDesign(t *testing.T) {
 	pre := QuickSim()
 	pre.Runs = 6
 	pre.Grid = mathx.Range(0.04, 1, 0.04)
-	f, err := JointDesign(pre, 100, 15, []int{1, 3, 6})
+	f, err := JointDesign(context.Background(), testEngine(), pre, 100, 15, []int{1, 3, 6})
 	if err != nil {
 		t.Fatal(err)
 	}

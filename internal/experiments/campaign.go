@@ -36,49 +36,55 @@ var campaignOrder = []string{
 	"cfm", "carrier", "costfn", "slots", "field", "percolation",
 }
 
-// Run executes the campaign, streaming each figure to w as it
-// completes, and returns all results.
-func (c Campaign) Run(w io.Writer) ([]*FigureResult, error) {
-	return c.RunContext(context.Background(), w)
+// jobs is the campaign's keyed job set: every analytic surface point,
+// every simulated surface row (unless SkipSim), and with Extras the
+// percolation cells. workers bounds replication parallelism inside
+// simulated rows; it never affects job identity.
+func (c Campaign) jobs(workers int) []engine.Job {
+	jobs := SurfaceJobs(c.Analytic, false, workers)
+	if !c.SkipSim {
+		jobs = append(jobs, SurfaceJobs(c.Sim, true, workers)...)
+	}
+	if c.Extras {
+		jobs = append(jobs, cliPercolation().jobs()...)
+	}
+	return jobs
 }
 
-// RunContext executes the campaign on the engine: every surface row
-// (analytic and simulated) is submitted as one concurrent batch, then
-// the figures that run their own model evaluations form a second
-// batch, and the results are emitted in canonical order. Cancelling
-// ctx aborts outstanding jobs and returns an error wrapping the
-// context's cause.
-func (c Campaign) RunContext(ctx context.Context, w io.Writer) ([]*FigureResult, error) {
+// Run executes the campaign on the engine: every keyed job (the
+// surfaces behind Figs. 4-11 and the percolation cells) is submitted as
+// one concurrent batch, then the figures that run their own model
+// evaluations form a second batch, and the results are emitted to w in
+// canonical order. A cache-only engine that misses keyed jobs fails in
+// the first batch, naming every missing job. Cancelling ctx aborts
+// outstanding jobs and returns an error wrapping the context's cause.
+func (c Campaign) Run(ctx context.Context, w io.Writer) ([]*FigureResult, error) {
 	eng := c.Engine
 	if eng == nil {
 		eng = defaultEngine(c.Analytic)
 	}
 
-	// Batch 1: the metric surfaces behind Figs. 4-11 — one job per
-	// (density, probability) point for the analytic engine, one per
-	// density row for the simulator (whose rows share per-replication
-	// deployments internally and are too coarse to split further
-	// without resampling them).
-	jobs := analyticPointJobs(c.Analytic)
-	nAnalytic := len(jobs)
-	if !c.SkipSim {
-		for _, rho := range c.Sim.Rhos {
-			jobs = append(jobs, simRowJob(c.Sim, rho, eng.Workers()))
-		}
-	}
-	rows, err := eng.Run(ctx, jobs)
+	// Batch 1: one job per (density, probability) point for the
+	// analytic engine, one per density row for the simulator (whose rows
+	// share per-replication deployments internally and are too coarse to
+	// split further without resampling them), one per probability for
+	// the percolation lattice.
+	results, err := eng.Run(ctx, c.jobs(eng.Workers()))
 	if err != nil {
 		return nil, err
 	}
-	surf, err := analyticSurfaceFromPoints(c.Analytic, rows[:nAnalytic])
+	nAnalytic := len(c.Analytic.Rhos) * len(c.Analytic.Grid)
+	surf, err := assembleSurface(c.Analytic, false, results[:nAnalytic])
 	if err != nil {
 		return nil, err
 	}
+	results = results[nAnalytic:]
 	var simSurf *Surface
 	if !c.SkipSim {
-		if simSurf, err = surfaceFromResults(c.Sim, rows[nAnalytic:], true); err != nil {
+		if simSurf, err = assembleSurface(c.Sim, true, results[:len(c.Sim.Rhos)]); err != nil {
 			return nil, err
 		}
+		results = results[len(c.Sim.Rhos):]
 	}
 
 	figs := map[string]*FigureResult{
@@ -88,6 +94,11 @@ func (c Campaign) RunContext(ctx context.Context, w io.Writer) ([]*FigureResult,
 	if simSurf != nil {
 		figs["fig8"], figs["fig9"] = Fig8(simSurf), Fig9(simSurf)
 		figs["fig10"], figs["fig11"] = Fig10(simSurf), Fig11(simSurf)
+	}
+	if c.Extras {
+		if figs["percolation"], err = cliPercolation().figure(ctx, results); err != nil {
+			return nil, err
+		}
 	}
 
 	// Batch 2: figures that evaluate the models themselves.
@@ -105,7 +116,7 @@ func (c Campaign) RunContext(ctx context.Context, w io.Writer) ([]*FigureResult,
 	}
 	if simSurf != nil {
 		addFig("fig12sim", func(ctx context.Context) (*FigureResult, error) {
-			return simSuccessRateCtx(ctx, c.Sim, simSurf, eng.Workers())
+			return simSuccessRate(ctx, simSurf, eng.Workers())
 		})
 	}
 	addFig("fig12", func(context.Context) (*FigureResult, error) { return Fig12(surf) })
@@ -126,13 +137,6 @@ func (c Campaign) RunContext(ctx context.Context, w io.Writer) ([]*FigureResult,
 		addFig("field", func(context.Context) (*FigureResult, error) {
 			return FieldScaling(80, []int{3, 5, 8, 12}, 0.15,
 				c.Analytic.Constraints)
-		})
-		addFig("percolation", func(context.Context) (*FigureResult, error) {
-			grid := make([]float64, 0, 12)
-			for p := 0.35; p <= 0.9; p += 0.05 {
-				grid = append(grid, p)
-			}
-			return Percolation(18, grid, 10, 1)
 		})
 	}
 	derived, err := eng.Run(ctx, figJobs)
@@ -164,14 +168,12 @@ func (c Campaign) RunContext(ctx context.Context, w io.Writer) ([]*FigureResult,
 	return out, nil
 }
 
-// SimSuccessRate measures the flooding success rate in the simulator
+// simSuccessRate measures the flooding success rate in the simulator
 // per density and compares it with the simulated optimal probability
 // from the Fig. 8 surface: the measured counterpart of Fig. 12.
-func SimSuccessRate(pre Preset, surf *Surface) (*FigureResult, error) {
-	return simSuccessRateCtx(context.Background(), pre, surf, pre.Workers)
-}
-
-func simSuccessRateCtx(ctx context.Context, pre Preset, surf *Surface, workers int) (*FigureResult, error) {
+// workers bounds the replication parallelism.
+func simSuccessRate(ctx context.Context, surf *Surface, workers int) (*FigureResult, error) {
+	pre := surf.Pre
 	f := &FigureResult{ID: "fig12sim",
 		Title:  "Simulated flooding success rate vs optimal probability",
 		Series: map[string][]float64{}}
@@ -184,7 +186,7 @@ func simSuccessRateCtx(ctx context.Context, pre Preset, surf *Surface, workers i
 	for i, rho := range pre.Rhos {
 		cfg := pre.SimConfig(rho)
 		cfg.Protocol = protocol.Flooding{}
-		agg, err := sim.RunManyCtx(ctx, cfg, pre.Runs, workers)
+		agg, err := sim.RunMany(ctx, cfg, pre.Runs, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
-	"sensornet/internal/analytic"
 	"sensornet/internal/engine"
 	"sensornet/internal/faults"
 	"sensornet/internal/protocol"
@@ -15,8 +13,7 @@ import (
 
 // degCell is the cached aggregate of one degradation grid cell: the
 // mean, over replications, of one scheme's behaviour at one
-// (crash rate, loss rate) point. Every field is finite, so the struct
-// round-trips through the disk cache's JSON layer directly.
+// (crash rate, loss rate) point.
 type degCell struct {
 	// Coverage is the mean final reachability; ReachAtL the mean
 	// reachability within the latency constraint.
@@ -38,164 +35,31 @@ type degCell struct {
 	Depleted float64 `json:"depleted"`
 }
 
-func encodeDegCell(v any) ([]byte, error) {
-	cell, ok := v.(degCell)
-	if !ok {
-		return nil, fmt.Errorf("experiments: expected degCell, got %T", v)
-	}
-	return json.Marshal(cell)
+func (c *degCell) add(res *sim.Result, deadline float64) {
+	c.Coverage += res.Timeline.FinalReachability()
+	c.ReachAtL += res.Timeline.ReachabilityAtPhase(deadline)
+	c.Settle += settlePhase(res.PhaseNew)
+	c.Broadcasts += float64(res.Broadcasts)
+	c.Delivered += float64(res.Delivered)
+	c.LostColl += float64(res.LostToCollision)
+	c.LostFault += float64(res.LostToFault)
+	c.Crashed += float64(res.Crashed)
+	c.Depleted += float64(res.Depleted)
 }
 
-func decodeDegCell(data []byte) (any, error) {
-	var cell degCell
-	err := json.Unmarshal(data, &cell)
-	return cell, err
+func (c *degCell) div(n float64) {
+	c.Coverage /= n
+	c.ReachAtL /= n
+	c.Settle /= n
+	c.Broadcasts /= n
+	c.Delivered /= n
+	c.LostColl /= n
+	c.LostFault /= n
+	c.Crashed /= n
+	c.Depleted /= n
 }
 
-// settlePhase returns the last phase with a first reception.
-func settlePhase(phaseNew []int) float64 {
-	last := 0
-	for i, n := range phaseNew {
-		if n > 0 {
-			last = i + 1
-		}
-	}
-	return float64(last)
-}
-
-// degCellJob builds the cached job averaging one scheme's metrics over
-// the preset's replications at one fault-rate point. Replications use
-// sequential seeds so every cell of the grid sees the same deployments
-// and — because the fault plan's streams derive from the run seed, not
-// the rates — coupled fault draws: at a fixed replication the crashed
-// set at a low rate is a subset of the crashed set at a high one.
-func degCellJob(pre Preset, rho float64, schemeName string, scheme protocol.Protocol,
-	crash, loss float64) engine.Job {
-
-	cfg := pre.SimConfig(rho)
-	cfg.Protocol = scheme
-	cfg.Faults = &faults.Config{CrashRate: crash, LossRate: loss}
-	key := engine.Fingerprint("deg-cell", CacheSalt,
-		cfg.P, cfg.R, cfg.Rho, cfg.N, cfg.S, cfg.Model, cfg.Seed,
-		cfg.Async, cfg.MaxPhases, schemeName, crash, loss,
-		pre.Constraints.Latency, pre.Runs)
-	return engine.JobFunc{
-		JobName:  fmt.Sprintf("deg(%s,crash=%g,loss=%g)", schemeName, crash, loss),
-		Key:      key,
-		EncodeFn: encodeDegCell,
-		DecodeFn: decodeDegCell,
-		Fn: func(ctx context.Context) (any, error) {
-			var cell degCell
-			for r := 0; r < pre.Runs; r++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				run := cfg
-				//lint:ignore seedderive sequential seeds pair replications across grid cells so rate sweeps share deployments and fault draws
-				run.Seed = pre.Seed + int64(r)
-				res, err := sim.Run(run)
-				if err != nil {
-					return nil, err
-				}
-				cell.Coverage += res.Timeline.FinalReachability()
-				cell.ReachAtL += res.Timeline.ReachabilityAtPhase(pre.Constraints.Latency)
-				cell.Settle += settlePhase(res.PhaseNew)
-				cell.Broadcasts += float64(res.Broadcasts)
-				cell.Delivered += float64(res.Delivered)
-				cell.LostColl += float64(res.LostToCollision)
-				cell.LostFault += float64(res.LostToFault)
-				cell.Crashed += float64(res.Crashed)
-				cell.Depleted += float64(res.Depleted)
-			}
-			n := float64(pre.Runs)
-			cell.Coverage /= n
-			cell.ReachAtL /= n
-			cell.Settle /= n
-			cell.Broadcasts /= n
-			cell.Delivered /= n
-			cell.LostColl /= n
-			cell.LostFault /= n
-			cell.Crashed /= n
-			cell.Depleted /= n
-			return cell, nil
-		},
-	}
-}
-
-// Degradation runs the graceful-degradation study on a default engine:
-// see DegradationCtx.
-func Degradation(pre Preset, rho float64, crashRates, lossRates []float64) (*FigureResult, error) {
-	return DegradationCtx(context.Background(), defaultEngine(pre), pre, rho, crashRates, lossRates)
-}
-
-// degScheme pairs a compared scheme's display name with its protocol.
-type degScheme struct {
-	name  string
-	proto protocol.Protocol
-}
-
-// degStudy is the normalised parameter set of one degradation study:
-// the effective preset (horizon capped near the latency budget), the
-// rate grids with defaults applied, the calibrated law, and the two
-// schemes compared. Extracting it keeps the sharded job builder
-// (DegradationJobs) and the figure assembly (DegradationCtx) agreed on
-// job identity, so a shard process and the merge process address the
-// same cache entries.
-type degStudy struct {
-	pre         Preset
-	crash, loss []float64
-	schemes     []degScheme
-	law         analytic.OptimalProbabilityLaw
-}
-
-func newDegStudy(pre Preset, rho float64, crashRates, lossRates []float64) (*degStudy, error) {
-	if pre.Runs < 1 {
-		return nil, fmt.Errorf("experiments: degradation needs Runs >= 1, got %d", pre.Runs)
-	}
-	if len(crashRates) == 0 {
-		crashRates = []float64{0, 0.1, 0.2, 0.4}
-	}
-	if len(lossRates) == 0 {
-		lossRates = []float64{0, 0.1, 0.3}
-	}
-	if pre.MaxPhases == 0 {
-		pre.MaxPhases = 2 * int(pre.Constraints.Latency)
-		if pre.MaxPhases < 10 {
-			pre.MaxPhases = 10
-		}
-	}
-	law, err := analytic.CalibrateLaw(pre.P, pre.S, 60, pre.Constraints.Latency, 0.02)
-	if err != nil {
-		return nil, err
-	}
-	p := law.P(rho)
-	return &degStudy{
-		pre:   pre,
-		crash: crashRates,
-		loss:  lossRates,
-		schemes: []degScheme{
-			{"flooding", protocol.Flooding{}},
-			{fmt.Sprintf("PB(p=%.2f)", p), protocol.Probability{P: p}},
-		},
-		law: law,
-	}, nil
-}
-
-// jobs builds the study's cell-job batch, scheme-major in
-// (schemes, crash, loss) order.
-func (st *degStudy) jobs(rho float64) []engine.Job {
-	var jobs []engine.Job
-	for _, s := range st.schemes {
-		for _, crash := range st.crash {
-			for _, loss := range st.loss {
-				jobs = append(jobs, degCellJob(st.pre, rho, s.name, s.proto, crash, loss))
-			}
-		}
-	}
-	return jobs
-}
-
-// DegradationCtx measures how flooding and the law-tuned PB_CAM degrade
+// Degradation measures how flooding and the law-tuned PB_CAM degrade
 // as node crashes and link loss intrude on the paper's collision-only
 // failure model: coverage, latency-constrained reach, and settling time
 // over a (crash rate × loss rate) grid at one density, averaged over
@@ -205,63 +69,93 @@ func (st *degStudy) jobs(rho float64) []engine.Job {
 // preset leaves MaxPhases unset the study caps it near the latency
 // budget so node death lands inside the broadcast window instead of
 // long after it settles.
-func DegradationCtx(ctx context.Context, eng *engine.Engine, pre Preset, rho float64,
+func Degradation(ctx context.Context, eng *engine.Engine, pre Preset, rho float64,
 	crashRates, lossRates []float64) (*FigureResult, error) {
+	return runStudy(ctx, eng)(degradationStudy(pre, rho, crashRates, lossRates))
+}
 
-	if err := surfaceEngineOK(eng); err != nil {
+// degradationStudy is one cell per (scheme, crash, loss), scheme-major,
+// with the default rate grids for empty lists. Every cell shares the
+// replications' deployments and — because the fault plan's streams
+// derive from the run seed, not the rates — coupled fault draws: at a
+// fixed replication the crashed set at a low rate is a subset of the
+// crashed set at a high one.
+func degradationStudy(pre Preset, rho float64, crashRates, lossRates []float64) (study, error) {
+	if err := checkRuns("degradation", pre.Runs); err != nil {
 		return nil, err
 	}
-	st, err := newDegStudy(pre, rho, crashRates, lossRates)
+	if len(crashRates) == 0 {
+		crashRates = []float64{0, 0.1, 0.2, 0.4}
+	}
+	if len(lossRates) == 0 {
+		lossRates = []float64{0, 0.1, 0.3}
+	}
+	pre = capHorizon(pre)
+	law, err := calibrateLaw(pre)
 	if err != nil {
 		return nil, err
 	}
-	pre, crashRates, lossRates = st.pre, st.crash, st.loss
-	law, schemes := st.law, st.schemes
-	results, err := eng.Run(ctx, st.jobs(rho))
-	if err != nil {
-		return nil, err
+	p := law.P(rho)
+	schemes := []struct {
+		name  string
+		proto protocol.Protocol
+	}{
+		{"flooding", protocol.Flooding{}},
+		{fmt.Sprintf("PB(p=%.2f)", p), protocol.Probability{P: p}},
 	}
-
-	f := &FigureResult{ID: "degradation",
-		Title:  fmt.Sprintf("Graceful degradation under node crashes and link loss (rho = %g)", rho),
-		Series: map[string][]float64{"crashRates": crashRates, "lossRates": lossRates}}
-	chart := viz.NewChart("coverage vs crash rate")
-	chart.XLabel, chart.YLabel = "crash rate", "coverage"
-	idx := 0
+	var cells []engine.Job
 	for _, s := range schemes {
-		t := Table{Title: fmt.Sprintf("%s (mean of %d runs, horizon %d phases)",
-			s.name, pre.Runs, pre.MaxPhases)}
-		t.Header = []string{"crash", "loss", "coverage", "reach@L", "settle",
-			"broadcasts", "delivered", "lost/coll", "lost/fault", "crashed"}
-		coverage := make([]float64, 0, len(crashRates)*len(lossRates))
 		for _, crash := range crashRates {
 			for _, loss := range lossRates {
-				cell, ok := results[idx].Value.(degCell)
-				if !ok {
-					return nil, fmt.Errorf("experiments: job %q returned %T, want degCell",
-						results[idx].Name, results[idx].Value)
-				}
-				idx++
-				t.Add(fmt.Sprintf("%.2f", crash), fmt.Sprintf("%.2f", loss),
-					fmtF(cell.Coverage), fmtF(cell.ReachAtL), fmtF1(cell.Settle),
-					fmtF1(cell.Broadcasts), fmtF1(cell.Delivered),
-					fmtF1(cell.LostColl), fmtF1(cell.LostFault), fmtF1(cell.Crashed))
-				coverage = append(coverage, cell.Coverage)
+				cfg := pre.SimConfig(rho)
+				cfg.Protocol = s.proto
+				cfg.Faults = &faults.Config{CrashRate: crash, LossRate: loss}
+				cells = append(cells, cellJob[degCell](cell{
+					name: fmt.Sprintf("deg(%s,crash=%g,loss=%g)", s.name, crash, loss),
+					key: cellKey("deg-cell", cfg, cfg.Model, s.name, crash, loss,
+						pre.Constraints.Latency, pre.Runs),
+					cfg: cfg, runs: pre.Runs, deadline: pre.Constraints.Latency,
+				}))
 			}
 		}
-		f.Series["coverage:"+s.name] = coverage
-		// One chart series per scheme at the clean-link column.
-		clean := make([]float64, len(crashRates))
-		for ci := range crashRates {
-			clean[ci] = coverage[ci*len(lossRates)]
-		}
-		_ = chart.Add(s.name, crashRates, clean)
-		f.Tables = append(f.Tables, t)
 	}
-	f.Charts = []string{chart.Render()}
-	f.Notes = append(f.Notes,
-		fmt.Sprintf("PB probability comes from the calibrated law p* = %.1f/rho", law.C),
-		"replications share seeds across cells (common random numbers) and fault draws are coupled across rates, so the grid is comparable cell to cell",
-		"coverage is cumulative reach: crashed nodes keep their delivered payload, but relay nothing after death")
-	return f, nil
+	return cellStudy[degCell]{cells, func(aggs []degCell) *FigureResult {
+		f := &FigureResult{ID: "degradation",
+			Title:  fmt.Sprintf("Graceful degradation under node crashes and link loss (rho = %g)", rho),
+			Series: map[string][]float64{"crashRates": crashRates, "lossRates": lossRates}}
+		chart := viz.NewChart("coverage vs crash rate")
+		chart.XLabel, chart.YLabel = "crash rate", "coverage"
+		for _, s := range schemes {
+			t := Table{Title: fmt.Sprintf("%s (mean of %d runs, horizon %d phases)",
+				s.name, pre.Runs, pre.MaxPhases)}
+			t.Header = []string{"crash", "loss", "coverage", "reach@L", "settle",
+				"broadcasts", "delivered", "lost/coll", "lost/fault", "crashed"}
+			coverage := make([]float64, 0, len(crashRates)*len(lossRates))
+			for _, crash := range crashRates {
+				for _, loss := range lossRates {
+					c := aggs[0]
+					aggs = aggs[1:]
+					t.Add(fmt.Sprintf("%.2f", crash), fmt.Sprintf("%.2f", loss),
+						fmtF(c.Coverage), fmtF(c.ReachAtL), fmtF1(c.Settle),
+						fmtF1(c.Broadcasts), fmtF1(c.Delivered),
+						fmtF1(c.LostColl), fmtF1(c.LostFault), fmtF1(c.Crashed))
+					coverage = append(coverage, c.Coverage)
+				}
+			}
+			f.Series["coverage:"+s.name] = coverage
+			// One chart series per scheme at the clean-link column.
+			clean := make([]float64, len(crashRates))
+			for ci := range crashRates {
+				clean[ci] = coverage[ci*len(lossRates)]
+			}
+			_ = chart.Add(s.name, crashRates, clean)
+			f.Tables = append(f.Tables, t)
+		}
+		f.Charts = []string{chart.Render()}
+		f.Notes = append(f.Notes,
+			fmt.Sprintf("PB probability comes from the calibrated law p* = %.1f/rho", law.C),
+			"replications share seeds across cells (common random numbers) and fault draws are coupled across rates, so the grid is comparable cell to cell",
+			"coverage is cumulative reach: crashed nodes keep their delivered payload, but relay nothing after death")
+		return f
+	}}, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestDegradationShape(t *testing.T) {
 	pre := degPreset()
 	crash := []float64{0, 0.3, 0.6}
 	loss := []float64{0, 0.4}
-	f, err := Degradation(pre, 20, crash, loss)
+	f, err := Degradation(context.Background(), testEngine(), pre, 20, crash, loss)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestDegradationDeterministic(t *testing.T) {
 	crash := []float64{0, 0.5}
 	loss := []float64{0, 0.3}
 	render := func() string {
-		f, err := Degradation(pre, 20, crash, loss)
+		f, err := Degradation(context.Background(), testEngine(), pre, 20, crash, loss)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func TestDegradationMonotone(t *testing.T) {
 	pre := degPreset()
 	crash := []float64{0, 0.25, 0.5, 0.75}
 	loss := []float64{0, 0.25, 0.5}
-	f, err := Degradation(pre, 20, crash, loss)
+	f, err := Degradation(context.Background(), testEngine(), pre, 20, crash, loss)
 	if err != nil {
 		t.Fatal(err)
 	}

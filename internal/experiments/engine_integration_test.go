@@ -39,7 +39,7 @@ func campaignArtifacts(t *testing.T, workers int) (string, map[string][]byte) {
 		Engine:   engine.New(engine.Config{Workers: workers}),
 	}
 	var report bytes.Buffer
-	figs, err := c.RunContext(context.Background(), &report)
+	figs, err := c.Run(context.Background(), &report)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCampaignOrderStable(t *testing.T) {
 	pa.Rhos = []float64{40, 100}
 	c := experiments.Campaign{Analytic: pa, Sim: tinySimPreset(),
 		Engine: engine.New(engine.Config{Workers: 8})}
-	figs, err := c.RunContext(context.Background(), nil)
+	figs, err := c.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestCampaignCancellationMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := c.RunContext(ctx, nil)
+	_, err := c.Run(ctx, nil)
 	if err == nil {
 		t.Fatal("cancelled campaign returned no error")
 	}
@@ -146,10 +146,10 @@ func TestCampaignCacheReusesSurfaces(t *testing.T) {
 	c := experiments.Campaign{Analytic: pa, Sim: tinySimPreset(), Engine: eng}
 
 	var first, second bytes.Buffer
-	if _, err := c.RunContext(context.Background(), &first); err != nil {
+	if _, err := c.Run(context.Background(), &first); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunContext(context.Background(), &second); err != nil {
+	if _, err := c.Run(context.Background(), &second); err != nil {
 		t.Fatal(err)
 	}
 	if first.String() != second.String() {
@@ -179,7 +179,7 @@ func TestDegradationKillResumeByteIdentical(t *testing.T) {
 	crash := []float64{0, 0.3}
 	loss := []float64{0, 0.3}
 	render := func(eng *engine.Engine, ctx context.Context) (string, error) {
-		f, err := experiments.DegradationCtx(ctx, eng, pre, 20, crash, loss)
+		f, err := experiments.Degradation(ctx, eng, pre, 20, crash, loss)
 		if err != nil {
 			return "", err
 		}
@@ -250,11 +250,11 @@ func TestDiskCacheSurvivesEngineRestart(t *testing.T) {
 		}
 	}
 	var first, second bytes.Buffer
-	if _, err := mk().RunContext(context.Background(), &first); err != nil {
+	if _, err := mk().Run(context.Background(), &first); err != nil {
 		t.Fatal(err)
 	}
 	c2 := mk()
-	if _, err := c2.RunContext(context.Background(), &second); err != nil {
+	if _, err := c2.Run(context.Background(), &second); err != nil {
 		t.Fatal(err)
 	}
 	if first.String() != second.String() {

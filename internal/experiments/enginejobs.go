@@ -9,7 +9,6 @@ import (
 	"sensornet/internal/analytic"
 	"sensornet/internal/engine"
 	"sensornet/internal/optimize"
-	"sensornet/internal/sim"
 )
 
 // CacheSalt is the code-version salt mixed into every job fingerprint
@@ -40,15 +39,6 @@ func analyticPointKey(cfg analytic.Config, p float64, c optimize.Constraints) st
 		cfg.P, cfg.S, cfg.Rho, cfg.R, cfg.KMode, cfg.BinomialMix,
 		cfg.CarrierSense, cfg.IntegrationPoints, cfg.MaxPhases,
 		p, c.Latency, c.Reach, c.Budget)
-}
-
-// simRowKey fingerprints one simulated surface row. The worker count is
-// deliberately excluded: it changes scheduling, never results.
-func simRowKey(cfg sim.Config, grid []float64, c optimize.Constraints, runs int) string {
-	return engine.Fingerprint("sim-row", CacheSalt,
-		cfg.P, cfg.R, cfg.Rho, cfg.N, cfg.S, cfg.Model, cfg.Seed,
-		cfg.Async, cfg.MaxPhases,
-		grid, c.Latency, c.Reach, c.Budget, runs)
 }
 
 // pointJSON is the NaN-safe serialisation of optimize.Point: the
@@ -169,24 +159,32 @@ func analyticPointJobs(pre Preset) []engine.Job {
 	return jobs
 }
 
-// analyticSurfaceFromPoints reassembles point-job results (row-major in
-// (Rhos, Grid) order, one 1-element []optimize.Point each) into a
-// Surface.
-func analyticSurfaceFromPoints(pre Preset, results []engine.Result) (*Surface, error) {
-	if len(results) != len(pre.Rhos)*len(pre.Grid) {
-		return nil, fmt.Errorf("experiments: %d point results for a %dx%d surface",
-			len(results), len(pre.Rhos), len(pre.Grid))
+// assembleSurface reassembles a surface job set's results, in job
+// order, into a Surface: an analytic surface's point jobs (one 1-point
+// []optimize.Point each, row-major in (Rhos, Grid) order), or a
+// simulated surface's row jobs (one row per density).
+func assembleSurface(pre Preset, simulated bool, results []engine.Result) (*Surface, error) {
+	rows, err := resultValues[[]optimize.Point](results)
+	if err != nil {
+		return nil, err
 	}
-	s := &Surface{Pre: pre}
+	s := &Surface{Pre: pre, Simulated: simulated}
+	if simulated {
+		s.Points = rows
+		return s, nil
+	}
+	if len(rows) != len(pre.Rhos)*len(pre.Grid) {
+		return nil, fmt.Errorf("experiments: %d point results for a %dx%d surface",
+			len(rows), len(pre.Rhos), len(pre.Grid))
+	}
 	for i := range pre.Rhos {
-		row := make([]optimize.Point, 0, len(pre.Grid))
-		for j := range pre.Grid {
-			pts, ok := results[i*len(pre.Grid)+j].Value.([]optimize.Point)
-			if !ok || len(pts) != 1 {
-				return nil, fmt.Errorf("experiments: job %q returned %T, want 1-point []optimize.Point",
-					results[i*len(pre.Grid)+j].Name, results[i*len(pre.Grid)+j].Value)
+		row := make([]optimize.Point, len(pre.Grid))
+		for j, pts := range rows[i*len(pre.Grid) : (i+1)*len(pre.Grid)] {
+			if len(pts) != 1 {
+				return nil, fmt.Errorf("experiments: job %q returned %d points, want 1",
+					results[i*len(pre.Grid)+j].Name, len(pts))
 			}
-			row = append(row, pts[0])
+			row[j] = pts[0]
 		}
 		s.Points = append(s.Points, row)
 	}
@@ -194,34 +192,21 @@ func analyticSurfaceFromPoints(pre Preset, results []engine.Result) (*Surface, e
 }
 
 // simRowJob builds the cached job computing one simulated surface row.
-// Replications inside the row run through sim.RunManyCtx bounded by
+// Replications inside the row run through sim.RunMany bounded by
 // `workers`, so the engine's worker count composes with replication
-// parallelism.
+// parallelism. The worker count is deliberately excluded from the key:
+// it changes scheduling, never results.
 func simRowJob(pre Preset, rho float64, workers int) engine.Job {
 	cfg := pre.SimConfig(rho)
+	c := pre.Constraints
 	return engine.JobFunc{
-		JobName:  fmt.Sprintf("sim-row(rho=%g)", rho),
-		Key:      simRowKey(cfg, pre.Grid, pre.Constraints, pre.Runs),
+		JobName: fmt.Sprintf("sim-row(rho=%g)", rho),
+		Key: cellKey("sim-row", cfg, cfg.Model,
+			pre.Grid, c.Latency, c.Reach, c.Budget, pre.Runs),
 		EncodeFn: encodePoints,
 		DecodeFn: decodePoints,
 		Fn: func(ctx context.Context) (any, error) {
-			return optimize.SweepSimCtx(ctx, cfg, pre.Grid, pre.Constraints,
-				pre.Runs, workers)
+			return optimize.SweepSim(ctx, cfg, pre.Grid, c, pre.Runs, workers)
 		},
 	}
-}
-
-// surfaceFromResults assembles engine results (one []optimize.Point per
-// density, in Rhos order) into a Surface.
-func surfaceFromResults(pre Preset, results []engine.Result, simulated bool) (*Surface, error) {
-	s := &Surface{Pre: pre, Simulated: simulated}
-	for _, r := range results {
-		pts, ok := r.Value.([]optimize.Point)
-		if !ok {
-			return nil, fmt.Errorf("experiments: job %q returned %T, want []optimize.Point",
-				r.Name, r.Value)
-		}
-		s.Points = append(s.Points, pts)
-	}
-	return s, nil
 }

@@ -1,10 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
+
+	"sensornet/internal/engine"
 )
+
+// testEngine is a fresh uncached engine for one test's figure.
+func testEngine() *engine.Engine { return engine.New(engine.Config{}) }
 
 // testSurface caches the quick analytic surface across tests in this
 // package: computing it once keeps the suite fast.
@@ -13,7 +19,7 @@ var testSurface *Surface
 func quickSurface(t *testing.T) *Surface {
 	t.Helper()
 	if testSurface == nil {
-		s, err := AnalyticSurface(QuickAnalytic())
+		s, err := AnalyticSurfaceCtx(context.Background(), testEngine(), QuickAnalytic())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +236,7 @@ func TestCampaignAnalyticOnly(t *testing.T) {
 	pre.Rhos = []float64{40, 100}
 	c := Campaign{Analytic: pre, SkipSim: true}
 	var b strings.Builder
-	figs, err := c.Run(&b)
+	figs, err := c.Run(context.Background(), &b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +261,7 @@ func TestSimFiguresQuick(t *testing.T) {
 	pre := QuickSim()
 	pre.Rhos = []float64{30, 80}
 	pre.Grid = []float64{0.05, 0.2, 0.6, 1}
-	surf, err := SimSurface(pre)
+	surf, err := SimSurfaceCtx(context.Background(), testEngine(), pre)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +277,7 @@ func TestSimFiguresQuick(t *testing.T) {
 	if optP[1] > optP[0]+0.2 {
 		t.Fatalf("simulated optimal p rising with density: %v", optP)
 	}
-	f12, err := SimSuccessRate(pre, surf)
+	f12, err := simSuccessRate(context.Background(), surf, pre.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
-	"sensornet/internal/analytic"
 	"sensornet/internal/deploy"
 	"sensornet/internal/engine"
-	"sensornet/internal/metrics"
 	"sensornet/internal/protocol"
 	"sensornet/internal/sim"
 )
@@ -23,62 +22,61 @@ func heteroProfile(r float64) float64 { return 4 - 3*r }
 // neighbourhood. This realises the paper's remark that success-rate- or
 // density-driven adaptation is "practically useful if the node density
 // exhibits large spatio-temporal variation".
-func Heterogeneity(pre Preset, meanRho float64) (*FigureResult, error) {
-	f := &FigureResult{ID: "hetero",
-		Title:  fmt.Sprintf("Heterogeneous field (hotspot profile, mean rho=%g)", meanRho),
-		Series: map[string][]float64{}}
+func Heterogeneity(ctx context.Context, eng *engine.Engine, pre Preset, meanRho float64) (*FigureResult, error) {
+	return runStudy(ctx, eng)(heteroStudy(pre, meanRho))
+}
 
-	law, err := analytic.CalibrateLaw(pre.P, pre.S, 60, pre.Constraints.Latency, 0.02)
+// heteroStudy is one cell per scheme: flooding, the PB probability tuned
+// for the mean density, and the per-node degree-adaptive rule. Each
+// replication samples its own hotspot field; deployment sampling and
+// protocol coin flips draw from unrelated streams derived from the
+// preset seed.
+func heteroStudy(pre Preset, meanRho float64) (study, error) {
+	if err := checkRuns("hetero", pre.Runs); err != nil {
+		return nil, err
+	}
+	law, err := calibrateLaw(pre)
 	if err != nil {
 		return nil, err
 	}
-	globalP := law.P(meanRho)
-
 	schemes := []protocol.Protocol{
 		protocol.Flooding{},
-		protocol.Probability{P: globalP},
+		protocol.Probability{P: law.P(meanRho)},
 		protocol.DegreeAdaptive{C: law.C},
 	}
-	t := Table{Title: fmt.Sprintf("hotspot field, mean of %d runs", pre.Runs)}
-	t.Header = []string{"scheme", "final reach", "reach@L", "broadcasts"}
-	var reachAtL []float64
+	var cells []engine.Job
 	for _, scheme := range schemes {
-		var finals, reach, bcasts []float64
-		for r := 0; r < pre.Runs; r++ {
-			// Per-replication seeds go through the engine's derivation
-			// helper so deployment sampling and protocol coin flips draw
-			// from unrelated streams (the former Seed+r reused the
-			// deployment stream as the protocol stream).
+		cfg := pre.SimConfig(meanRho)
+		cfg.Protocol = scheme
+		c := keyedCell("hetero-cell", fmt.Sprintf("hetero(%s,rho=%g)", scheme.Name(), meanRho),
+			cfg, pre.Runs, pre.Constraints.Latency)
+		c.replicate = func(cfg sim.Config, i int) (sim.Config, error) {
 			dep, err := deploy.Generate(deploy.Config{
-				P: pre.P, Rho: meanRho, Profile: heteroProfile,
-			}, seededRand(engine.DeriveSeed(pre.Seed, "hetero-deploy", r)))
-			if err != nil {
-				return nil, err
-			}
-			cfg := pre.SimConfig(meanRho)
+				P: cfg.P, Rho: cfg.Rho, Profile: heteroProfile,
+			}, seededRand(engine.DeriveSeed(cfg.Seed, "hetero-deploy", i)))
 			cfg.Deployment = dep
-			cfg.Protocol = scheme
-			cfg.Seed = engine.DeriveSeed(pre.Seed, "hetero-run", r)
-			res, err := sim.Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			finals = append(finals, res.Timeline.FinalReachability())
-			reach = append(reach, res.Timeline.ReachabilityAtPhase(pre.Constraints.Latency))
-			bcasts = append(bcasts, float64(res.Broadcasts))
+			cfg.Seed = engine.DeriveSeed(cfg.Seed, "hetero-run", i)
+			return cfg, err
 		}
-		t.Add(scheme.Name(),
-			fmtF(metrics.Summarize(finals).Mean),
-			fmtF(metrics.Summarize(reach).Mean),
-			fmtF1(metrics.Summarize(bcasts).Mean))
-		reachAtL = append(reachAtL, metrics.Summarize(reach).Mean)
+		cells = append(cells, cellJob[schemeCell](c))
 	}
-	f.Series["reachAtL"] = reachAtL
-	f.Tables = []Table{t}
-	f.Notes = append(f.Notes,
-		fmt.Sprintf("global PB uses p = %.2f (law-tuned for the mean density); degree-adaptive uses C = %.1f per node", globalP, law.C),
-		"per-node adaptation matches the globally tuned probability without ever measuring the field's density — flooding, with the same zero knowledge, collapses")
-	return f, nil
+	return cellStudy[schemeCell]{cells, func(aggs []schemeCell) *FigureResult {
+		t := Table{Title: fmt.Sprintf("hotspot field, mean of %d runs", pre.Runs)}
+		t.Header = []string{"scheme", "final reach", "reach@L", "broadcasts"}
+		var reachAtL []float64
+		for i, scheme := range schemes {
+			c := aggs[i]
+			t.Add(scheme.Name(), fmtF(c.Coverage), fmtF(c.ReachAtL), fmtF1(c.Broadcasts))
+			reachAtL = append(reachAtL, c.ReachAtL)
+		}
+		return &FigureResult{ID: "hetero",
+			Title:  fmt.Sprintf("Heterogeneous field (hotspot profile, mean rho=%g)", meanRho),
+			Series: map[string][]float64{"reachAtL": reachAtL},
+			Tables: []Table{t},
+			Notes: []string{
+				fmt.Sprintf("global PB uses p = %.2f (law-tuned for the mean density); degree-adaptive uses C = %.1f per node", law.P(meanRho), law.C),
+				"per-node adaptation matches the globally tuned probability without ever measuring the field's density — flooding, with the same zero knowledge, collapses"}}
+	}}, nil
 }
 
 // seededRand returns a fresh deterministic RNG for deployment sampling.

@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"sensornet/internal/design"
-	"sensornet/internal/metrics"
+	"sensornet/internal/engine"
 	"sensornet/internal/protocol"
-	"sensornet/internal/sim"
 )
 
 // JointDesign optimises PB_CAM's two free parameters together — the
@@ -20,60 +20,63 @@ import (
 // the extra relay rounds they buy outweigh their coarser contention
 // resolution, and the probability absorbs the difference. The paper's
 // s = 3 is a convention, not an optimum.
-func JointDesign(pre Preset, rho float64, slotBudget float64, slots []int) (*FigureResult, error) {
-	f := &FigureResult{ID: "joint",
-		Title: fmt.Sprintf("Joint (p, s) design under a %g-slot latency budget (rho=%g)",
-			slotBudget, rho),
-		Series: map[string][]float64{}}
+func JointDesign(ctx context.Context, eng *engine.Engine, pre Preset, rho float64,
+	slotBudget float64, slots []int) (*FigureResult, error) {
+	return runStudy(ctx, eng)(jointStudy(pre, rho, slotBudget, slots))
+}
 
+// jointStudy tunes p analytically per window size s, then validates
+// each optimum in one cell, reading reachability at the window's
+// deadline of slotBudget/s phases. Every window sees the same
+// replication seeds.
+func jointStudy(pre Preset, rho, slotBudget float64, slots []int) (study, error) {
+	if err := checkRuns("joint", pre.Runs); err != nil {
+		return nil, err
+	}
 	const refSlots = 3
-	refPhases := slotBudget / refSlots
-
-	t := Table{Title: "analytic optimum per window size, validated by simulation"}
-	t.Header = []string{"s", "best p", "analytic reach", "simulated reach"}
-	var bestPs, anaReach, simReach []float64
+	var best []*design.Result
+	var cells []engine.Job
 	for _, s := range slots {
 		alg := design.PBCAMJoint(pre.P, rho, pre.Grid, []float64{float64(s)}, refSlots)
-		res, err := design.Tune(alg, design.MaxReachabilityAt(refPhases))
+		res, err := design.Tune(alg, design.MaxReachabilityAt(slotBudget/refSlots))
 		if err != nil {
 			return nil, err
 		}
-		bestP := res.Values[0]
-
-		var reach []float64
-		for r := 0; r < pre.Runs; r++ {
-			cfg := pre.SimConfig(rho)
-			cfg.S = s
-			cfg.Protocol = protocol.Probability{P: bestP}
-			//lint:ignore seedderive sequential seeds pair replications across slot counts (variance reduction by common random numbers)
-			cfg.Seed = pre.Seed + int64(r)
-			sr, err := sim.Run(cfg)
-			if err != nil {
-				return nil, err
+		best = append(best, res)
+		cfg := pre.SimConfig(rho)
+		cfg.S = s
+		cfg.Protocol = protocol.Probability{P: res.Values[0]}
+		cells = append(cells, cellJob[schemeCell](keyedCell("joint-cell",
+			fmt.Sprintf("joint(s=%d,rho=%g)", s, rho),
+			cfg, pre.Runs, slotBudget/float64(s))))
+	}
+	return cellStudy[schemeCell]{cells, func(aggs []schemeCell) *FigureResult {
+		t := Table{Title: "analytic optimum per window size, validated by simulation"}
+		t.Header = []string{"s", "best p", "analytic reach", "simulated reach"}
+		var bestPs, anaReach, simReach []float64
+		for i, s := range slots {
+			bestP, reach := best[i].Values[0], aggs[i].ReachAtL
+			t.Add(fmt.Sprintf("%d", s), fmt.Sprintf("%.2f", bestP),
+				fmtF(best[i].Value), fmtF(reach))
+			bestPs = append(bestPs, bestP)
+			anaReach = append(anaReach, best[i].Value)
+			simReach = append(simReach, reach)
+		}
+		// Identify the simulated winner.
+		bestIdx, bestV := 0, math.Inf(-1)
+		for i, v := range simReach {
+			if v > bestV {
+				bestIdx, bestV = i, v
 			}
-			reach = append(reach, sr.Timeline.ReachabilityAtPhase(slotBudget/float64(s)))
 		}
-		simMean := metrics.Summarize(reach).Mean
-		t.Add(fmt.Sprintf("%d", s), fmt.Sprintf("%.2f", bestP),
-			fmtF(res.Value), fmtF(simMean))
-		bestPs = append(bestPs, bestP)
-		anaReach = append(anaReach, res.Value)
-		simReach = append(simReach, simMean)
-	}
-	f.Series["bestP"] = bestPs
-	f.Series["analyticReach"] = anaReach
-	f.Series["simReach"] = simReach
-	f.Tables = []Table{t}
-
-	// Identify the simulated winner.
-	bestIdx, bestV := 0, math.Inf(-1)
-	for i, v := range simReach {
-		if v > bestV {
-			bestIdx, bestV = i, v
-		}
-	}
-	f.Notes = append(f.Notes,
-		fmt.Sprintf("simulated winner: s = %d with reach %.3f — shorter windows buy more relay rounds per deadline", slots[bestIdx], bestV),
-		"both engines agree on the ordering; the paper's s = 3 is a convention, not an optimum")
-	return f, nil
+		return &FigureResult{ID: "joint",
+			Title: fmt.Sprintf("Joint (p, s) design under a %g-slot latency budget (rho=%g)",
+				slotBudget, rho),
+			Series: map[string][]float64{"bestP": bestPs,
+				"analyticReach": anaReach, "simReach": simReach},
+			Tables: []Table{t},
+			Notes: []string{
+				fmt.Sprintf("simulated winner: s = %d with reach %.3f — shorter windows buy more relay rounds per deadline", slots[bestIdx], bestV),
+				"both engines agree on the ordering; the paper's s = 3 is a convention, not an optimum"}}
+	}}, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ func TestPercolationTransitionNearCritical(t *testing.T) {
 		t.Skip("percolation sweep in -short mode")
 	}
 	grid := mathx.Range(0.35, 0.9, 0.05)
-	f, err := Percolation(18, grid, 6, 1)
+	f, err := Percolation(context.Background(), testEngine(), 18, grid, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestPercolationMonotoneInP(t *testing.T) {
 		t.Skip("percolation sweep in -short mode")
 	}
 	grid := []float64{0.3, 0.6, 0.95}
-	f, err := Percolation(12, grid, 8, 2)
+	f, err := Percolation(context.Background(), testEngine(), 12, grid, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestPercolationMonotoneInP(t *testing.T) {
 }
 
 func TestPercolationDegenerateArgs(t *testing.T) {
-	f, err := Percolation(0, []float64{0.5}, 0, 3)
+	f, err := Percolation(context.Background(), testEngine(), 0, []float64{0.5}, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,30 +113,12 @@ type Surface struct {
 	Simulated bool
 }
 
-// AnalyticSurface sweeps the analytical model over the preset on a
-// default engine.
-func AnalyticSurface(pre Preset) (*Surface, error) {
-	return AnalyticSurfaceCtx(context.Background(), defaultEngine(pre), pre)
-}
-
 // AnalyticSurfaceCtx sweeps the analytical model over the preset,
 // submitting one cached job per (density, probability) point to eng.
 // Points come back row-major in (Rhos, Grid) order regardless of the
 // engine's worker count.
 func AnalyticSurfaceCtx(ctx context.Context, eng *engine.Engine, pre Preset) (*Surface, error) {
-	if err := surfaceEngineOK(eng); err != nil {
-		return nil, err
-	}
-	results, err := eng.Run(ctx, SurfaceJobs(pre, false, eng.Workers()))
-	if err != nil {
-		return nil, err
-	}
-	return analyticSurfaceFromPoints(pre, results)
-}
-
-// SimSurface sweeps the simulator over the preset on a default engine.
-func SimSurface(pre Preset) (*Surface, error) {
-	return SimSurfaceCtx(context.Background(), defaultEngine(pre), pre)
+	return surface(ctx, eng, pre, false)
 }
 
 // SimSurfaceCtx sweeps the simulator over the preset, submitting one
@@ -144,12 +126,39 @@ func SimSurface(pre Preset) (*Surface, error) {
 // up to the engine's worker bound. For a fixed preset seed the surface
 // is identical for any worker count.
 func SimSurfaceCtx(ctx context.Context, eng *engine.Engine, pre Preset) (*Surface, error) {
-	if err := surfaceEngineOK(eng); err != nil {
-		return nil, err
-	}
-	results, err := eng.Run(ctx, SurfaceJobs(pre, true, eng.Workers()))
+	return surface(ctx, eng, pre, true)
+}
+
+func surface(ctx context.Context, eng *engine.Engine, pre Preset, simulated bool) (*Surface, error) {
+	results, err := runJobs(ctx, eng, SurfaceJobs(pre, simulated, eng.Workers()))
 	if err != nil {
 		return nil, err
 	}
-	return surfaceFromResults(pre, results, true)
+	return assembleSurface(pre, simulated, results)
+}
+
+// surfaceStudy draws one figure from a preset's analytic or simulated
+// surface: its jobs are the surface's, and its figure assembles the
+// surface and draws on it.
+type surfaceStudy struct {
+	pre       Preset
+	simulated bool
+	workers   int
+	draw      surfaceDraw
+}
+
+// surfaceDraw draws a figure from a surface; workers bounds any
+// replications it runs itself.
+type surfaceDraw func(ctx context.Context, surf *Surface, workers int) (*FigureResult, error)
+
+func (st surfaceStudy) jobs() []engine.Job {
+	return SurfaceJobs(st.pre, st.simulated, st.workers)
+}
+
+func (st surfaceStudy) figure(ctx context.Context, results []engine.Result) (*FigureResult, error) {
+	surf, err := assembleSurface(st.pre, st.simulated, results)
+	if err != nil {
+		return nil, err
+	}
+	return st.draw(ctx, surf, st.workers)
 }

@@ -8,19 +8,19 @@ import (
 	"sensornet/internal/engine"
 )
 
-// errShardedSurface guards the surface-assembly entry points against
+// errShardedSurface guards the figure-assembly entry points against
 // sharded engines: a shard owns only part of the job set, so assembling
-// a full surface from its results is impossible by construction.
+// a full figure from its results is impossible by construction.
 var errShardedSurface = errors.New(
-	"experiments: sharded engine computes jobs, it does not assemble surfaces: run SurfaceJobs/DegradationJobs through RunShard, then merge with an unsharded cache-only engine")
+	"experiments: sharded engine computes jobs, it does not assemble figures: run FigureJobs through RunShard, then merge with an unsharded cache-only engine")
 
-// surfaceEngineOK rejects engines whose results cannot assemble into a
-// complete figure.
-func surfaceEngineOK(eng *engine.Engine) error {
+// runJobs runs a figure's complete job set on eng, refusing engines
+// whose results cannot assemble into the figure.
+func runJobs(ctx context.Context, eng *engine.Engine, jobs []engine.Job) ([]engine.Result, error) {
 	if eng.Shard().Sharded() {
-		return errShardedSurface
+		return nil, errShardedSurface
 	}
-	return nil
+	return eng.Run(ctx, jobs)
 }
 
 // SurfaceJobs returns the cacheable job set behind a preset's surface —
@@ -38,19 +38,6 @@ func SurfaceJobs(pre Preset, simulated bool, workers int) []engine.Job {
 		jobs[i] = simRowJob(pre, rho, workers)
 	}
 	return jobs
-}
-
-// DegradationJobs returns the cacheable cell-job set of the
-// graceful-degradation study, normalised exactly as DegradationCtx
-// normalises it (default rate grids, capped horizon, calibrated PB
-// probability), so sharded cell computation and merged figure assembly
-// agree on job identity.
-func DegradationJobs(pre Preset, rho float64, crashRates, lossRates []float64) ([]engine.Job, error) {
-	st, err := newDegStudy(pre, rho, crashRates, lossRates)
-	if err != nil {
-		return nil, err
-	}
-	return st.jobs(rho), nil
 }
 
 // ShardReport summarises one shard process's pass over a job set.

@@ -279,7 +279,56 @@ func TestShardedEngineRefusesSurfaceAssembly(t *testing.T) {
 	if _, err := experiments.SimSurfaceCtx(ctx, eng, tinySimPreset()); err == nil || !strings.Contains(err.Error(), "sharded engine") {
 		t.Errorf("SimSurfaceCtx on a sharded engine: err = %v, want sharded-engine refusal", err)
 	}
-	if _, err := experiments.DegradationCtx(ctx, eng, tinySimPreset(), 20, nil, nil); err == nil || !strings.Contains(err.Error(), "sharded engine") {
-		t.Errorf("DegradationCtx on a sharded engine: err = %v, want sharded-engine refusal", err)
+	if _, err := experiments.Degradation(ctx, eng, tinySimPreset(), 20, nil, nil); err == nil || !strings.Contains(err.Error(), "sharded engine") {
+		t.Errorf("Degradation on a sharded engine: err = %v, want sharded-engine refusal", err)
+	}
+}
+
+// TestFigureTableShardMerge: every figure with a job set, "all"
+// included, survives the shard/merge split. Two shard processes fill
+// one cache from FigureJobs, and a cache-only engine then renders the
+// figure byte-identically to a direct run, never missing a job.
+func TestFigureTableShardMerge(t *testing.T) {
+	pa := experiments.QuickAnalytic()
+	pa.Rhos = []float64{20, 100}
+	pa.Grid = []float64{0.1, 0.3, 0.6, 1}
+	ps := experiments.QuickSim()
+	ps.Rhos = []float64{30}
+	ps.Grid = []float64{0.2, 0.6, 1}
+	ps.Runs = 2
+	spec := experiments.FigureSpec{Analytic: pa, Sim: ps, DegRho: 40,
+		CrashRates: []float64{0, 0.3}, LossRates: []float64{0, 0.2},
+		ShootRhos: []float64{30}, Workers: 2}
+	ctx := context.Background()
+	sharded := 0
+	for _, id := range experiments.FigureIDs() {
+		jobs, err := experiments.FigureJobs(id, spec)
+		if err != nil {
+			if strings.Contains(err.Error(), "no cacheable job set") {
+				continue // analytic-only: nothing to shard
+			}
+			t.Fatalf("%s: %v", id, err)
+		}
+		sharded++
+		var direct, merged bytes.Buffer
+		if _, err := experiments.RunFigure(ctx, engine.New(engine.Config{Workers: 2}), id, spec, &direct); err != nil {
+			t.Fatalf("%s direct: %v", id, err)
+		}
+		dir := t.TempDir()
+		for i := 0; i < 2; i++ {
+			if _, err := experiments.RunShard(ctx, shardedEngine(dir, i, 2), jobs); err != nil {
+				t.Fatalf("%s shard %d: %v", id, i, err)
+			}
+		}
+		if _, err := experiments.RunFigure(ctx, mergeEngine(dir), id, spec, &merged); err != nil {
+			t.Fatalf("%s merge: %v", id, err)
+		}
+		if direct.String() != merged.String() {
+			t.Errorf("%s: merged render differs from the direct run", id)
+		}
+	}
+	// Ten surface figures, seven cell studies, and "all".
+	if sharded != 18 {
+		t.Errorf("%d figures have a job set, want 18", sharded)
 	}
 }

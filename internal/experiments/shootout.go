@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"sensornet/internal/analytic"
@@ -14,11 +13,11 @@ import (
 	"sensornet/internal/viz"
 )
 
-// shootCell is the cached aggregate of one shootout grid cell: the
-// mean, over replications, of one suppression scheme's behaviour under
-// one channel model at one density. Every field is finite, so the
-// struct round-trips through the disk cache's JSON layer directly.
-type shootCell struct {
+// schemeCell is the cached aggregate of one scheme's cell: the mean,
+// over replications, of its run outcomes. The shootout, the scheme
+// comparison, the heterogeneity, joint-design and percolation studies
+// all average these.
+type schemeCell struct {
 	Coverage   float64 `json:"coverage"`
 	ReachAtL   float64 `json:"reachAtL"`
 	Settle     float64 `json:"settle"`
@@ -30,18 +29,24 @@ type shootCell struct {
 	SuccessRate float64 `json:"successRate"`
 }
 
-func encodeShootCell(v any) ([]byte, error) {
-	cell, ok := v.(shootCell)
-	if !ok {
-		return nil, fmt.Errorf("experiments: expected shootCell, got %T", v)
-	}
-	return json.Marshal(cell)
+func (c *schemeCell) add(res *sim.Result, deadline float64) {
+	c.Coverage += res.Timeline.FinalReachability()
+	c.ReachAtL += res.Timeline.ReachabilityAtPhase(deadline)
+	c.Settle += settlePhase(res.PhaseNew)
+	c.Broadcasts += float64(res.Broadcasts)
+	c.Delivered += float64(res.Delivered)
+	c.LostColl += float64(res.LostToCollision)
+	c.SuccessRate += res.SuccessRate
 }
 
-func decodeShootCell(data []byte) (any, error) {
-	var cell shootCell
-	err := json.Unmarshal(data, &cell)
-	return cell, err
+func (c *schemeCell) div(n float64) {
+	c.Coverage /= n
+	c.ReachAtL /= n
+	c.Settle /= n
+	c.Broadcasts /= n
+	c.Delivered /= n
+	c.LostColl /= n
+	c.SuccessRate /= n
 }
 
 // shootScheme is one compared suppression scheme. The key is the
@@ -79,8 +84,8 @@ type shootStudy struct {
 }
 
 func newShootStudy(pre Preset, rhos []float64) (*shootStudy, error) {
-	if pre.Runs < 1 {
-		return nil, fmt.Errorf("experiments: shootout needs Runs >= 1, got %d", pre.Runs)
+	if err := checkRuns("shootout", pre.Runs); err != nil {
+		return nil, err
 	}
 	if len(rhos) == 0 {
 		rhos = DefaultShootoutRhos()
@@ -90,13 +95,8 @@ func newShootStudy(pre Preset, rhos []float64) (*shootStudy, error) {
 			return nil, fmt.Errorf("experiments: shootout density %g not positive", rho)
 		}
 	}
-	if pre.MaxPhases == 0 {
-		pre.MaxPhases = 2 * int(pre.Constraints.Latency)
-		if pre.MaxPhases < 10 {
-			pre.MaxPhases = 10
-		}
-	}
-	law, err := analytic.CalibrateLaw(pre.P, pre.S, 60, pre.Constraints.Latency, 0.02)
+	pre = capHorizon(pre)
+	law, err := calibrateLaw(pre)
 	if err != nil {
 		return nil, err
 	}
@@ -125,65 +125,27 @@ func newShootStudy(pre Preset, rhos []float64) (*shootStudy, error) {
 
 // cellJob builds the cached job averaging one scheme's metrics over
 // the preset's replications under one channel model at one density.
-// Replications use sequential seeds, so every scheme and every model
-// at a fixed density sees the same deployments (common random
-// numbers): the deployment stream is consumed before any model- or
-// scheme-dependent draw.
+// Every scheme and every model at a density shares the replications'
+// deployments (common random numbers).
 func (st *shootStudy) cellJob(model channel.Model, rho float64, s shootScheme) engine.Job {
-	pre := st.pre
-	cfg := pre.SimConfig(rho)
+	cfg := st.pre.SimConfig(rho)
 	cfg.Model = model
 	if model == channel.ModelSINR {
 		cfg.SINR = st.sinr
 	}
 	cfg.Protocol = s.proto(rho)
-	key := engine.Fingerprint("shoot-cell", CacheSalt,
-		cfg.P, cfg.R, cfg.Rho, cfg.N, cfg.S, int(model), cfg.Seed,
-		cfg.Async, cfg.MaxPhases, s.key,
-		st.sinr.Alpha, st.sinr.Beta, st.sinr.N0,
-		pre.Constraints.Latency, pre.Runs)
-	return engine.JobFunc{
-		JobName:  fmt.Sprintf("shoot(%s,%s,rho=%g)", model, s.key, rho),
-		Key:      key,
-		EncodeFn: encodeShootCell,
-		DecodeFn: decodeShootCell,
-		Fn: func(ctx context.Context) (any, error) {
-			var cell shootCell
-			for r := 0; r < pre.Runs; r++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				run := cfg
-				//lint:ignore seedderive sequential seeds pair replications across cells so model and scheme comparisons share deployments
-				run.Seed = pre.Seed + int64(r)
-				res, err := sim.Run(run)
-				if err != nil {
-					return nil, err
-				}
-				cell.Coverage += res.Timeline.FinalReachability()
-				cell.ReachAtL += res.Timeline.ReachabilityAtPhase(pre.Constraints.Latency)
-				cell.Settle += settlePhase(res.PhaseNew)
-				cell.Broadcasts += float64(res.Broadcasts)
-				cell.Delivered += float64(res.Delivered)
-				cell.LostColl += float64(res.LostToCollision)
-				cell.SuccessRate += res.SuccessRate
-			}
-			n := float64(pre.Runs)
-			cell.Coverage /= n
-			cell.ReachAtL /= n
-			cell.Settle /= n
-			cell.Broadcasts /= n
-			cell.Delivered /= n
-			cell.LostColl /= n
-			cell.SuccessRate /= n
-			return cell, nil
-		},
-	}
+	return cellJob[schemeCell](cell{
+		name: fmt.Sprintf("shoot(%s,%s,rho=%g)", model, s.key, rho),
+		key: cellKey("shoot-cell", cfg, int(model), s.key,
+			st.sinr.Alpha, st.sinr.Beta, st.sinr.N0,
+			st.pre.Constraints.Latency, st.pre.Runs),
+		cfg: cfg, runs: st.pre.Runs, deadline: st.pre.Constraints.Latency,
+	})
 }
 
 // jobs builds the study's cell-job batch, model-major in
-// (models, rhos, schemes) order — the positional contract ShootoutCtx
-// consumes results under.
+// (models, rhos, schemes) order — the positional contract data and the
+// figure read results under.
 func (st *shootStudy) jobs() []engine.Job {
 	var jobs []engine.Job
 	for _, model := range st.models {
@@ -213,7 +175,7 @@ type ShootoutScheme struct {
 	// "distance"); Display the human label with resolved parameters.
 	Scheme  string `json:"scheme"`
 	Display string `json:"display"`
-	shootCell
+	schemeCell
 }
 
 // ShootoutRow compares every scheme at one (channel model, density)
@@ -236,24 +198,6 @@ type ShootoutData struct {
 	Rows   []ShootoutRow `json:"rows"`
 }
 
-// Row returns the row at (model, rho), or false if the campaign did
-// not sweep that cell.
-func (d *ShootoutData) Row(model string, rho float64) (ShootoutRow, bool) {
-	for _, row := range d.Rows {
-		//lint:ignore floateq rho is a swept grid value compared for identity, not a computed quantity
-		if row.Model == model && row.Rho == rho {
-			return row, true
-		}
-	}
-	return ShootoutRow{}, false
-}
-
-// Shootout renders the shootout figure on a default engine: see
-// ShootoutCtx.
-func Shootout(pre Preset, rhos []float64) (*FigureResult, error) {
-	return ShootoutCtx(context.Background(), defaultEngine(pre), pre, rhos)
-}
-
 // ShootoutDataCtx runs the scheme-model cross and returns the
 // structured rows the serving mode publishes. One cached engine job
 // per (model, density, scheme) cell, so a killed campaign resumes from
@@ -261,41 +205,42 @@ func Shootout(pre Preset, rhos []float64) (*FigureResult, error) {
 func ShootoutDataCtx(ctx context.Context, eng *engine.Engine, pre Preset,
 	rhos []float64) (*ShootoutData, error) {
 
-	if err := surfaceEngineOK(eng); err != nil {
-		return nil, err
-	}
 	st, err := newShootStudy(pre, rhos)
 	if err != nil {
 		return nil, err
 	}
-	results, err := eng.Run(ctx, st.jobs())
+	results, err := runJobs(ctx, eng, st.jobs())
 	if err != nil {
 		return nil, err
 	}
+	return st.data(results)
+}
 
+// data arranges the cells' results into rows: one per (model,
+// density), model-major, each comparing every scheme.
+func (st *shootStudy) data(results []engine.Result) (*ShootoutData, error) {
+	cells, err := resultValues[schemeCell](results)
+	if err != nil {
+		return nil, err
+	}
 	data := &ShootoutData{Rhos: st.rhos}
 	for _, m := range st.models {
 		data.Models = append(data.Models, m.String())
 	}
 	selectors := optimize.SchemeSelectors()
-	idx := 0
 	for _, model := range st.models {
 		for _, rho := range st.rhos {
 			row := ShootoutRow{Model: model.String(), Rho: rho,
 				Best: make(map[string]string, len(selectors))}
 			ms := make([]optimize.SchemeMetrics, 0, len(st.schemes))
 			for _, s := range st.schemes {
-				cell, ok := results[idx].Value.(shootCell)
-				if !ok {
-					return nil, fmt.Errorf("experiments: job %q returned %T, want shootCell",
-						results[idx].Name, results[idx].Value)
-				}
-				idx++
+				c := cells[0]
+				cells = cells[1:]
 				row.Schemes = append(row.Schemes, ShootoutScheme{
-					Scheme: s.key, Display: s.display(rho), shootCell: cell})
+					Scheme: s.key, Display: s.display(rho), schemeCell: c})
 				ms = append(ms, optimize.SchemeMetrics{
-					Coverage: cell.Coverage, ReachAtL: cell.ReachAtL,
-					Broadcasts: cell.Broadcasts, SuccessRate: cell.SuccessRate})
+					Coverage: c.Coverage, ReachAtL: c.ReachAtL,
+					Broadcasts: c.Broadcasts, SuccessRate: c.SuccessRate})
 			}
 			for _, sel := range selectors {
 				if best := optimize.BestScheme(sel, ms); best >= 0 {
@@ -320,30 +265,26 @@ func ShootoutDataCtx(ctx context.Context, eng *engine.Engine, pre Preset,
 func ShootoutCtx(ctx context.Context, eng *engine.Engine, pre Preset,
 	rhos []float64) (*FigureResult, error) {
 
-	data, err := ShootoutDataCtx(ctx, eng, pre, rhos)
-	if err != nil {
-		return nil, err
-	}
-	st, err := newShootStudy(pre, rhos)
-	if err != nil {
-		return nil, err
-	}
-	pre = st.pre
+	return runStudy(ctx, eng)(newShootStudy(pre, rhos))
+}
 
+func (st *shootStudy) figure(_ context.Context, results []engine.Result) (*FigureResult, error) {
+	data, err := st.data(results)
+	if err != nil {
+		return nil, err
+	}
 	f := &FigureResult{ID: "shootout",
 		Title:  "Suppression-scheme shootout across channel models",
 		Series: map[string][]float64{"rhos": st.rhos}}
 	chart := viz.NewChart("coverage vs density (SINR column)")
 	chart.XLabel, chart.YLabel = "rho", "coverage"
-	rowAt := 0
+	rows := data.Rows
 	for _, model := range data.Models {
 		t := Table{Title: fmt.Sprintf("%s (mean of %d runs, horizon %d phases)",
-			model, pre.Runs, pre.MaxPhases)}
+			model, st.pre.Runs, st.pre.MaxPhases)}
 		t.Header = []string{"rho", "scheme", "coverage", "reach@L", "settle",
 			"broadcasts", "delivered", "lost/coll", "success"}
-		for range st.rhos {
-			row := data.Rows[rowAt]
-			rowAt++
+		for _, row := range rows[:len(st.rhos)] {
 			for _, s := range row.Schemes {
 				t.Add(fmt.Sprintf("%g", row.Rho), s.Display,
 					fmtF(s.Coverage), fmtF(s.ReachAtL), fmtF1(s.Settle),
@@ -351,18 +292,15 @@ func ShootoutCtx(ctx context.Context, eng *engine.Engine, pre Preset,
 					fmtF1(s.LostColl), fmtF(s.SuccessRate))
 			}
 		}
+		rows = rows[len(st.rhos):]
 		f.Tables = append(f.Tables, t)
 	}
 	// Per-(model, scheme) series, plus one chart tracking the physical
 	// model's coverage ranking over density.
 	for si, s := range st.schemes {
-		for _, model := range data.Models {
+		for mi, model := range data.Models {
 			coverage := make([]float64, 0, len(st.rhos))
-			for _, rho := range st.rhos {
-				row, ok := data.Row(model, rho)
-				if !ok {
-					return nil, fmt.Errorf("experiments: shootout missing row (%s, %g)", model, rho)
-				}
+			for _, row := range data.Rows[mi*len(st.rhos) : (mi+1)*len(st.rhos)] {
 				coverage = append(coverage, row.Schemes[si].Coverage)
 			}
 			f.Series["coverage:"+model+":"+s.key] = coverage

@@ -93,11 +93,11 @@ func TestShootoutDataStructure(t *testing.T) {
 			t.Errorf("CFM coverage winner = %q, want flooding (first-wins ties)", row.Best["coverage"])
 		}
 	}
-	if _, ok := data.Row("SINR", 30); !ok {
-		t.Error("Row(SINR, 30) not found")
-	}
-	if _, ok := data.Row("SINR", 99); ok {
-		t.Error("Row(SINR, 99) found for an unswept density")
+	// Rows are model-major in (models, rhos) order.
+	for i, row := range data.Rows {
+		if row.Model != data.Models[i] || row.Rho != 30 {
+			t.Errorf("row %d is (%s, %g), want (%s, 30)", i, row.Model, row.Rho, data.Models[i])
+		}
 	}
 }
 
@@ -139,7 +139,8 @@ func TestShootoutFigureJobsRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed, err := FigureJobs("shootout", QuickAnalytic(), pre, 60, nil, nil, []float64{25, 50}, false, 1)
+	routed, err := FigureJobs("shootout", FigureSpec{Analytic: QuickAnalytic(), Sim: pre,
+		DegRho: 60, ShootRhos: []float64{25, 50}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +167,10 @@ func TestShootoutSINRDiffersFromCAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cam, ok1 := data.Row("CAM", 60)
-	sinr, ok2 := data.Row(channel.ModelSINR.String(), 60)
-	if !ok1 || !ok2 {
-		t.Fatal("missing CAM or SINR row")
+	// One density: one row per model, in ShootoutModels order.
+	cam, sinr := data.Rows[1], data.Rows[2]
+	if cam.Model != channel.CAM.String() || sinr.Model != channel.ModelSINR.String() {
+		t.Fatalf("rows 1 and 2 are %s and %s, want CAM and SINR", cam.Model, sinr.Model)
 	}
 	same := true
 	for i := range cam.Schemes {

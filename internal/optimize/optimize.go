@@ -99,13 +99,9 @@ func SweepAnalytic(base analytic.Config, grid []float64, c Constraints) ([]Point
 // flips — the variance-reduction pairing the optimizer's argmax wants —
 // and the sweep pays the neighbour-index build once per replication
 // instead of once per (replication, probability) pair.
-func SweepSim(base sim.Config, grid []float64, c Constraints, runs, workers int) ([]Point, error) {
-	return SweepSimCtx(context.Background(), base, grid, c, runs, workers)
-}
-
-// SweepSimCtx is SweepSim with cooperative cancellation, checked
-// between grid points and between replications.
-func SweepSimCtx(ctx context.Context, base sim.Config, grid []float64, c Constraints, runs, workers int) ([]Point, error) {
+//
+// Cancellation is checked between grid points and between replications.
+func SweepSim(ctx context.Context, base sim.Config, grid []float64, c Constraints, runs, workers int) ([]Point, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("optimize: empty probability grid")
 	}
@@ -124,9 +120,9 @@ func SweepSimCtx(ctx context.Context, base sim.Config, grid []float64, c Constra
 		var agg *sim.Aggregate
 		var err error
 		if deps != nil {
-			agg, err = sim.RunManyDeploymentsCtx(ctx, cfg, deps, workers)
+			agg, err = sim.RunManyDeployments(ctx, cfg, deps, workers)
 		} else {
-			agg, err = sim.RunManyCtx(ctx, cfg, runs, workers)
+			agg, err = sim.RunMany(ctx, cfg, runs, workers)
 		}
 		if err != nil {
 			return nil, err
@@ -162,6 +158,10 @@ func meanOrNaN(xs []float64) float64 {
 type Optimum struct {
 	P     float64
 	Value float64
+	// Index is the sweep position the optimum was located at: pts[Index]
+	// is its grid point (for a refined optimum, the grid point it
+	// refines).
+	Index int
 }
 
 // MaxReachAtLatency returns the grid point maximising metric 1.
@@ -200,5 +200,5 @@ func pick(pts []Point, val func(Point) float64, maximise bool) (Optimum, bool) {
 	if !ok {
 		return Optimum{}, false
 	}
-	return Optimum{P: pts[idx].P, Value: v}, true
+	return Optimum{P: pts[idx].P, Value: v, Index: idx}, true
 }

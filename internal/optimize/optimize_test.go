@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -182,7 +183,7 @@ func TestMeanOrNaNMajorityRule(t *testing.T) {
 func TestSweepSimSmall(t *testing.T) {
 	base := sim.Config{P: 4, S: 3, Rho: 30, Model: channel.CAM, Seed: 77}
 	grid := []float64{0.1, 0.5, 1}
-	pts, err := SweepSim(base, grid, Constraints{Latency: 5, Reach: 0.5, Budget: 30}, 4, 2)
+	pts, err := SweepSim(context.Background(), base, grid, Constraints{Latency: 5, Reach: 0.5, Budget: 30}, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +201,13 @@ func TestSweepSimSmall(t *testing.T) {
 }
 
 func TestSweepSimEmptyGrid(t *testing.T) {
-	if _, err := SweepSim(sim.Config{P: 4, S: 3, Rho: 30}, nil, Constraints{}, 2, 1); err == nil {
+	if _, err := SweepSim(context.Background(), sim.Config{P: 4, S: 3, Rho: 30}, nil, Constraints{}, 2, 1); err == nil {
 		t.Fatal("empty grid should error")
 	}
 }
 
 func TestSweepSimPropagatesErrors(t *testing.T) {
-	if _, err := SweepSim(sim.Config{P: 0, S: 3}, []float64{0.5}, Constraints{}, 2, 1); err == nil {
+	if _, err := SweepSim(context.Background(), sim.Config{P: 0, S: 3}, []float64{0.5}, Constraints{}, 2, 1); err == nil {
 		t.Fatal("invalid sim config should error")
 	}
 }

@@ -51,21 +51,16 @@ func RefineMin(f func(float64) float64, lo, hi float64, maxEvals int) (x, v floa
 // RefineOptimum takes a completed sweep and a located grid optimum and
 // refines it over the bracketing grid interval, re-evaluating the
 // model through eval (which must return the metric being optimised,
-// NaN for infeasible points). maximise selects the direction.
+// NaN for infeasible points). maximise selects the direction. opt.Index
+// locates the grid point in pts; an index outside pts returns opt
+// unchanged.
 func RefineOptimum(pts []Point, opt Optimum, eval func(p float64) float64, maximise bool, maxEvals int) Optimum {
 	if len(pts) < 2 {
 		return opt
 	}
-	// Find the bracketing neighbours of the grid optimum.
-	idx := -1
-	for i, pt := range pts {
-		//lint:ignore floateq opt.P is a verbatim copy of one pts[i].P; this recovers that point's index by identity
-		if pt.P == opt.P {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	// The bracketing neighbours of the grid optimum.
+	idx := opt.Index
+	if idx < 0 || idx >= len(pts) {
 		return opt
 	}
 	lo, hi := opt.P, opt.P
@@ -98,5 +93,5 @@ func RefineOptimum(pts []Point, opt Optimum, eval func(p float64) float64, maxim
 	if !better {
 		return opt
 	}
-	return Optimum{P: x, Value: v}
+	return Optimum{P: x, Value: v, Index: idx}
 }

@@ -85,7 +85,7 @@ func TestRefineOptimumDegenerateCases(t *testing.T) {
 		t.Fatal("empty sweep should return the input optimum")
 	}
 	pts := []Point{{P: 0.1}, {P: 0.2}}
-	if got := RefineOptimum(pts, Optimum{P: 0.9, Value: 1}, eval, true, 10); got.P != 0.9 {
+	if got := RefineOptimum(pts, Optimum{P: 0.9, Value: 1, Index: len(pts)}, eval, true, 10); got.P != 0.9 {
 		t.Fatal("optimum not on the grid should be returned unchanged")
 	}
 }
@@ -93,7 +93,7 @@ func TestRefineOptimumDegenerateCases(t *testing.T) {
 func TestRefineOptimumAllInfeasible(t *testing.T) {
 	pts := []Point{{P: 0.1}, {P: 0.2}, {P: 0.3}}
 	eval := func(p float64) float64 { return math.NaN() }
-	got := RefineOptimum(pts, Optimum{P: 0.2, Value: 5}, eval, false, 10)
+	got := RefineOptimum(pts, Optimum{P: 0.2, Value: 5, Index: 1}, eval, false, 10)
 	if got.P != 0.2 || got.Value != 5 {
 		t.Fatalf("all-NaN refinement should keep the grid optimum, got %+v", got)
 	}
@@ -102,7 +102,7 @@ func TestRefineOptimumAllInfeasible(t *testing.T) {
 func TestRefineOptimumMinimise(t *testing.T) {
 	pts := []Point{{P: 0.1}, {P: 0.5}, {P: 0.9}}
 	eval := func(p float64) float64 { return (p - 0.45) * (p - 0.45) }
-	got := RefineOptimum(pts, Optimum{P: 0.5, Value: eval(0.5)}, eval, false, 40)
+	got := RefineOptimum(pts, Optimum{P: 0.5, Value: eval(0.5), Index: 1}, eval, false, 40)
 	if math.Abs(got.P-0.45) > 1e-4 {
 		t.Fatalf("refined argmin %v, want 0.45", got.P)
 	}

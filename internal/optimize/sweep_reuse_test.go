@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestSweepSimMatchesExplicitDeployments(t *testing.T) {
 	cons := Constraints{Latency: 5, Reach: 0.63, Budget: 80}
 	const runs, workers = 4, 2
 
-	got, err := SweepSim(base, grid, cons, runs, workers)
+	got, err := SweepSim(context.Background(), base, grid, cons, runs, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +89,13 @@ func TestSweepSimHonoursExplicitDeployment(t *testing.T) {
 	base.Deployment = deps[0]
 	cons := Constraints{Latency: 5, Reach: 0.63, Budget: 80}
 
-	got, err := SweepSim(base, []float64{0.4}, cons, 3, 1)
+	got, err := SweepSim(context.Background(), base, []float64{0.4}, cons, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := base
 	cfg.Protocol = protocol.Probability{P: 0.4}
-	agg, err := sim.RunMany(cfg, 3, 1)
+	agg, err := sim.RunMany(context.Background(), cfg, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

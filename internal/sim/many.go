@@ -21,36 +21,31 @@ type Aggregate struct {
 	Mean metrics.Timeline
 }
 
-// RunMany executes `runs` independent simulations with seeds Seed,
-// Seed+1, ... and aggregates them. Runs execute in parallel on an
-// engine worker pool, bounded by `workers` (<= 0 means one worker per
-// CPU, the engine's default).
-func RunMany(cfg Config, runs, workers int) (*Aggregate, error) {
-	return RunManyCtx(context.Background(), cfg, runs, workers)
-}
-
-// replicationConfig returns the configuration of replication i.
+// ReplicationConfig returns the configuration of replication i.
 // Per-replication seeds Seed..Seed+runs-1 are RunMany's documented
 // public contract (the paper's 30-run averages), and the common-random-
-// numbers ladder the optimizer relies on.
-func replicationConfig(cfg Config, i int) Config {
+// numbers ladder the optimizer and the experiment cells rely on.
+func ReplicationConfig(cfg Config, i int) Config {
 	c := cfg
 	//lint:ignore seedderive seeds Seed..Seed+runs-1 are RunMany's documented public contract (paper's 30-run averages)
 	c.Seed = cfg.Seed + int64(i)
 	return c
 }
 
-// RunManyCtx is RunMany with cooperative cancellation: replications not
-// yet started when ctx is cancelled are skipped and the context's error
-// is returned (wrapped, so errors.Is(err, context.Canceled) holds).
-// Per-replication seeds (Seed+i) and the aggregation order are
-// index-derived, so the aggregate is identical for any worker count.
+// RunMany executes `runs` independent simulations with seeds Seed,
+// Seed+1, ... and aggregates them. Runs execute in parallel on an
+// engine worker pool, bounded by `workers` (<= 0 means one worker per
+// CPU, the engine's default). Replications not yet started when ctx is
+// cancelled are skipped and the context's error is returned (wrapped,
+// so errors.Is(err, context.Canceled) holds). Per-replication seeds
+// (Seed+i) and the aggregation order are index-derived, so the
+// aggregate is identical for any worker count.
 //
 // The fan-out runs on an internal/engine pool, inheriting its panic
 // recovery (a panicking replication surfaces as an error instead of
 // crashing the process).
-func RunManyCtx(ctx context.Context, cfg Config, runs, workers int) (*Aggregate, error) {
-	return runManyCtx(ctx, cfg, runs, workers, nil)
+func RunMany(ctx context.Context, cfg Config, runs, workers int) (*Aggregate, error) {
+	return runMany(ctx, cfg, runs, workers, nil)
 }
 
 // ReplicationDeployments samples the deployment each replication
@@ -69,7 +64,7 @@ func ReplicationDeployments(cfg Config, runs int) ([]*deploy.Deployment, error) 
 	cfg.applyDefaults()
 	out := make([]*deploy.Deployment, runs)
 	for i := range out {
-		seed := replicationConfig(cfg, i).Seed
+		seed := ReplicationConfig(cfg, i).Seed
 		rng := rand.New(rand.NewSource(engine.DeriveSeed(seed, "sim", "deployment")))
 		d, err := deploy.Generate(deployConfig(&cfg), rng)
 		if err != nil {
@@ -85,17 +80,11 @@ func ReplicationDeployments(cfg Config, runs int) ([]*deploy.Deployment, error) 
 // its protocol draws). The replication count is len(deps). Use
 // ReplicationDeployments to sample the slice once and share it across
 // several RunManyDeployments calls that vary protocol parameters.
-func RunManyDeployments(cfg Config, deps []*deploy.Deployment, workers int) (*Aggregate, error) {
-	return RunManyDeploymentsCtx(context.Background(), cfg, deps, workers)
+func RunManyDeployments(ctx context.Context, cfg Config, deps []*deploy.Deployment, workers int) (*Aggregate, error) {
+	return runMany(ctx, cfg, len(deps), workers, deps)
 }
 
-// RunManyDeploymentsCtx is RunManyDeployments with cooperative
-// cancellation, under RunManyCtx's contract.
-func RunManyDeploymentsCtx(ctx context.Context, cfg Config, deps []*deploy.Deployment, workers int) (*Aggregate, error) {
-	return runManyCtx(ctx, cfg, len(deps), workers, deps)
-}
-
-func runManyCtx(ctx context.Context, cfg Config, runs, workers int, deps []*deploy.Deployment) (*Aggregate, error) {
+func runMany(ctx context.Context, cfg Config, runs, workers int, deps []*deploy.Deployment) (*Aggregate, error) {
 	if runs <= 0 {
 		return nil, fmt.Errorf("sim: runs must be > 0, got %d", runs)
 	}
@@ -112,7 +101,7 @@ func runManyCtx(ctx context.Context, cfg Config, runs, workers int, deps []*depl
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			c := replicationConfig(cfg, i)
+			c := ReplicationConfig(cfg, i)
 			if deps != nil {
 				c.Deployment = deps[i]
 			}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestRunManyBasics(t *testing.T) {
-	agg, err := RunMany(paperCfg(40, 0.3, 100), 8, 4)
+	agg, err := RunMany(context.Background(), paperCfg(40, 0.3, 100), 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,13 +22,13 @@ func TestRunManyBasics(t *testing.T) {
 }
 
 func TestRunManyRejectsZeroRuns(t *testing.T) {
-	if _, err := RunMany(paperCfg(40, 0.3, 1), 0, 1); err == nil {
+	if _, err := RunMany(context.Background(), paperCfg(40, 0.3, 1), 0, 1); err == nil {
 		t.Fatal("expected error for zero runs")
 	}
 }
 
 func TestRunManySeedsDiffer(t *testing.T) {
-	agg, err := RunMany(paperCfg(40, 0.3, 200), 6, 0)
+	agg, err := RunMany(context.Background(), paperCfg(40, 0.3, 200), 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +42,11 @@ func TestRunManySeedsDiffer(t *testing.T) {
 }
 
 func TestRunManyDeterministicAggregate(t *testing.T) {
-	a, err := RunMany(paperCfg(40, 0.3, 300), 5, 2)
+	a, err := RunMany(context.Background(), paperCfg(40, 0.3, 300), 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMany(paperCfg(40, 0.3, 300), 5, 5)
+	b, err := RunMany(context.Background(), paperCfg(40, 0.3, 300), 5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestRunManyDeterministicAggregate(t *testing.T) {
 }
 
 func TestAggregateMetricSamples(t *testing.T) {
-	agg, err := RunMany(paperCfg(60, 0.2, 400), 6, 3)
+	agg, err := RunMany(context.Background(), paperCfg(60, 0.2, 400), 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestAggregateMetricSamples(t *testing.T) {
 func TestLatencyInfeasibleRunsAreNaN(t *testing.T) {
 	// p = 0: only the source's neighbours ever receive; 90% reach is
 	// infeasible in every run.
-	agg, err := RunMany(paperCfg(40, 0, 500), 4, 2)
+	agg, err := RunMany(context.Background(), paperCfg(40, 0, 500), 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

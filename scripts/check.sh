@@ -35,11 +35,14 @@ go run ./cmd/sensorlint -baseline sensorlint.baseline \
     -artifact artifacts/sensorlint.json ./...
 
 echo "== tier 2: bench regression gate (smoke run vs latest committed BENCH_<n>.json)"
-# A 1x smoke run is noisy on wall-clock, so the gate's ns/op tolerance
-# is loose; allocs/op is nearly deterministic and gated tightly. See
+# The smoke run uses the baseline's own benchtime, so both sides average
+# the same number of iterations: a single microsecond-scale iteration
+# varies several-fold on a shared host. The gate's ns/op tolerance is
+# loose; allocs/op is nearly deterministic and gated tightly. See
 # internal/bench for the ratios.
-scripts/bench.sh artifacts/bench.json 1x
 latest_bench="$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)"
+benchtime="$(sed -n 's/^ *"benchtime": *"\([^"]*\)".*/\1/p' "$latest_bench")"
+scripts/bench.sh artifacts/bench.json "${benchtime:-1x}"
 go run ./cmd/benchgate -baseline "$latest_bench" -current artifacts/bench.json
 
 echo "== tier 2: two-process shard + merge smoke (fig4)"
@@ -71,6 +74,21 @@ wait "$shard0"
 "$tmp/experiments" -figure shootout -quick -shoot-rhos 30 \
     -cache-dir "$tmp/shootcache" -merge 2 -out "$tmp/shoot-merged.txt"
 cmp "$tmp/shoot-direct.txt" "$tmp/shoot-merged.txt"
+
+echo "== tier 2: sharded hetero smoke (a cell study with its own replication seeds)"
+# The heterogeneity study samples a fresh hotspot field per replication
+# from derived seeds; two shard processes fill one cache with its cells
+# and the merged figure must render byte-identically to the direct run.
+"$tmp/experiments" -figure hetero -quick -runs 2 -out "$tmp/hetero-direct.txt"
+"$tmp/experiments" -figure hetero -quick -runs 2 \
+    -cache-dir "$tmp/heterocache" -shard 0/2 &
+shard0=$!
+"$tmp/experiments" -figure hetero -quick -runs 2 \
+    -cache-dir "$tmp/heterocache" -shard 1/2
+wait "$shard0"
+"$tmp/experiments" -figure hetero -quick -runs 2 \
+    -cache-dir "$tmp/heterocache" -merge 2 -out "$tmp/hetero-merged.txt"
+cmp "$tmp/hetero-direct.txt" "$tmp/hetero-merged.txt"
 
 echo "== tier 2: merge -json missing-shard smoke"
 # An empty cache must fail the merge with exit 3 and emit the missing
