@@ -6,6 +6,7 @@ import (
 
 	"sensornet/internal/analytic"
 	"sensornet/internal/channel"
+	"sensornet/internal/deploy"
 	"sensornet/internal/engine"
 	"sensornet/internal/optimize"
 	"sensornet/internal/protocol"
@@ -130,16 +131,19 @@ func newShootStudy(pre Preset, rhos []float64) (*shootStudy, error) {
 func (st *shootStudy) cellJob(model channel.Model, rho float64, s shootScheme) engine.Job {
 	cfg := st.pre.SimConfig(rho)
 	cfg.Model = model
+	parts := []any{s.key, st.sinr.Alpha, st.sinr.Beta, st.sinr.N0,
+		st.pre.Constraints.Latency, st.pre.Runs}
 	if model == channel.ModelSINR {
 		cfg.SINR = st.sinr
+		// Only SINR reads the gain tables, so only its cells are keyed
+		// by how the gains are computed.
+		parts = append(parts, deploy.GainFormula)
 	}
 	cfg.Protocol = s.proto(rho)
 	return cellJob[schemeCell](cell{
 		name: fmt.Sprintf("shoot(%s,%s,rho=%g)", model, s.key, rho),
-		key: cellKey("shoot-cell", cfg, int(model), s.key,
-			st.sinr.Alpha, st.sinr.Beta, st.sinr.N0,
-			st.pre.Constraints.Latency, st.pre.Runs),
-		cfg: cfg, runs: st.pre.Runs, deadline: st.pre.Constraints.Latency,
+		key:  cellKey("shoot-cell", cfg, int(model), parts...),
+		cfg:  cfg, runs: st.pre.Runs, deadline: st.pre.Constraints.Latency,
 	})
 }
 
