@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"sensornet/internal/deploy"
+	"sensornet/internal/mathx"
 )
 
 // Model selects the link-level communication model.
@@ -84,14 +85,14 @@ func DefaultSINRParams() SINRParams {
 
 // Validate reports whether the parameters describe a usable channel.
 func (p SINRParams) Validate() error {
-	if p.Alpha <= 0 {
-		return fmt.Errorf("channel: SINR Alpha must be > 0, got %g", p.Alpha)
+	if p.Alpha <= 0 || !mathx.IsFinite(p.Alpha) {
+		return fmt.Errorf("channel: SINR Alpha must be finite and > 0, got %g", p.Alpha)
 	}
-	if p.Beta <= 0 {
-		return fmt.Errorf("channel: SINR Beta must be > 0, got %g", p.Beta)
+	if p.Beta <= 0 || !mathx.IsFinite(p.Beta) {
+		return fmt.Errorf("channel: SINR Beta must be finite and > 0, got %g", p.Beta)
 	}
-	if p.N0 < 0 {
-		return fmt.Errorf("channel: SINR N0 must be >= 0, got %g", p.N0)
+	if p.N0 < 0 || !mathx.IsFinite(p.N0) {
+		return fmt.Errorf("channel: SINR N0 must be finite and >= 0, got %g", p.N0)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -40,6 +41,12 @@ func TestSINRParamsValidate(t *testing.T) {
 		{Alpha: 2, Beta: 0, N0: 0},
 		{Alpha: 2, Beta: -1, N0: 0},
 		{Alpha: 2, Beta: 1, N0: -0.1},
+		{Alpha: math.NaN(), Beta: 1, N0: 0},
+		{Alpha: math.Inf(1), Beta: 1, N0: 0},
+		{Alpha: 2, Beta: math.NaN(), N0: 0},
+		{Alpha: 2, Beta: math.Inf(1), N0: 0},
+		{Alpha: 2, Beta: 1, N0: math.NaN()},
+		{Alpha: 2, Beta: 1, N0: math.Inf(1)},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {
