@@ -77,6 +77,10 @@ type Config struct {
 	Profile func(rNorm float64) float64
 }
 
+// defaultMaxPhases is the execution length Run tracks when
+// Config.MaxPhases is unset.
+const defaultMaxPhases = 64
+
 func (c *Config) applyDefaults() {
 	//lint:ignore floateq exact zero is the "unset" sentinel for config fields, not a computed value
 	if c.R == 0 {
@@ -86,7 +90,7 @@ func (c *Config) applyDefaults() {
 		c.IntegrationPoints = 64
 	}
 	if c.MaxPhases == 0 {
-		c.MaxPhases = 64
+		c.MaxPhases = defaultMaxPhases
 	}
 	//lint:ignore floateq exact zero is the "unset" sentinel for config fields, not a computed value
 	if c.Epsilon == 0 {

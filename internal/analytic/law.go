@@ -29,9 +29,17 @@ func CalibrateLaw(p, s int, refRho, latency, step float64) (OptimalProbabilityLa
 	if step <= 0 || step > 0.5 {
 		return OptimalProbabilityLaw{}, errors.New("analytic: bad calibration step")
 	}
+	// ReachabilityAtPhase(latency) reads no phase past ⌈latency⌉, and a
+	// phase depends only on earlier ones, so stopping there leaves the
+	// law bit-identical and skips each run's settling tail. A NaN or
+	// +Inf latency keeps Run's default horizon.
+	maxPhases := 0
+	if h := math.Max(1, math.Ceil(latency)); h < defaultMaxPhases {
+		maxPhases = int(h)
+	}
 	bestP, bestR := math.NaN(), -1.0
 	for prob := step; prob <= 1+1e-9; prob += step {
-		res, err := Run(Config{P: p, S: s, Rho: refRho, Prob: math.Min(prob, 1)})
+		res, err := Run(Config{P: p, S: s, Rho: refRho, Prob: math.Min(prob, 1), MaxPhases: maxPhases})
 		if err != nil {
 			return OptimalProbabilityLaw{}, err
 		}

@@ -27,9 +27,9 @@ type geomTable struct {
 	h float64 // node spacing R/n
 
 	// Per ring j (row j-1), per node i in 0..n:
-	radial [][]float64      // cfg.R·(j-1) + x_i, the integrand's radial factor
-	tx     [][][3]float64   // rp.TransmissionAreas(j, x_i)
-	cs     [][][5]float64   // rp.CarrierSenseAreas(j, x_i); nil unless carrier sensing
+	radial [][]float64    // cfg.R·(j-1) + x_i, the integrand's radial factor
+	tx     [][][3]float64 // rp.TransmissionAreas(j, x_i)
+	cs     [][][5]float64 // rp.CarrierSenseAreas(j, x_i); nil unless carrier sensing
 }
 
 // simpsonIntervals mirrors mathx.SimpsonN's normalisation of the
