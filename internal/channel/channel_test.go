@@ -252,3 +252,27 @@ func BenchmarkResolveSlotDense(b *testing.B) {
 		r.ResolveSlot(txs, func(from, to int32) {})
 	}
 }
+
+// BenchmarkResolveSlotSINR is BenchmarkResolveSlotDense under the
+// physical model: the same field and transmitters, with sensing lists
+// and α=3 gain tables, so each slot sums in-range and annulus power.
+func BenchmarkResolveSlotSINR(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	dep, err := deploy.Generate(deploy.Config{P: 5, Rho: 140, WithSensing: true, GainAlpha: 3}, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := NewResolver(ModelSINR, dep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var txs []int32
+	for i := 0; i < dep.N(); i += 20 {
+		txs = append(txs, int32(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.ResolveSlot(txs, func(from, to int32) {})
+	}
+}

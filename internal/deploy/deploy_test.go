@@ -266,6 +266,28 @@ func BenchmarkGenerateRho140Sensing(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateSINR times the shootout's SINR deployments: P=5
+// with sensing lists and α=3 gain tables, at its two densities.
+func BenchmarkGenerateSINR(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		rho  float64
+	}{
+		{"rho=40", 40},
+		{"rho=100", 100},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(Config{P: 5, Rho: tc.rho, WithSensing: true, GainAlpha: 3}, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestGridDeploymentStructure(t *testing.T) {
 	d := gen(t, Config{P: 6, Grid: true}, 1)
 	if d.Pos[0].Norm() != 0 {

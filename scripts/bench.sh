@@ -9,7 +9,10 @@
 # (EngineCampaign), the cross-scheme channel-model shootout
 # (ShootoutCampaign), the serving fast path (ServeOptimal /
 # ServeSurfaceRow / ServeSurfaceFull / ServeShootoutCell — steady-state
-# snapshot hits) and the serving rebuild path (ServeRefresh).
+# snapshot hits) and the serving rebuild path (ServeRefresh), plus two
+# layer benches under the shootout: the SINR deployment build with its
+# gain tables (GenerateSINR, at the shootout's densities 40 and 100)
+# and the SINR slot resolver (ResolveSlotSINR).
 #
 # The latency tier then boots a real `experiments -serve` over a
 # warmed quick cache, drives it with cmd/loadgen (closed loop, mixed
@@ -26,10 +29,10 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH.json}"
 benchtime="${2:-1x}"
 
-pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$'
+pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$|BenchmarkGenerateSINR$/rho=|BenchmarkResolveSlotSINR$'
 
 echo "== bench: $pattern (benchtime=$benchtime)" >&2
-go test -run=NONE -bench="$pattern" -benchtime="$benchtime" -benchmem . ./internal/serve/ |
+go test -run=NONE -bench="$pattern" -benchtime="$benchtime" -benchmem . ./internal/serve/ ./internal/deploy/ ./internal/channel/ |
 	tee /dev/stderr |
 	awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 		/^Benchmark/ && NF >= 7 {

@@ -18,6 +18,12 @@ echo "== tier 1: go build ./... && go test ./..."
 go build ./...
 go test ./...
 
+echo "== tier 2: gofmt -l ."
+# Any file gofmt would rewrite fails the gate (gofmt -l exits 0 either
+# way, so its listing is the verdict).
+unformatted="$(gofmt -l .)"
+[ -z "$unformatted" ] || { echo "gofmt would reformat:" >&2; echo "$unformatted" >&2; exit 1; }
+
 echo "== tier 2: go vet ./..."
 go vet ./...
 
