@@ -63,8 +63,12 @@ func LensArea(r1, r2, d float64) float64 {
 	if d <= math.Abs(r1-r2) {
 		return DiskArea(math.Min(r1, r2))
 	}
-	// Circular segment decomposition. Clamp the acos arguments against
-	// round-off at tangency.
+	// Circular segment decomposition. Its round-off depends on which
+	// radius is which, so fix their order to keep the area symmetric.
+	// Clamp the acos arguments against round-off at tangency.
+	if r1 > r2 {
+		r1, r2 = r2, r1
+	}
 	a1 := clampUnit((d*d + r1*r1 - r2*r2) / (2 * d * r1))
 	a2 := clampUnit((d*d + r2*r2 - r1*r1) / (2 * d * r2))
 	alpha := math.Acos(a1)

@@ -84,6 +84,22 @@ func TestLensAreaNonPositiveRadius(t *testing.T) {
 	}
 }
 
+// TestLensAreaSymmetricNearTangency pins an input just inside internal
+// tangency where the segment formula, evaluated with the radii in
+// either order, differed by 1.0e-8.
+func TestLensAreaSymmetricNearTangency(t *testing.T) {
+	r1, r2, d := 0.1+0.0/100, 0.1+191.0/100, 191.0/100
+	if a, b := LensArea(r1, r2, d), LensArea(r2, r1, d); math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("LensArea(%g, %g, %g) = %v, swapped %v", r1, r2, d, a, b)
+	}
+}
+
+// quickConfig fixes the property tests' input stream, so a failure
+// reproduces.
+func quickConfig(maxCount int) *quick.Config {
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(1))}
+}
+
 func TestLensAreaSymmetryProperty(t *testing.T) {
 	f := func(r1Raw, r2Raw, dRaw uint16) bool {
 		r1 := 0.1 + float64(r1Raw%500)/100
@@ -91,7 +107,7 @@ func TestLensAreaSymmetryProperty(t *testing.T) {
 		d := float64(dRaw%1200) / 100
 		return almostEqual(LensArea(r1, r2, d), LensArea(r2, r1, d), 1e-9)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -103,7 +119,7 @@ func TestLensAreaMonotoneInDistanceProperty(t *testing.T) {
 		d := float64(dRaw%1000) / 100
 		return LensArea(r1, r2, d)+1e-9 >= LensArea(r1, r2, d+0.05)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -117,7 +133,7 @@ func TestLensAreaBoundedProperty(t *testing.T) {
 		bound := DiskArea(math.Min(r1, r2))
 		return a >= 0 && a <= bound+1e-9
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(0)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -67,7 +67,7 @@ func TestTransmissionAreasPartitionProperty(t *testing.T) {
 		}
 		return a[0] >= 0 && a[1] >= 0 && a[2] >= 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, quickConfig(500)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -140,7 +140,7 @@ func TestCarrierSenseAreasPartitionProperty(t *testing.T) {
 		// The sensing annulus between r and 2r has area 3 pi r².
 		return almostEqual(sum, 3*math.Pi*rp.R*rp.R, 1e-8)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, quickConfig(500)); err != nil {
 		t.Fatal(err)
 	}
 }
