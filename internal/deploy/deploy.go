@@ -112,38 +112,80 @@ type Deployment struct {
 func (d *Deployment) N() int { return len(d.Pos) }
 
 // Generate samples a deployment using rng. The result is deterministic
-// for a given rng state.
+// for a given rng state: it is Build(cfg, Place(cfg, rng)).
 func Generate(cfg Config, rng *rand.Rand) (*Deployment, error) {
+	pos, err := Place(cfg, rng)
+	if err != nil {
+		return nil, err
+	}
+	return Build(cfg, pos)
+}
+
+// Place makes every rng draw a deployment takes and returns the node
+// positions, source first at the origin. A lattice draws nothing.
+// Build turns the positions into a Deployment without touching the rng,
+// so a caller holding a built index for the same config and rng state
+// can replay Place alone and leave the rng exactly where Generate
+// would.
+func Place(cfg Config, rng *rand.Rand) ([]geom.Point, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.applyDefaults()
 	field := float64(cfg.P) * cfg.R
-	d := &Deployment{R: cfg.R, FieldRadius: field}
 	if cfg.Grid {
-		d.Pos = latticePositions(field, cfg.R)
-	} else {
-		n := cfg.N
-		if n == 0 {
-			n = int(math.Round(cfg.Rho * float64(cfg.P) * float64(cfg.P)))
-		}
-		if n < 1 {
-			n = 1
-		}
-		d.Pos = make([]geom.Point, n)
-		d.Pos[0] = geom.Point{} // source at the centre
-		sample := uniformRadius
-		if cfg.Profile != nil {
-			sample = profileSampler(cfg.Profile)
-		}
-		for i := 1; i < n; i++ {
-			rr := field * sample(rng)
-			th := 2 * math.Pi * rng.Float64()
-			d.Pos[i] = geom.Point{X: rr * math.Cos(th), Y: rr * math.Sin(th)}
-		}
+		return latticePositions(field, cfg.R), nil
 	}
+	n := cfg.N
+	if n == 0 {
+		n = int(math.Round(cfg.Rho * float64(cfg.P) * float64(cfg.P)))
+	}
+	if n < 1 {
+		n = 1
+	}
+	pos := make([]geom.Point, n)
+	pos[0] = geom.Point{} // source at the centre
+	sample := uniformRadius
+	if cfg.Profile != nil {
+		sample = profileSampler(cfg.Profile)
+	}
+	for i := 1; i < n; i++ {
+		rr := field * sample(rng)
+		th := 2 * math.Pi * rng.Float64()
+		pos[i] = geom.Point{X: rr * math.Cos(th), Y: rr * math.Sin(th)}
+	}
+	return pos, nil
+}
+
+// Build indexes positions placed for cfg: the neighbour lists and, as
+// cfg asks, the sensing lists and gain tables. It makes no random draw.
+// The deployment keeps pos as its Pos.
+func Build(cfg Config, pos []geom.Point) (*Deployment, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg.applyDefaults()
+	d := &Deployment{Pos: pos, R: cfg.R, FieldRadius: float64(cfg.P) * cfg.R}
 	d.buildNeighbors(cfg.WithSensing, cfg.GainAlpha)
 	return d, nil
+}
+
+// Bytes is the size of the deployment's position and index slices:
+// their lengths times their element sizes, slice headers included.
+func (d *Deployment) Bytes() int64 {
+	const header = 24 // a slice header: pointer, length, capacity
+	b := int64(len(d.Pos)) * 16
+	for _, lists := range [][][]int32{d.Neighbors, d.Sensing} {
+		for _, l := range lists {
+			b += header + 4*int64(len(l))
+		}
+	}
+	for _, gains := range [][][]float64{d.Gains, d.SensingGains} {
+		for _, g := range gains {
+			b += header + 8*int64(len(g))
+		}
+	}
+	return b
 }
 
 // GainFormula names the arithmetic PathGain evaluates. Gain values

@@ -3,6 +3,7 @@ package deploy
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -285,6 +286,63 @@ func BenchmarkGenerateSINR(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPlace times the placement replay a pooled simulation run
+// pays instead of a build: the draws alone, at the shootout's P and
+// densities.
+func BenchmarkPlace(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		rho  float64
+	}{
+		{"rho=40", 40},
+		{"rho=100", 100},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Place(Config{P: 5, Rho: tc.rho}, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestPlaceBuildMatchesGenerate pins the split Generate is made of:
+// Place makes every draw and Build none, so composing them yields
+// Generate's deployment and leaves the rng where Generate leaves it.
+func TestPlaceBuildMatchesGenerate(t *testing.T) {
+	for _, cfg := range []Config{
+		{P: 4, Rho: 30},
+		{P: 5, Rho: 100, WithSensing: true},
+		{P: 5, Rho: 40, WithSensing: true, GainAlpha: 3},
+		{P: 3, R: 2, N: 50, GainAlpha: 2.5},
+		{P: 6, Grid: true},
+		{P: 5, Rho: 60, Profile: func(r float64) float64 { return 4 - 3*r }},
+	} {
+		want, got := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+		d, err := Generate(cfg, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos, err := Place(cfg, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Build(cfg, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(d, b) {
+			t.Errorf("%+v: Build(Place) differs from Generate", cfg)
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Errorf("%+v: next draw after Place %d, after Generate %d", cfg, g, w)
+		}
 	}
 }
 

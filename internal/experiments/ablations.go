@@ -53,13 +53,14 @@ func collisionStudy(pre Preset, rho float64) (study, error) {
 	if err := checkRuns("collisions", pre.Runs); err != nil {
 		return nil, err
 	}
+	pool := newPool()
 	cells := make([]engine.Job, len(pre.Grid))
 	for i, p := range pre.Grid {
 		cfg := pre.SimConfig(rho)
 		cfg.Protocol = protocol.Probability{P: p}
 		cells[i] = cellJob[collCell](keyedCell("collision-cell",
 			fmt.Sprintf("collisions(p=%g,rho=%g)", p, rho),
-			cfg, pre.Runs, pre.Constraints.Latency))
+			cfg, pre.Runs, pre.Constraints.Latency, pool))
 	}
 	return cellStudy[collCell]{cells, func(aggs []collCell) *FigureResult {
 		t := Table{Title: fmt.Sprintf("channel outcome vs p (mean of %d runs)", pre.Runs)}

@@ -25,7 +25,19 @@ type cell struct {
 	// random numbers), because a run consumes its deployment stream
 	// before any protocol- or channel-dependent draw.
 	replicate func(cfg sim.Config, i int) (sim.Config, error)
+	// pool, when non-nil, shares the deployments of the cell's runs
+	// with the other cells of its job set, each run checking the shared
+	// build against its own replayed placement; only cells on sim's own
+	// Seed+i ladder (nil replicate) take one. Nil runs sim.Run.
+	pool *sim.Pool
 }
+
+// poolLimit bounds the bytes of built deployments one job set's pool
+// keeps (a variable only so tests can lower it).
+var poolLimit int64 = 256 << 20
+
+// newPool returns the deployment pool of one job set.
+func newPool() *sim.Pool { return sim.NewPool(poolLimit) }
 
 // aggregate is a study's per-cell mean: add accumulates one run, div
 // divides every sum by the run count once all runs are in.
@@ -35,8 +47,14 @@ type aggregate[T any] interface {
 	div(n float64)
 }
 
-// cellJob builds the cached engine job computing c's aggregate T.
+// cellJob builds the cached engine job computing c's aggregate T and
+// registers its runs with c's pool.
 func cellJob[T any, A aggregate[T]](c cell) engine.Job {
+	if c.pool != nil {
+		for i := 0; i < c.runs; i++ {
+			c.pool.Register(sim.ReplicationConfig(c.cfg, i))
+		}
+	}
 	return engine.JobFunc{
 		JobName:  c.name,
 		Key:      c.key,
@@ -52,7 +70,7 @@ func cellJob[T any, A aggregate[T]](c cell) engine.Job {
 				if err != nil {
 					return nil, err
 				}
-				res, err := sim.Run(run)
+				res, err := c.pool.Run(run)
 				if err != nil {
 					return nil, err
 				}
@@ -99,11 +117,11 @@ func cellKey(kind string, cfg sim.Config, model any, parts ...any) string {
 }
 
 // keyedCell is the cell running cfg, protocol included, for runs
-// replications and reading reachability at deadline, keyed by kind and
-// every one of those inputs (the protocol by its type and exact
-// parameters).
-func keyedCell(kind, name string, cfg sim.Config, runs int, deadline float64) cell {
-	return cell{name: name, cfg: cfg, runs: runs, deadline: deadline,
+// replications on pool and reading reachability at deadline, keyed by
+// kind and every one of those inputs (the protocol by its type and
+// exact parameters).
+func keyedCell(kind, name string, cfg sim.Config, runs int, deadline float64, pool *sim.Pool) cell {
+	return cell{name: name, cfg: cfg, runs: runs, deadline: deadline, pool: pool,
 		key: cellKey(kind, cfg, cfg.Model,
 			fmt.Sprintf("%T%v", cfg.Protocol, cfg.Protocol), deadline, runs)}
 }

@@ -103,6 +103,7 @@ func degradationStudy(pre Preset, rho float64, crashRates, lossRates []float64) 
 		{"flooding", protocol.Flooding{}},
 		{fmt.Sprintf("PB(p=%.2f)", p), protocol.Probability{P: p}},
 	}
+	pool := newPool()
 	var cells []engine.Job
 	for _, s := range schemes {
 		for _, crash := range crashRates {
@@ -114,7 +115,7 @@ func degradationStudy(pre Preset, rho float64, crashRates, lossRates []float64) 
 					name: fmt.Sprintf("deg(%s,crash=%g,loss=%g)", s.name, crash, loss),
 					key: cellKey("deg-cell", cfg, cfg.Model, s.name, crash, loss,
 						pre.Constraints.Latency, pre.Runs),
-					cfg: cfg, runs: pre.Runs, deadline: pre.Constraints.Latency,
+					cfg: cfg, runs: pre.Runs, deadline: pre.Constraints.Latency, pool: pool,
 				}))
 			}
 		}

@@ -49,7 +49,7 @@ func heteroStudy(pre Preset, meanRho float64) (study, error) {
 		cfg := pre.SimConfig(meanRho)
 		cfg.Protocol = scheme
 		c := keyedCell("hetero-cell", fmt.Sprintf("hetero(%s,rho=%g)", scheme.Name(), meanRho),
-			cfg, pre.Runs, pre.Constraints.Latency)
+			cfg, pre.Runs, pre.Constraints.Latency, nil)
 		c.replicate = func(cfg sim.Config, i int) (sim.Config, error) {
 			dep, err := deploy.Generate(deploy.Config{
 				P: cfg.P, Rho: cfg.Rho, Profile: heteroProfile,

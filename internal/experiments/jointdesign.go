@@ -35,6 +35,7 @@ func jointStudy(pre Preset, rho, slotBudget float64, slots []int) (study, error)
 	}
 	const refSlots = 3
 	var best []*design.Result
+	pool := newPool()
 	var cells []engine.Job
 	for _, s := range slots {
 		alg := design.PBCAMJoint(pre.P, rho, pre.Grid, []float64{float64(s)}, refSlots)
@@ -48,7 +49,7 @@ func jointStudy(pre Preset, rho, slotBudget float64, slots []int) (study, error)
 		cfg.Protocol = protocol.Probability{P: res.Values[0]}
 		cells = append(cells, cellJob[schemeCell](keyedCell("joint-cell",
 			fmt.Sprintf("joint(s=%d,rho=%g)", s, rho),
-			cfg, pre.Runs, slotBudget/float64(s))))
+			cfg, pre.Runs, slotBudget/float64(s), pool)))
 	}
 	return cellStudy[schemeCell]{cells, func(aggs []schemeCell) *FigureResult {
 		t := Table{Title: "analytic optimum per window size, validated by simulation"}

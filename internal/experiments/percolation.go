@@ -55,7 +55,7 @@ func percolationStudy(p int, grid []float64, runs int, seed int64) study {
 			Seed:     seed,
 		}
 		c := keyedCell("percolation-cell", fmt.Sprintf("percolation(P=%d,p=%.2f)", p, prob),
-			cfg, runs, 0)
+			cfg, runs, 0, nil)
 		c.replicate = func(cfg sim.Config, r int) (sim.Config, error) {
 			dep, err := lattice()
 			cfg.Deployment = dep

@@ -37,6 +37,7 @@ func schemeStudy(pre Preset, rhos []float64) (study, error) {
 			protocol.Gossip{P: law.P(rho), K: 2},
 		}
 	}
+	pool := newPool()
 	var cells []engine.Job
 	for _, rho := range rhos {
 		for _, scheme := range schemes(rho) {
@@ -44,7 +45,7 @@ func schemeStudy(pre Preset, rhos []float64) (study, error) {
 			cfg.Protocol = scheme
 			cells = append(cells, cellJob[schemeCell](keyedCell("scheme-cell",
 				fmt.Sprintf("scheme(%s,rho=%g)", scheme.Name(), rho),
-				cfg, pre.Runs, pre.Constraints.Latency)))
+				cfg, pre.Runs, pre.Constraints.Latency, pool)))
 		}
 	}
 	return cellStudy[schemeCell]{cells, func(aggs []schemeCell) *FigureResult {

@@ -71,10 +71,11 @@ func DefaultShootoutRhos() []float64 { return []float64{40, 100} }
 
 // shootStudy is the normalised parameter set of one shootout: the
 // effective preset, the densities, the channel models crossed, the
-// SINR parameters, and the schemes compared. Extracting it keeps the
-// sharded job builder (ShootoutJobs) and the figure assembly
-// (ShootoutCtx) agreed on job identity, so a shard process and the
-// merge process address the same cache entries.
+// SINR parameters, and the schemes compared, plus the cell jobs built
+// from them on one deployment pool. Extracting it keeps the sharded
+// job builder (ShootoutJobs) and the figure assembly (ShootoutCtx)
+// agreed on job identity, so a shard process and the merge process
+// address the same cache entries.
 type shootStudy struct {
 	pre     Preset
 	rhos    []float64
@@ -82,6 +83,8 @@ type shootStudy struct {
 	sinr    channel.SINRParams
 	schemes []shootScheme
 	law     analytic.OptimalProbabilityLaw
+	pool    *sim.Pool
+	cells   []engine.Job
 }
 
 func newShootStudy(pre Preset, rhos []float64) (*shootStudy, error) {
@@ -101,7 +104,7 @@ func newShootStudy(pre Preset, rhos []float64) (*shootStudy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &shootStudy{
+	st := &shootStudy{
 		pre:    pre,
 		rhos:   rhos,
 		models: ShootoutModels(),
@@ -120,8 +123,17 @@ func newShootStudy(pre Preset, rhos []float64) (*shootStudy, error) {
 				func(float64) string { return "distance(d=0.4)" },
 				func(float64) protocol.Protocol { return protocol.Distance{MinDist: 0.4} }},
 		},
-		law: law,
-	}, nil
+		law:  law,
+		pool: newPool(),
+	}
+	for _, model := range st.models {
+		for _, rho := range st.rhos {
+			for _, s := range st.schemes {
+				st.cells = append(st.cells, st.cellJob(model, rho, s))
+			}
+		}
+	}
+	return st, nil
 }
 
 // cellJob builds the cached job averaging one scheme's metrics over
@@ -144,23 +156,14 @@ func (st *shootStudy) cellJob(model channel.Model, rho float64, s shootScheme) e
 		name: fmt.Sprintf("shoot(%s,%s,rho=%g)", model, s.key, rho),
 		key:  cellKey("shoot-cell", cfg, int(model), parts...),
 		cfg:  cfg, runs: st.pre.Runs, deadline: st.pre.Constraints.Latency,
+		pool: st.pool,
 	})
 }
 
-// jobs builds the study's cell-job batch, model-major in
+// jobs returns the study's cell-job batch, model-major in
 // (models, rhos, schemes) order — the positional contract data and the
 // figure read results under.
-func (st *shootStudy) jobs() []engine.Job {
-	var jobs []engine.Job
-	for _, model := range st.models {
-		for _, rho := range st.rhos {
-			for _, s := range st.schemes {
-				jobs = append(jobs, st.cellJob(model, rho, s))
-			}
-		}
-	}
-	return jobs
-}
+func (st *shootStudy) jobs() []engine.Job { return st.cells }
 
 // ShootoutJobs returns the cacheable job set behind the shootout — the
 // unit the shard layer and the coordinator/worker backend distribute.
@@ -318,6 +321,9 @@ func (st *shootStudy) figure(_ context.Context, results []engine.Result) (*Figur
 		fmt.Sprintf("PB probability comes from the calibrated law p* = %.1f/rho", st.law.C),
 		fmt.Sprintf("SINR decodes at alpha=%g, beta=%g, N0=%g with interference truncated at the 2R sensing range",
 			st.sinr.Alpha, st.sinr.Beta, st.sinr.N0),
+		// sim.Pool enforces this note: every pooled run replays its
+		// placement and fails unless it matches the shared build bit
+		// for bit.
 		"replications share seeds across cells (common random numbers), and deployments consume the stream before any model- or scheme-dependent draw, so every cell at a density sees the same fields")
 	return f, nil
 }

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
 
 	"sensornet/internal/channel"
 	"sensornet/internal/engine"
+	"sensornet/internal/sim"
 )
 
 func shootTestPreset() Preset {
@@ -181,5 +183,72 @@ func TestShootoutSINRDiffersFromCAM(t *testing.T) {
 	}
 	if same {
 		t.Fatal("SINR aggregates identical to CAM at rho=60 for every scheme: the SINR resolver is not being exercised")
+	}
+}
+
+// shootoutRun runs a cold quick shootout (densities 40 and 100, four
+// replications) on a fresh engine of the given width, returning the
+// rendered figure, every cell's encoded payload and the study's pool
+// statistics.
+func shootoutRun(t *testing.T, workers int) (string, [][]byte, sim.PoolStats) {
+	t.Helper()
+	st, err := newShootStudy(QuickSim(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := runJobs(context.Background(), engine.New(engine.Config{Workers: workers}), st.jobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := make([][]byte, len(results))
+	for i, r := range results {
+		if payloads[i], err = engine.EncodeResult(st.jobs()[i], r.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := st.figure(context.Background(), results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := f.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String(), payloads, st.pool.Stats()
+}
+
+// TestShootoutPoolBuildsEachDeploymentOnce bounds the shootout's
+// deployment work and memory: the 96 runs of a quick shootout need 16
+// distinct deployments (2 densities × 4 replications × plain or SINR
+// lists), the pool builds each once whatever the engine width, and
+// holds nothing once the campaign is done. A pool that may keep nothing
+// builds per run, as unpooled cells do, and every cell payload stays
+// byte-identical.
+func TestShootoutPoolBuildsEachDeploymentOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulated campaign in -short mode")
+	}
+	figure, payloads, st := shootoutRun(t, 1)
+	if st != (sim.PoolStats{Builds: 16}) {
+		t.Errorf("1 worker: pool stats %+v, want 16 builds and nothing held", st)
+	}
+	wide, _, st := shootoutRun(t, 4)
+	if st != (sim.PoolStats{Builds: 16}) {
+		t.Errorf("4 workers: pool stats %+v, want 16 builds and nothing held", st)
+	}
+	if wide != figure {
+		t.Error("4-worker pooled figure differs from the 1-worker one")
+	}
+
+	defer func(limit int64) { poolLimit = limit }(poolLimit)
+	poolLimit = 0
+	_, unpooled, st := shootoutRun(t, 1)
+	if st != (sim.PoolStats{Builds: 96}) {
+		t.Errorf("zero limit: pool stats %+v, want one build per run (96)", st)
+	}
+	for i := range payloads {
+		if !bytes.Equal(payloads[i], unpooled[i]) {
+			t.Errorf("cell %d: pooled payload %s, unpooled %s", i, payloads[i], unpooled[i])
+		}
 	}
 }

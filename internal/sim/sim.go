@@ -85,10 +85,12 @@ func (c *Config) applyDefaults() {
 
 // deployConfig is the deployment the run samples when none is supplied:
 // sensing lists for carrier sensing and SINR (the interference annulus),
-// gain tables only for SINR. GainAlpha does not perturb positions — the
-// sampler consumes the rng before the neighbour build — so the same seed
-// places nodes identically across all three channel models (common
-// random numbers across the model axis).
+// gain tables only for SINR. GainAlpha does not perturb positions —
+// deploy.Place makes every draw and deploy.Build none — so the same
+// seed places nodes identically across all three channel models
+// (common random numbers across the model axis). A pooled run checks
+// this: it replays placement and fails unless the positions are
+// bit-equal to the shared build's (see Pool).
 func deployConfig(cfg *Config) deploy.Config {
 	dc := deploy.Config{
 		P: cfg.P, R: cfg.R, Rho: cfg.Rho, N: cfg.N,
@@ -168,30 +170,30 @@ type Result struct {
 	Depleted int
 }
 
-// Run executes one simulation.
-func Run(cfg Config) (*Result, error) {
+// Run executes one simulation. It is the unpooled run: a nil Pool's.
+func Run(cfg Config) (*Result, error) { return (*Pool)(nil).Run(cfg) }
+
+// Run executes one simulation exactly as the package-level Run does,
+// taking the run's deployment from the pool when registered runs share
+// it (see Pool). A run that brings its own Deployment bypasses the
+// pool.
+func (p *Pool) Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.applyDefaults()
 	//lint:ignore seedderive Config.Seed is the run's root seed; campaigns derive it per row via engine.DeriveSeed
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	dep := cfg.Deployment
-	if dep == nil {
-		var err error
-		dep, err = deploy.Generate(deployConfig(&cfg), rng)
-		if err != nil {
-			return nil, err
-		}
+	dep, err := p.deployment(&cfg, rng)
+	if err != nil {
+		return nil, err
 	}
 	var plan *faults.Plan
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
-		p, err := faults.New(*cfg.Faults, dep.N(), cfg.MaxPhases,
-			engine.DeriveSeed(cfg.Seed, "sim", "faults"))
-		if err != nil {
+		if plan, err = faults.New(*cfg.Faults, dep.N(), cfg.MaxPhases,
+			engine.DeriveSeed(cfg.Seed, "sim", "faults")); err != nil {
 			return nil, err
 		}
-		plan = p
 	}
 	if cfg.Async {
 		return runAsync(cfg, dep, rng, plan)
