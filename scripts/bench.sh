@@ -9,10 +9,12 @@
 # (EngineCampaign), the cross-scheme channel-model shootout
 # (ShootoutCampaign), the serving fast path (ServeOptimal /
 # ServeSurfaceRow / ServeSurfaceFull / ServeShootoutCell — steady-state
-# snapshot hits) and the serving rebuild path (ServeRefresh), plus two
-# layer benches under the shootout: the SINR deployment build with its
-# gain tables (GenerateSINR, at the shootout's densities 40 and 100)
-# and the SINR slot resolver (ResolveSlotSINR).
+# snapshot hits) and the serving rebuild path (ServeRefresh), plus the
+# layer benches under the shootout: the plain deployment build
+# (GenerateRho60), the SINR deployment build with its gain tables
+# (GenerateSINR, at the shootout's densities 40 and 100), the placement
+# replay every pooled run pays instead of a build (Place, at the same
+# densities) and the SINR slot resolver (ResolveSlotSINR).
 #
 # The latency tier then boots a real `experiments -serve` over a
 # warmed quick cache, drives it with cmd/loadgen (closed loop, mixed
@@ -29,7 +31,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH.json}"
 benchtime="${2:-1x}"
 
-pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$|BenchmarkGenerateSINR$/rho=|BenchmarkResolveSlotSINR$'
+pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$|BenchmarkGenerateRho60$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkResolveSlotSINR$'
 
 echo "== bench: $pattern (benchtime=$benchtime)" >&2
 go test -run=NONE -bench="$pattern" -benchtime="$benchtime" -benchmem . ./internal/serve/ ./internal/deploy/ ./internal/channel/ |

@@ -33,6 +33,12 @@ go test -race ./...
 echo "== tier 2: go test -shuffle=on ./..."
 go test -shuffle=on ./...
 
+echo "== tier 2: fuzz the cell codec (fixed short budget)"
+# decodeCell reads disk-cache bytes it cannot trust; the committed
+# corpus under internal/experiments/testdata/fuzz runs in tier 1, this
+# step explores beyond it for a fixed time.
+go test -run '^$' -fuzz '^FuzzDecodeCell$' -fuzztime 10s ./internal/experiments
+
 echo "== tier 2: go run ./cmd/sensorlint ./... (ratchet + findings artifact)"
 # The committed baseline is empty on main (TestDriverRepoIsClean
 # asserts it); passing it anyway keeps this the one canonical
@@ -70,7 +76,15 @@ echo "== tier 2: sharded shootout slice smoke (one density, CFM/CAM/SINR columns
 # A one-density slice of the cross-scheme shootout campaign through the
 # same shard/merge machinery: two shard processes fill one cache, and
 # the merged figure must render byte-identically to the direct run.
+# The slice also renders on a 1-worker and a 4-worker engine, whose
+# cells share the study's deployment pool serially and under
+# contention: both must match the direct run.
 "$tmp/experiments" -figure shootout -quick -shoot-rhos 30 -out "$tmp/shoot-direct.txt"
+for w in 1 4; do
+    "$tmp/experiments" -figure shootout -quick -shoot-rhos 30 -workers "$w" \
+        -out "$tmp/shoot-w$w.txt"
+    cmp "$tmp/shoot-direct.txt" "$tmp/shoot-w$w.txt"
+done
 "$tmp/experiments" -figure shootout -quick -shoot-rhos 30 \
     -cache-dir "$tmp/shootcache" -shard 0/2 &
 shard0=$!
@@ -95,6 +109,21 @@ wait "$shard0"
 "$tmp/experiments" -figure hetero -quick -runs 2 \
     -cache-dir "$tmp/heterocache" -merge 2 -out "$tmp/hetero-merged.txt"
 cmp "$tmp/hetero-direct.txt" "$tmp/hetero-merged.txt"
+
+echo "== tier 2: sharded degradation smoke (24 pooled cells at one density)"
+# The other large pooled study: every (scheme, crash, loss) cell shares
+# the replications' deployments. Two shard processes fill one cache and
+# the merged figure must render byte-identically to the direct run.
+"$tmp/experiments" -figure degradation -quick -runs 2 -out "$tmp/deg-direct.txt"
+"$tmp/experiments" -figure degradation -quick -runs 2 \
+    -cache-dir "$tmp/degcache" -shard 0/2 &
+shard0=$!
+"$tmp/experiments" -figure degradation -quick -runs 2 \
+    -cache-dir "$tmp/degcache" -shard 1/2
+wait "$shard0"
+"$tmp/experiments" -figure degradation -quick -runs 2 \
+    -cache-dir "$tmp/degcache" -merge 2 -out "$tmp/deg-merged.txt"
+cmp "$tmp/deg-direct.txt" "$tmp/deg-merged.txt"
 
 echo "== tier 2: merge -json missing-shard smoke"
 # An empty cache must fail the merge with exit 3 and emit the missing
