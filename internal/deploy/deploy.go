@@ -67,14 +67,24 @@ func (c Config) Validate() error {
 	if c.P < 1 {
 		return errors.New("deploy: P must be >= 1")
 	}
-	if c.R < 0 {
-		return errors.New("deploy: R must be >= 0")
+	if c.R < 0 || !mathx.IsFinite(c.R) {
+		return fmt.Errorf("deploy: R must be finite and >= 0, got %g", c.R)
+	}
+	if !mathx.IsFinite(c.Rho) {
+		return fmt.Errorf("deploy: Rho must be finite, got %g", c.Rho)
 	}
 	if c.N <= 0 && c.Rho <= 0 && !c.Grid {
 		return errors.New("deploy: need Rho > 0, N > 0, or Grid")
 	}
 	if c.N < 0 {
 		return fmt.Errorf("deploy: negative N %d", c.N)
+	}
+	// Node ids are int32.
+	if c.N > math.MaxInt32 {
+		return fmt.Errorf("deploy: N %d exceeds %d nodes", c.N, math.MaxInt32)
+	}
+	if n := math.Round(c.Rho * float64(c.P) * float64(c.P)); c.N == 0 && !c.Grid && n > math.MaxInt32 {
+		return fmt.Errorf("deploy: Rho %g at P %d places %g nodes, above %d", c.Rho, c.P, n, math.MaxInt32)
 	}
 	if c.GainAlpha < 0 || !mathx.IsFinite(c.GainAlpha) {
 		return fmt.Errorf("deploy: GainAlpha must be finite and >= 0, got %g", c.GainAlpha)
@@ -106,6 +116,10 @@ type Deployment struct {
 	// GainAlpha records the path-loss exponent the gain tables were
 	// built with (0 when absent).
 	GainAlpha float64
+
+	// reach is ReachableFromSource as Build counted it; 0 (never a
+	// count for a non-empty deployment) on a hand-built literal.
+	reach int
 }
 
 // N returns the number of nodes including the source.
@@ -167,6 +181,7 @@ func Build(cfg Config, pos []geom.Point) (*Deployment, error) {
 	cfg.applyDefaults()
 	d := &Deployment{Pos: pos, R: cfg.R, FieldRadius: float64(cfg.P) * cfg.R}
 	d.buildNeighbors(cfg.WithSensing, cfg.GainAlpha)
+	d.reach = d.walkFromSource()
 	return d, nil
 }
 
@@ -271,13 +286,24 @@ func latticePositions(field, r float64) []geom.Point {
 	return pos
 }
 
-// buildNeighbors fills the neighbour (and optionally sensing) lists with
-// a uniform grid of cell size 2R so that both ranges need only a 3×3
-// cell scan when sensing lists are requested, and of size R otherwise.
+// buildNeighbors fills the neighbour (and optionally sensing) lists
+// from a cell-sorted index of cell size 2R, so that both ranges need
+// only a 3×3 cell scan when sensing lists are requested, and of size R
+// otherwise.
 //
-// All lists of one kind share a single flat backing array: the scan
-// appends every accepted candidate to the shared array (whose capacity
-// is pre-sized from the expected degree, so growth is rare) and per-node
+// A node's list order is its block's rows in ascending row order and,
+// within a row, ascending cell then ascending id: exactly the order of
+// each block row's run in the index. So the scan visits nodes cell by
+// cell and reads those runs directly. That order fixes the order of
+// every later per-neighbour rng draw, so it must not change.
+//
+// Each node's candidates within the outer range (R, or 2R with sensing)
+// are first compacted into one scratch buffer sized once from the
+// largest block, then split into the lists in order.
+//
+// All lists of one kind share a single flat backing array: accepted
+// candidates are appended to the shared array (whose capacity is
+// pre-sized from the expected degree, so growth is rare) and per-node
 // sub-slices are carved afterwards. Growing each of the N lists by
 // repeated append dominated the simulator's whole allocation profile
 // (~97% of allocs at ρ=140); the flat layout reduces the build to a
@@ -304,21 +330,27 @@ func (d *Deployment) buildNeighbors(withSensing bool, gainAlpha float64) {
 	if reach <= 0 {
 		return
 	}
-	idx := newGridIndex(d.Pos, reach)
+	idx := newCellIndex(d.Pos, reach)
 	r2 := d.R * d.R
 	s2 := 4 * d.R * d.R
+	outer := r2
+	if withSensing {
+		outer = s2
+	}
 
 	// Expected totals: mean degree ≈ (n-1)·(R/field)², sensing annulus
 	// holds 3× the disk's area. 10% slack absorbs density fluctuations.
 	estDeg := float64(n-1) * r2 / (d.FieldRadius * d.FieldRadius)
 	est := int(1.1*float64(n)*estDeg) + 64
 
-	nbrCount := make([]int32, n)
+	// nbrOff[k] is where the list of the node in sorted slot k starts in
+	// nbrFlat; nbrOff[n] ends the last. senseOff likewise.
+	nbrOff := make([]int, n+1)
 	nbrFlat := make([]int32, 0, est)
-	var senseCount []int32
+	var senseOff []int
 	var senseFlat []int32
 	if withSensing {
-		senseCount = make([]int32, n)
+		senseOff = make([]int, n+1)
 		senseFlat = make([]int32, 0, 3*est)
 	}
 	// Gain values ride the same flat-array discipline as the index
@@ -331,46 +363,49 @@ func (d *Deployment) buildNeighbors(withSensing bool, gainAlpha float64) {
 			senseGainFlat = make([]float64, 0, 3*est)
 		}
 	}
-	for i := 0; i < n; i++ {
-		pi := d.Pos[i]
-		idx.visitCandidates(pi, func(j int32) {
-			if int(j) == i {
-				return
-			}
-			dd := pi.Dist2(d.Pos[j])
-			switch {
-			case dd <= r2:
-				nbrFlat = append(nbrFlat, j)
-				nbrCount[i]++
-				if withGains {
-					nbrGainFlat = append(nbrGainFlat, PathGain(dd, r2, gainAlpha))
+	scratch := make([]candidate, idx.maxBlock())
+	for c := 0; c+1 < len(idx.start); c++ {
+		lo, hi := int(idx.start[c]), int(idx.start[c+1])
+		if lo == hi {
+			continue
+		}
+		runs := idx.block(c)
+		for k := lo; k < hi; k++ {
+			i := idx.ids[k]
+			for _, cand := range idx.within(idx.pos[k], runs, outer, scratch) {
+				switch {
+				case cand.j == i: // the node itself
+				case cand.dd <= r2:
+					nbrFlat = append(nbrFlat, cand.j)
+					if withGains {
+						nbrGainFlat = append(nbrGainFlat, PathGain(cand.dd, r2, gainAlpha))
+					}
+				default:
+					senseFlat = append(senseFlat, cand.j)
+					if withGains {
+						senseGainFlat = append(senseGainFlat, PathGain(cand.dd, r2, gainAlpha))
+					}
 				}
-			case withSensing && dd <= s2:
-				senseFlat = append(senseFlat, j)
-				senseCount[i]++
-				if withGains {
-					senseGainFlat = append(senseGainFlat, PathGain(dd, r2, gainAlpha))
-				}
 			}
-		})
+			nbrOff[k+1] = len(nbrFlat)
+			if withSensing {
+				senseOff[k+1] = len(senseFlat)
+			}
+		}
 	}
 
-	for i, off := 0, 0; i < n; i++ {
-		end := off + int(nbrCount[i])
-		d.Neighbors[i] = nbrFlat[off:end:end]
+	for k, i := range idx.ids {
+		lo, hi := nbrOff[k], nbrOff[k+1]
+		d.Neighbors[i] = nbrFlat[lo:hi:hi]
 		if withGains {
-			d.Gains[i] = nbrGainFlat[off:end:end]
+			d.Gains[i] = nbrGainFlat[lo:hi:hi]
 		}
-		off = end
-	}
-	if withSensing {
-		for i, off := 0, 0; i < n; i++ {
-			end := off + int(senseCount[i])
-			d.Sensing[i] = senseFlat[off:end:end]
+		if withSensing {
+			lo, hi := senseOff[k], senseOff[k+1]
+			d.Sensing[i] = senseFlat[lo:hi:hi]
 			if withGains {
-				d.SensingGains[i] = senseGainFlat[off:end:end]
+				d.SensingGains[i] = senseGainFlat[lo:hi:hi]
 			}
-			off = end
 		}
 	}
 }
@@ -392,28 +427,34 @@ func (d *Deployment) AvgDegree() float64 {
 
 // ReachableFromSource returns the number of nodes (including the source)
 // connected to node 0 in the communication graph: the ceiling on any
-// broadcast scheme's reachability.
+// broadcast scheme's reachability. A built deployment counted it once,
+// at build time.
 func (d *Deployment) ReachableFromSource() int {
+	if d.reach > 0 {
+		return d.reach
+	}
+	return d.walkFromSource()
+}
+
+// walkFromSource walks the communication graph breadth-first from
+// node 0 and counts the nodes it reaches.
+func (d *Deployment) walkFromSource() int {
 	n := len(d.Pos)
 	if n == 0 {
 		return 0
 	}
 	seen := make([]bool, n)
 	seen[0] = true
-	queue := []int32{0}
-	count := 1
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range d.Neighbors[u] {
+	queue := make([]int32, 1, n)
+	for head := 0; head < len(queue); head++ {
+		for _, v := range d.Neighbors[queue[head]] {
 			if !seen[v] {
 				seen[v] = true
-				count++
 				queue = append(queue, v)
 			}
 		}
 	}
-	return count
+	return len(queue)
 }
 
 // RingOf returns the 1-indexed ring of node i under the paper's P-ring

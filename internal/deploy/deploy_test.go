@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,10 +26,28 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{P: 5, R: -1, Rho: 20},
 		{P: 5},
 		{P: 5, N: -3},
+		{P: 5, R: math.NaN(), Rho: 20},
+		{P: 5, R: math.Inf(1), Rho: 20},
+		{P: 5, R: math.Inf(-1), Rho: 20},
+		{P: 5, Rho: math.NaN()},
+		{P: 5, Rho: math.Inf(1)},
+		{P: 5, Rho: math.Inf(-1), N: 10},
+		{P: 5, Rho: 1e18},
+		{P: 5, N: math.MaxInt32 + 1},
+		{P: 1 << 20, Rho: 2048},
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(cfg, rand.New(rand.NewSource(1))); err == nil {
 			t.Errorf("case %d: expected error for %+v", i, cfg)
+		}
+		if _, err := Build(cfg, []geom.Point{{}}); err == nil {
+			t.Errorf("case %d: Build accepted %+v", i, cfg)
+		}
+	}
+	// The largest node count ids can name is still valid.
+	for _, cfg := range []Config{{P: 1, N: math.MaxInt32}, {P: 1, Rho: math.MaxInt32}} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
 		}
 	}
 }
@@ -220,17 +239,40 @@ func TestSingleNodeDeployment(t *testing.T) {
 }
 
 func TestGridIndexDegenerate(t *testing.T) {
-	g := newGridIndex(nil, 1)
-	called := false
-	g.visitCandidates(geom.Point{}, func(int32) { called = true })
-	if called {
-		t.Fatal("empty index should visit nothing")
+	for _, tc := range []struct {
+		name string
+		pos  []geom.Point
+		cell float64
+	}{
+		{"no nodes", nil, 1},
+		{"zero cell", []geom.Point{{}, {X: 1}}, 0},
+	} {
+		g := newCellIndex(tc.pos, tc.cell)
+		if g.cols != 0 || g.rows != 0 || len(g.start) != 0 || len(g.ids) != 0 || g.maxBlock() != 0 {
+			t.Errorf("%s: index %+v, want empty", tc.name, g)
+		}
+	}
+	// One row of two cells: nodes sort by cell, then by id, and either
+	// cell's block is the one row, a single run over both cells.
+	g := newCellIndex([]geom.Point{{}, {X: 1.5}, {X: 0.5}}, 1)
+	if g.cols != 2 || g.rows != 1 || !reflect.DeepEqual(g.ids, []int32{0, 2, 1}) ||
+		!reflect.DeepEqual(g.start, []int32{0, 2, 3}) {
+		t.Fatalf("two-cell index %+v", g)
+	}
+	for c := 0; c < 2; c++ {
+		if runs := g.block(c); runs != [3][2]int{{}, {0, 3}, {}} {
+			t.Fatalf("cell %d block %v", c, runs)
+		}
+	}
+	if g.maxBlock() != 3 {
+		t.Fatalf("maxBlock %d, want 3", g.maxBlock())
 	}
 }
 
 func TestNeighborListsStableUnderSensingOption(t *testing.T) {
 	// Building with sensing lists must not change the plain neighbour
-	// lists (the grid cell size differs internally).
+	// sets. Their order may differ: the grid cell size is R without
+	// sensing and 2R with it, and the order follows the cells.
 	f := func(seed int64) bool {
 		a, err1 := Generate(Config{P: 3, Rho: 12}, rand.New(rand.NewSource(seed)))
 		b, err2 := Generate(Config{P: 3, Rho: 12, WithSensing: true}, rand.New(rand.NewSource(seed)))
@@ -238,7 +280,10 @@ func TestNeighborListsStableUnderSensingOption(t *testing.T) {
 			return false
 		}
 		for i := range a.Neighbors {
-			if len(a.Neighbors[i]) != len(b.Neighbors[i]) {
+			x, y := slices.Clone(a.Neighbors[i]), slices.Clone(b.Neighbors[i])
+			slices.Sort(x)
+			slices.Sort(y)
+			if !slices.Equal(x, y) {
 				return false
 			}
 		}

@@ -11,10 +11,13 @@
 # ServeSurfaceRow / ServeSurfaceFull / ServeShootoutCell — steady-state
 # snapshot hits) and the serving rebuild path (ServeRefresh), plus the
 # layer benches under the shootout: the plain deployment build
-# (GenerateRho60), the SINR deployment build with its gain tables
-# (GenerateSINR, at the shootout's densities 40 and 100), the placement
-# replay every pooled run pays instead of a build (Place, at the same
-# densities) and the SINR slot resolver (ResolveSlotSINR).
+# (GenerateRho60), the largest plain sensing build
+# (GenerateRho140Sensing), the SINR deployment build with its gain
+# tables (GenerateSINR, at the shootout's densities 40 and 100), the
+# placement replay every pooled run pays instead of a build (Place, at
+# the same densities), an unpooled simulation run that pays a build and
+# the connectivity walk (RunSyncRho60), and the CAM and SINR slot
+# resolvers (ResolveSlotDense, ResolveSlotSINR).
 #
 # The latency tier then boots a real `experiments -serve` over a
 # warmed quick cache, drives it with cmd/loadgen (closed loop, mixed
@@ -31,10 +34,10 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH.json}"
 benchtime="${2:-1x}"
 
-pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$|BenchmarkGenerateRho60$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkResolveSlotSINR$'
+pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$|BenchmarkGenerateRho60$|BenchmarkGenerateRho140Sensing$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkRunSyncRho60$|BenchmarkResolveSlotDense$|BenchmarkResolveSlotSINR$'
 
 echo "== bench: $pattern (benchtime=$benchtime)" >&2
-go test -run=NONE -bench="$pattern" -benchtime="$benchtime" -benchmem . ./internal/serve/ ./internal/deploy/ ./internal/channel/ |
+go test -run=NONE -bench="$pattern" -benchtime="$benchtime" -benchmem . ./internal/serve/ ./internal/deploy/ ./internal/channel/ ./internal/sim/ |
 	tee /dev/stderr |
 	awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 		/^Benchmark/ && NF >= 7 {

@@ -39,6 +39,12 @@ echo "== tier 2: fuzz the cell codec (fixed short budget)"
 # step explores beyond it for a fixed time.
 go test -run '^$' -fuzz '^FuzzDecodeCell$' -fuzztime 10s ./internal/experiments
 
+echo "== tier 2: fuzz the deployment build against its reference (fixed short budget)"
+# Build must reproduce the closure-based reference build's lists in
+# order and its gains bit for bit; the committed corpus under
+# internal/deploy/testdata/fuzz runs in tier 1.
+go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 10s ./internal/deploy
+
 echo "== tier 2: go run ./cmd/sensorlint ./... (ratchet + findings artifact)"
 # The committed baseline is empty on main (TestDriverRepoIsClean
 # asserts it); passing it anyway keeps this the one canonical
