@@ -617,8 +617,8 @@ func parseRhos(s string) ([]float64, error) {
 	return rhos, nil
 }
 
-// parseRates parses a comma-separated list of rates in [0, 1]; an
-// empty string means "use the default grid".
+// parseRates parses a comma-separated list of finite rates in [0, 1];
+// an empty string means "use the default grid".
 func parseRates(s string) ([]float64, error) {
 	if s == "" {
 		return nil, nil
@@ -630,8 +630,8 @@ func parseRates(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad rate %q: %v", p, err)
 		}
-		if r < 0 || r > 1 {
-			return nil, fmt.Errorf("rate %v outside [0, 1]", r)
+		if math.IsNaN(r) || r < 0 || r > 1 {
+			return nil, fmt.Errorf("rate %v not a finite number in [0, 1]", r)
 		}
 		rates = append(rates, r)
 	}

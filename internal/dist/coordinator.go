@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"sensornet/internal/engine"
-	"sensornet/internal/trace"
 )
 
 // Config parameterises a Coordinator.
@@ -48,11 +47,6 @@ type Config struct {
 	// Now is the coordinator's clock; defaults to time.Now. Tests
 	// inject a fake to drive lease expiry deterministically.
 	Now func() time.Time
-	// Spans, when non-nil, receives one span per completed or failed
-	// lease (Name = job, Worker = shard, Duration = lease wall time),
-	// making lease churn observable through the same telemetry the
-	// engine uses.
-	Spans *trace.SpanLog
 	// Logf, when non-nil, receives protocol-level diagnostics (lease
 	// expiries, steals, ingest failures).
 	Logf func(format string, args ...any)
@@ -457,16 +451,6 @@ func (c *Coordinator) ackLocked(r ResultResponse) ResultResponse {
 	return r
 }
 
-func (c *Coordinator) recordSpan(l *leaseInfo, name string, shard int, now time.Time, failed bool) {
-	if c.cfg.Spans == nil {
-		return
-	}
-	c.cfg.Spans.Record(trace.Span{
-		Name: name, Worker: shard, Attempt: 1,
-		Duration: now.Sub(l.started), Failed: failed,
-	})
-}
-
 // --- HTTP handlers ---
 
 // bodySum computes the hex sha256 carried in HeaderBodySum.
@@ -673,9 +657,6 @@ func (c *Coordinator) result(req ResultRequest) (int, any, time.Duration) {
 			c.checkDrainedLocked()
 			return http.StatusOK, c.ackLocked(ResultResponse{Accepted: true, Duplicate: true}), 0
 		}
-		if l != nil {
-			c.recordSpan(l, j.spec.Name, j.shard, now, true)
-		}
 		releaseLease()
 		c.checkDrainedLocked()
 		j.failures++
@@ -722,7 +703,6 @@ func (c *Coordinator) result(req ResultRequest) (int, any, time.Duration) {
 	}
 	c.ingested++
 	if l != nil {
-		c.recordSpan(l, j.spec.Name, j.shard, now, false)
 		c.observeRuntimeLocked(j.shard, now.Sub(l.started))
 	}
 	releaseLease()

@@ -19,7 +19,6 @@ import (
 	"sensornet/internal/dist"
 	"sensornet/internal/engine"
 	"sensornet/internal/experiments"
-	"sensornet/internal/trace"
 )
 
 // tinyAnalyticPreset is a fast real campaign: 2 densities × 8 grid
@@ -59,13 +58,12 @@ func readTree(t *testing.T, dir string) map[string][]byte {
 // runDistributed drives a full campaign through a coordinator and the
 // given worker configs, returning the coordinator (for stats) and each
 // worker's (report, error) in order.
-func runDistributed(t *testing.T, cache *engine.Cache, jobs []engine.Job, spans *trace.SpanLog, workerCfgs []dist.WorkerConfig) (*dist.Coordinator, []*dist.WorkerReport, []error) {
+func runDistributed(t *testing.T, cache *engine.Cache, jobs []engine.Job, workerCfgs []dist.WorkerConfig) (*dist.Coordinator, []*dist.WorkerReport, []error) {
 	t.Helper()
 	coord, err := dist.NewCoordinator(dist.Config{
 		Sink:     cache,
 		Shards:   len(workerCfgs),
 		LeaseTTL: 300 * time.Millisecond,
-		Spans:    spans,
 		Logf:     t.Logf,
 	}, jobs)
 	if err != nil {
@@ -119,10 +117,9 @@ func TestDistributedMergesByteIdentical(t *testing.T) {
 	// Distributed: coordinator over a fresh cache dir, two workers; the
 	// first dies after one completed job while holding a lease.
 	distDir := t.TempDir()
-	spans := &trace.SpanLog{}
 	workerEngine := func() *engine.Engine { return engine.New(engine.Config{Workers: 2}) }
 	coord, reports, errs := runDistributed(t,
-		engine.NewCache(distDir, experiments.CacheSalt), jobs, spans,
+		engine.NewCache(distDir, experiments.CacheSalt), jobs,
 		[]dist.WorkerConfig{
 			{ID: "w-dying", Engine: workerEngine(), Jobs: jobs, FailAfter: 1, Poll: 20 * time.Millisecond},
 			{ID: "w-survivor", Engine: workerEngine(), Jobs: jobs, Poll: 20 * time.Millisecond},
@@ -148,9 +145,6 @@ func TestDistributedMergesByteIdentical(t *testing.T) {
 	}
 	if reports[1].Completed < len(jobs)-reports[0].Completed {
 		t.Fatalf("survivor completed %d of %d", reports[1].Completed, len(jobs))
-	}
-	if spans.Len() < len(jobs) {
-		t.Fatalf("lease spans = %d, want >= %d", spans.Len(), len(jobs))
 	}
 
 	// Byte identity at the cache layer: same file names, same bytes.
@@ -190,7 +184,7 @@ func TestDistributedResume(t *testing.T) {
 	dir := t.TempDir()
 
 	cache := engine.NewCache(dir, experiments.CacheSalt)
-	_, reports, errs := runDistributed(t, cache, jobs, nil,
+	_, reports, errs := runDistributed(t, cache, jobs,
 		[]dist.WorkerConfig{{ID: "w1", Engine: engine.New(engine.Config{Workers: 2}), Jobs: jobs}})
 	if errs[0] != nil {
 		t.Fatal(errs[0])

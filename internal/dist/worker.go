@@ -29,9 +29,11 @@ type WorkerConfig struct {
 	ID string
 	// BaseURL is the coordinator's root URL (e.g. http://host:8080).
 	BaseURL string
-	// Engine executes leased jobs, bringing the retry/backoff,
-	// per-attempt timeout, and panic-recovery discipline campaigns
-	// already rely on. Required. Its cache, if any, is worker-local.
+	// Engine executes leased jobs, once each, bringing the per-job
+	// timeout and panic-recovery discipline campaigns already rely on;
+	// a failed job is reported to the coordinator, which requeues it
+	// up to its MaxJobFailures. Required. Its cache, if any, is
+	// worker-local.
 	Engine *engine.Engine
 	// Jobs is the campaign's full job set (the same FigureJobs the
 	// coordinator was built over); the worker indexes it by fingerprint

@@ -2,13 +2,13 @@ package engine
 
 import "time"
 
-// BackoffPolicy is the repo's one retry-wait discipline: exponential
+// BackoffPolicy is the retry-wait discipline of the dist worker's HTTP
+// post loop (the engine itself runs each job once): exponential
 // doubling from Base, capped at Max, then deterministically jittered
 // into [d/2, d) by a DeriveSeed stream keyed on a caller-chosen label
-// and the attempt number. The engine's transient-retry ladder and the
-// dist worker's HTTP post loop share this policy, so simultaneous
-// failures across a fleet never retry in lockstep yet every schedule
-// is reproducible without a shared RNG.
+// and the attempt number, so simultaneous failures across a fleet
+// never retry in lockstep yet every schedule is reproducible without a
+// shared RNG.
 type BackoffPolicy struct {
 	// Base is the pre-jitter delay before the first retry; <= 0 means
 	// 50ms.

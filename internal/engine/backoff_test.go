@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// TestBackoffPolicyShape pins the shared retry-wait discipline: capped
+// TestBackoffPolicyShape pins the post-retry wait discipline: capped
 // doubling with deterministic jitter in [d/2, d).
 func TestBackoffPolicyShape(t *testing.T) {
 	p := BackoffPolicy{Base: 100 * time.Millisecond, Max: 800 * time.Millisecond}
@@ -44,8 +44,8 @@ func TestBackoffPolicyDeterministic(t *testing.T) {
 	}
 }
 
-// TestBackoffPolicyDefaults: the zero policy is usable (engine
-// defaults: 50ms base, 5s cap).
+// TestBackoffPolicyDefaults: the zero policy is usable (50ms base, 5s
+// cap).
 func TestBackoffPolicyDefaults(t *testing.T) {
 	var p BackoffPolicy
 	d1 := p.Delay("x", 1)
@@ -55,17 +55,5 @@ func TestBackoffPolicyDefaults(t *testing.T) {
 	d20 := p.Delay("x", 20)
 	if d20 < 2500*time.Millisecond || d20 >= 5*time.Second {
 		t.Errorf("zero-policy deep-attempt delay = %v, want capped near 5s", d20)
-	}
-}
-
-// TestEngineUsesBackoffPolicy: the engine's retry ladder delegates to
-// the shared policy (identical schedule).
-func TestEngineUsesBackoffPolicy(t *testing.T) {
-	e := New(Config{Backoff: 100 * time.Millisecond, MaxBackoff: time.Second, Retries: 3})
-	p := BackoffPolicy{Base: 100 * time.Millisecond, Max: time.Second}
-	for a := 1; a <= 5; a++ {
-		if got, want := e.retryBackoff("job-y", a), p.Delay("job-y", a); got != want {
-			t.Fatalf("attempt %d: engine %v, policy %v", a, got, want)
-		}
 	}
 }

@@ -7,26 +7,14 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
-
-	"sensornet/internal/metrics"
-	"sensornet/internal/trace"
 )
 
 // Config parameterises an Engine.
 type Config struct {
 	// Workers bounds job concurrency; <= 0 means runtime.GOMAXPROCS.
 	Workers int
-	// Timeout bounds each job attempt; 0 means no per-job timeout.
+	// Timeout bounds each job's run; 0 means no per-job timeout.
 	Timeout time.Duration
-	// Retries is the number of re-attempts granted to jobs that fail
-	// with a Transient error (0 = fail on first error).
-	Retries int
-	// Backoff is the delay before the first retry, doubling per
-	// attempt. Defaults to 50ms when Retries > 0.
-	Backoff time.Duration
-	// MaxBackoff caps the doubled retry delay (before jitter), so a
-	// deep retry chain cannot sleep unboundedly. Defaults to 5s.
-	MaxBackoff time.Duration
 	// Cache, when non-nil, short-circuits jobs whose fingerprint has a
 	// stored result and stores fresh results after success.
 	Cache *Cache
@@ -49,9 +37,6 @@ type Config struct {
 	// singleflight, so N racers cost one execution and one token.
 	// Ignored when CacheOnly is false.
 	Budget *Budget
-	// Spans receives one trace span per attempt and cache hit;
-	// defaults to a fresh log owned by the engine.
-	Spans *trace.SpanLog
 	// OnEvent, when non-nil, observes the engine's progress events.
 	// It is called from worker goroutines and must be cheap and
 	// concurrency-safe.
@@ -62,12 +47,10 @@ type Config struct {
 type EventKind uint8
 
 const (
-	// EventStart fires when a job attempt begins executing.
+	// EventStart fires when a job begins executing.
 	EventStart EventKind = iota
-	// EventDone fires when a job attempt returns (ok or failed).
+	// EventDone fires when a job returns (ok or failed).
 	EventDone
-	// EventRetry fires when a transient failure schedules a retry.
-	EventRetry
 	// EventCacheHit fires when a job is satisfied from the cache.
 	EventCacheHit
 )
@@ -79,8 +62,6 @@ func (k EventKind) String() string {
 		return "start"
 	case EventDone:
 		return "done"
-	case EventRetry:
-		return "retry"
 	case EventCacheHit:
 		return "cache-hit"
 	default:
@@ -93,7 +74,6 @@ type Event struct {
 	Kind     EventKind
 	Job      string
 	Worker   int
-	Attempt  int
 	Duration time.Duration
 	Err      error
 }
@@ -106,9 +86,10 @@ type Result struct {
 	Value any
 	// Err is the job's final error, nil on success.
 	Err error
-	// Attempts counts executions (0 for a pure cache hit).
+	// Attempts is 1 when the job executed and 0 otherwise (a cache hit,
+	// a skipped or missing job, or one cancelled before it started).
 	Attempts int
-	// Duration is the total execution time across attempts.
+	// Duration is the job's execution time.
 	Duration time.Duration
 	// FromCache marks results satisfied without executing the job.
 	FromCache bool
@@ -125,15 +106,15 @@ type Result struct {
 // cache and telemetry but are executed independently.
 type Engine struct {
 	cfg     Config
-	spans   *trace.SpanLog
 	flights flightGroup
 
 	mu      sync.Mutex
 	batches int
 	jobs    int
+	ran     int
 	hits    int
-	retries int
 	wall    time.Duration
+	busy    time.Duration
 }
 
 // New builds an Engine, applying Config defaults.
@@ -141,16 +122,7 @@ func New(cfg Config) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 50 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 5 * time.Second
-	}
-	if cfg.Spans == nil {
-		cfg.Spans = &trace.SpanLog{}
-	}
-	return &Engine{cfg: cfg, spans: cfg.Spans}
+	return &Engine{cfg: cfg}
 }
 
 // Workers returns the engine's concurrency bound.
@@ -169,9 +141,6 @@ func (e *Engine) CacheOnly() bool { return e.cfg.CacheOnly }
 // Budget returns the engine's write-through admission gate (nil when
 // the engine is strictly never-recompute).
 func (e *Engine) Budget() *Budget { return e.cfg.Budget }
-
-// Spans returns the engine's telemetry span log.
-func (e *Engine) Spans() *trace.SpanLog { return e.spans }
 
 // Run executes the jobs on the worker pool and returns their results
 // in submission order. On failure the first error encountered is
@@ -256,8 +225,8 @@ feed:
 	return results, err
 }
 
-// runJob executes one job with cache lookup, per-attempt timeout, and
-// transient-failure retry.
+// runJob executes one job at most once, with cache lookup and a per-job
+// timeout.
 func (e *Engine) runJob(ctx context.Context, worker int, job Job) Result {
 	name := job.Name()
 	res := Result{Name: name}
@@ -267,13 +236,10 @@ func (e *Engine) runJob(ctx context.Context, worker int, job Job) Result {
 		return res
 	}
 	encode, decode := codecOf(job)
-	epoch := e.spans.Epoch()
 
 	cached := func(v any) Result {
 		res.Value = v
 		res.FromCache = true
-		e.spans.Record(trace.Span{Name: name, Worker: worker, Cached: true,
-			Start: time.Since(epoch)})
 		e.emit(Event{Kind: EventCacheHit, Job: name, Worker: worker})
 		return res
 	}
@@ -290,7 +256,7 @@ func (e *Engine) runJob(ctx context.Context, worker int, job Job) Result {
 
 	// About to compute a publishable result: coalesce with any
 	// concurrent execution of the same fingerprint. The leader falls
-	// through to the attempt loop; followers wait, then act on how the
+	// through to the run below; followers wait, then act on how the
 	// flight resolved.
 	if fp != "" && e.cfg.Cache != nil {
 		for {
@@ -325,7 +291,7 @@ func (e *Engine) runJob(ctx context.Context, worker int, job Job) Result {
 				res.Missing = true
 				return res
 			case flightFailed:
-				// The leader's attempt errored independently of ours;
+				// The leader's run errored independently of ours;
 				// loop and take our own turn.
 			}
 		}
@@ -341,70 +307,34 @@ func (e *Engine) runJob(ctx context.Context, worker int, job Job) Result {
 		defer e.cfg.Budget.Release()
 	}
 
-	attempts := 1 + e.cfg.Retries
-	// One reusable backoff timer for the whole attempt ladder: time.After
-	// in the retry loop would allocate a timer per attempt that lingers
-	// until it fires even after the retry proceeds.
-	backoff := time.NewTimer(time.Hour)
-	if !backoff.Stop() {
-		<-backoff.C
+	if err := ctx.Err(); err != nil {
+		res.Err = jobError(name, context.Cause(ctx))
+		return res
 	}
-	defer backoff.Stop()
-	for a := 1; a <= attempts; a++ {
-		if err := ctx.Err(); err != nil {
-			res.Err = jobError(name, context.Cause(ctx))
-			return res
-		}
-		res.Attempts = a
-		e.emit(Event{Kind: EventStart, Job: name, Worker: worker, Attempt: a})
-		attemptCtx, cancelAttempt := ctx, context.CancelFunc(func() {})
-		if e.cfg.Timeout > 0 {
-			attemptCtx, cancelAttempt = context.WithTimeoutCause(ctx, e.cfg.Timeout,
-				fmt.Errorf("job %q exceeded its %v timeout: %w", name, e.cfg.Timeout, context.DeadlineExceeded))
-		}
-		began := time.Now()
-		v, err := safeRun(attemptCtx, job)
-		cancelAttempt()
-		dur := time.Since(began)
-		res.Duration += dur
-		e.spans.Record(trace.Span{Name: name, Worker: worker, Attempt: a,
-			Start: began.Sub(epoch), Duration: dur, Failed: err != nil})
-		e.emit(Event{Kind: EventDone, Job: name, Worker: worker, Attempt: a,
-			Duration: dur, Err: err})
-		if err == nil {
-			res.Value = v
-			res.Err = nil
-			e.cfg.Cache.Put(fp, v, encode)
-			return res
-		}
+	res.Attempts = 1
+	e.emit(Event{Kind: EventStart, Job: name, Worker: worker})
+	runCtx, cancelRun := ctx, context.CancelFunc(func() {})
+	if e.cfg.Timeout > 0 {
+		runCtx, cancelRun = context.WithTimeoutCause(ctx, e.cfg.Timeout,
+			fmt.Errorf("job %q exceeded its %v timeout: %w", name, e.cfg.Timeout, context.DeadlineExceeded))
+	}
+	began := time.Now()
+	v, err := safeRun(runCtx, job)
+	cancelRun()
+	res.Duration = time.Since(began)
+	e.emit(Event{Kind: EventDone, Job: name, Worker: worker, Duration: res.Duration, Err: err})
+	if err != nil {
 		res.Err = jobError(name, err)
-		if !IsTransient(err) || a == attempts || ctx.Err() != nil {
-			return res
-		}
-		e.noteRetry()
-		e.emit(Event{Kind: EventRetry, Job: name, Worker: worker, Attempt: a, Err: err})
-		backoff.Reset(e.retryBackoff(name, a))
-		select {
-		case <-backoff.C:
-		case <-ctx.Done():
-			res.Err = jobError(name, context.Cause(ctx))
-			return res
-		}
+		return res
 	}
+	res.Value = v
+	e.cfg.Cache.Put(fp, v, encode)
 	return res
 }
 
-// retryBackoff is the delay before the retry following failed attempt
-// a, per the shared BackoffPolicy (capped doubling, deterministic
-// per-job jitter).
-func (e *Engine) retryBackoff(name string, a int) time.Duration {
-	return BackoffPolicy{Base: e.cfg.Backoff, Max: e.cfg.MaxBackoff}.Delay(name, a)
-}
-
-// safeRun executes one job attempt, converting a panic into an error
-// carrying the stack: a crashing job fails its own Result instead of
-// taking down the whole campaign. The panic error is not Transient, so
-// it is never retried.
+// safeRun executes one job, converting a panic into an error carrying
+// the stack: a crashing job fails its own Result instead of taking down
+// the whole campaign.
 func safeRun(ctx context.Context, job Job) (v any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -427,42 +357,44 @@ func (e *Engine) emit(ev Event) {
 	}
 }
 
-func (e *Engine) noteRetry() {
-	e.mu.Lock()
-	e.retries++
-	e.mu.Unlock()
-}
-
+// account folds one batch's results into the engine's counters.
 func (e *Engine) account(jobs int, results []Result, wall time.Duration) {
-	hits := 0
+	var ran, hits int
+	var busy time.Duration
 	for _, r := range results {
 		if r.FromCache {
 			hits++
+		}
+		if r.Attempts > 0 {
+			ran++
+			busy += r.Duration
 		}
 	}
 	e.mu.Lock()
 	e.batches++
 	e.jobs += jobs
+	e.ran += ran
 	e.hits += hits
 	e.wall += wall
+	e.busy += busy
 	e.mu.Unlock()
 }
 
 // Stats summarises everything the engine has executed so far.
 type Stats struct {
-	Workers   int
-	Batches   int
-	Jobs      int
+	Workers int
+	Batches int
+	Jobs    int
+	// Ran counts the jobs that executed (ok or failed); the rest were
+	// cache hits, skipped, missing, or cancelled before they started.
+	Ran       int
 	CacheHits int
-	Retries   int
 	// Wall is the summed wall-clock time of all Run calls; Busy the
-	// summed execution time across workers; Utilization their ratio
-	// normalised by the worker count.
+	// summed execution time of the jobs that ran; Utilization their
+	// ratio normalised by the worker count.
 	Wall        time.Duration
 	Busy        time.Duration
 	Utilization float64
-	// JobSeconds summarises per-attempt execution times in seconds.
-	JobSeconds metrics.Summary
 }
 
 // Stats snapshots the engine's cumulative telemetry.
@@ -472,32 +404,29 @@ func (e *Engine) Stats() Stats {
 		Workers:   e.cfg.Workers,
 		Batches:   e.batches,
 		Jobs:      e.jobs,
+		Ran:       e.ran,
 		CacheHits: e.hits,
-		Retries:   e.retries,
 		Wall:      e.wall,
+		Busy:      e.busy,
 	}
 	e.mu.Unlock()
-	var secs []float64
-	for _, sp := range e.spans.Spans() {
-		if !sp.Cached {
-			secs = append(secs, sp.Duration.Seconds())
-			s.Busy += sp.Duration
-		}
-	}
-	s.JobSeconds = metrics.Summarize(secs)
 	if s.Wall > 0 && s.Workers > 0 {
 		s.Utilization = float64(s.Busy) / (float64(s.Workers) * float64(s.Wall))
 	}
 	return s
 }
 
-// String renders the stats as a one-line summary.
+// String renders the stats as a one-line summary; the job mean is
+// Busy/Ran.
 func (s Stats) String() string {
+	mean := 0.0
+	if s.Ran > 0 {
+		mean = s.Busy.Seconds() / float64(s.Ran)
+	}
 	return fmt.Sprintf(
-		"engine: %d jobs in %d batches on %d workers: wall %v, busy %v (%.0f%% utilization), %d cache hits, %d retries, job mean %.3fs",
+		"engine: %d jobs in %d batches on %d workers: wall %v, busy %v (%.0f%% utilization), %d cache hits, job mean %.3fs",
 		s.Jobs, s.Batches, s.Workers, s.Wall.Round(time.Millisecond),
-		s.Busy.Round(time.Millisecond), 100*s.Utilization, s.CacheHits,
-		s.Retries, s.JobSeconds.Mean)
+		s.Busy.Round(time.Millisecond), 100*s.Utilization, s.CacheHits, mean)
 }
 
 // Map fans fn out over items on the engine and returns the outputs in

@@ -1,16 +1,14 @@
 // Package engine is the shared execution substrate for experiment
-// campaigns and parameter sweeps: a worker pool that runs Jobs
-// concurrently with context cancellation, per-job timeouts, bounded
-// retry with backoff for transient failures, and a content-addressed
-// result cache so that re-running a campaign recomputes only what
-// changed. Results always come back in submission order, so callers
-// that assemble figures or CSV rows from a batch are byte-identical
-// regardless of worker count.
+// campaigns and parameter sweeps: a worker pool that runs each Job
+// once, concurrently, with context cancellation, per-job timeouts and
+// panic recovery, and a content-addressed result cache so that
+// re-running a campaign recomputes only what changed. Results always
+// come back in submission order, so callers that assemble figures or
+// CSV rows from a batch are byte-identical regardless of worker count.
 package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 )
 
@@ -67,29 +65,6 @@ func (j JobFunc) Run(ctx context.Context) (any, error) { return j.Fn(ctx) }
 // ResultCodec implements Codec.
 func (j JobFunc) ResultCodec() (func(any) ([]byte, error), func([]byte) (any, error)) {
 	return j.EncodeFn, j.DecodeFn
-}
-
-// transientError marks an error as transient: the engine retries the
-// job (up to its retry budget) instead of failing the batch.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return "transient: " + e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so the engine treats the failure as retryable.
-// It returns nil for a nil err.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err (or any error it wraps) was marked
-// with Transient.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
 }
 
 // jobError wraps a job failure with the job's name so batch errors are

@@ -10,15 +10,14 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestJobPanicBecomesError: a panicking job must surface as that job's
 // error — naming the job and carrying the stack — not as a process
-// crash, and must not be retried.
+// crash, and the job must run once.
 func TestJobPanicBecomesError(t *testing.T) {
 	var runs atomic.Int64
-	eng := New(Config{Workers: 2, Retries: 3, Backoff: time.Millisecond})
+	eng := New(Config{Workers: 2})
 	jobs := []Job{JobFunc{
 		JobName: "crasher",
 		Fn: func(context.Context) (any, error) {
@@ -40,79 +39,7 @@ func TestJobPanicBecomesError(t *testing.T) {
 		t.Errorf("job error carries no stack:\n%v", results[0].Err)
 	}
 	if n := runs.Load(); n != 1 {
-		t.Errorf("panic was retried: %d runs", n)
-	}
-}
-
-// TestCancelDuringBackoffSleep: cancelling the context while a retry
-// backoff sleep is in flight must return promptly with the
-// cancellation cause, not wait out the backoff.
-func TestCancelDuringBackoffSleep(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	sleeping := make(chan struct{})
-	eng := New(Config{
-		Workers: 1,
-		Retries: 1,
-		Backoff: time.Hour, // the test fails by timeout if the sleep wins
-		OnEvent: func(ev Event) {
-			if ev.Kind == EventRetry {
-				close(sleeping)
-			}
-		},
-	})
-	go func() {
-		<-sleeping
-		cancel()
-	}()
-	start := time.Now()
-	results, err := eng.Run(ctx, []Job{JobFunc{
-		JobName: "flaky",
-		Fn: func(context.Context) (any, error) {
-			return nil, Transient(errors.New("try again"))
-		},
-	}})
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("cancellation took %v, backoff sleep was not interrupted", elapsed)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if !strings.Contains(results[0].Err.Error(), "flaky") {
-		t.Errorf("job error %v does not name the job", results[0].Err)
-	}
-}
-
-// TestRetryBackoffCapAndJitter: delays double from Backoff, never
-// exceed MaxBackoff, land in [d/2, d), and are a pure function of
-// (job, attempt).
-func TestRetryBackoffCapAndJitter(t *testing.T) {
-	eng := New(Config{Backoff: 50 * time.Millisecond, MaxBackoff: 200 * time.Millisecond})
-	for _, tc := range []struct {
-		attempt int
-		lo, hi  time.Duration
-	}{
-		{1, 25 * time.Millisecond, 50 * time.Millisecond},
-		{2, 50 * time.Millisecond, 100 * time.Millisecond},
-		{3, 100 * time.Millisecond, 200 * time.Millisecond},
-		{4, 100 * time.Millisecond, 200 * time.Millisecond}, // capped
-		{60, 100 * time.Millisecond, 200 * time.Millisecond},
-	} {
-		d := eng.retryBackoff("job-a", tc.attempt)
-		if d < tc.lo || d >= tc.hi {
-			t.Errorf("attempt %d: backoff %v outside [%v, %v)", tc.attempt, d, tc.lo, tc.hi)
-		}
-		if d != eng.retryBackoff("job-a", tc.attempt) {
-			t.Errorf("attempt %d: backoff is not deterministic", tc.attempt)
-		}
-	}
-	// Different jobs desynchronise: across a fleet of names, at least
-	// two distinct delays at the same attempt.
-	seen := map[time.Duration]bool{}
-	for i := 0; i < 8; i++ {
-		seen[eng.retryBackoff(fmt.Sprintf("job-%d", i), 4)] = true
-	}
-	if len(seen) < 2 {
-		t.Error("jitter produced identical delays for every job name")
+		t.Errorf("panicking job ran %d times, want 1", n)
 	}
 }
 

@@ -79,7 +79,8 @@ func Degradation(ctx context.Context, eng *engine.Engine, pre Preset, rho float6
 // replications' deployments and — because the fault plan's streams
 // derive from the run seed, not the rates — coupled fault draws: at a
 // fixed replication the crashed set at a low rate is a subset of the
-// crashed set at a high one.
+// crashed set at a high one. Every (crash, loss) pair must pass
+// faults.Config.Validate, so a bad rate fails before any job is built.
 func degradationStudy(pre Preset, rho float64, crashRates, lossRates []float64) (study, error) {
 	if err := checkRuns("degradation", pre.Runs); err != nil {
 		return nil, err
@@ -89,6 +90,13 @@ func degradationStudy(pre Preset, rho float64, crashRates, lossRates []float64) 
 	}
 	if len(lossRates) == 0 {
 		lossRates = []float64{0, 0.1, 0.3}
+	}
+	for _, crash := range crashRates {
+		for _, loss := range lossRates {
+			if err := (faults.Config{CrashRate: crash, LossRate: loss}).Validate(); err != nil {
+				return nil, fmt.Errorf("experiments: degradation: %w", err)
+			}
+		}
 	}
 	pre = capHorizon(pre)
 	law, err := calibrateLaw(pre)

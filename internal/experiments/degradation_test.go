@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,24 @@ func TestDegradationShape(t *testing.T) {
 	for name, s := range f.Series {
 		if strings.HasPrefix(name, "coverage:") && len(s) != len(crash)*len(loss) {
 			t.Fatalf("series %q has %d points", name, len(s))
+		}
+	}
+}
+
+// TestDegradationRejectsBadRates: every (crash, loss) pair goes through
+// faults.Config.Validate before any job is built, so a NaN, infinite or
+// out-of-range rate fails the job set instead of running cells with
+// that fault process silently off.
+func TestDegradationRejectsBadRates(t *testing.T) {
+	for _, tc := range []struct{ crash, loss []float64 }{
+		{[]float64{math.NaN(), 0.2}, nil},
+		{nil, []float64{math.NaN()}},
+		{[]float64{0.2}, []float64{math.Inf(1)}},
+		{[]float64{-0.1}, nil},
+	} {
+		spec := FigureSpec{Sim: degPreset(), DegRho: 60, CrashRates: tc.crash, LossRates: tc.loss}
+		if _, err := FigureJobs("degradation", spec); err == nil {
+			t.Errorf("FigureJobs accepted crash rates %v, loss rates %v", tc.crash, tc.loss)
 		}
 	}
 }

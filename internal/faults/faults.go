@@ -33,6 +33,7 @@ import (
 	"math/rand"
 
 	"sensornet/internal/engine"
+	"sensornet/internal/mathx"
 )
 
 // Config parameterises a fault plan. The zero value disables every
@@ -62,12 +63,15 @@ func (c Config) Enabled() bool {
 	return c.CrashRate > 0 || c.LossRate > 0 || c.DutyOff > 0 || c.EnergyCap > 0
 }
 
-// Validate reports whether the configuration is realisable.
+// Validate reports whether the configuration is realisable. Every
+// comparison with NaN is false, so the rates and the energy cap must
+// also be finite: a NaN rate would otherwise pass and silently disable
+// its fault process.
 func (c Config) Validate() error {
-	if c.CrashRate < 0 || c.CrashRate > 1 {
+	if !mathx.IsFinite(c.CrashRate) || c.CrashRate < 0 || c.CrashRate > 1 {
 		return fmt.Errorf("faults: CrashRate %g outside [0, 1]", c.CrashRate)
 	}
-	if c.LossRate < 0 || c.LossRate > 1 {
+	if !mathx.IsFinite(c.LossRate) || c.LossRate < 0 || c.LossRate > 1 {
 		return fmt.Errorf("faults: LossRate %g outside [0, 1]", c.LossRate)
 	}
 	if c.DutyOn < 0 || c.DutyOff < 0 {
@@ -76,8 +80,8 @@ func (c Config) Validate() error {
 	if c.DutyOff > 0 && c.DutyOn < 1 {
 		return errors.New("faults: DutyOff > 0 requires DutyOn >= 1")
 	}
-	if c.EnergyCap < 0 {
-		return errors.New("faults: EnergyCap must be >= 0")
+	if !mathx.IsFinite(c.EnergyCap) || c.EnergyCap < 0 {
+		return fmt.Errorf("faults: EnergyCap %g must be finite and >= 0", c.EnergyCap)
 	}
 	return nil
 }

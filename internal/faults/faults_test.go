@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 )
 
@@ -23,6 +24,12 @@ func TestValidate(t *testing.T) {
 		{DutyOff: -1},
 		{DutyOff: 3}, // DutyOff > 0 needs DutyOn >= 1
 		{EnergyCap: -1},
+		{CrashRate: math.NaN()},
+		{CrashRate: math.Inf(1)},
+		{LossRate: math.NaN()},
+		{LossRate: math.Inf(-1)},
+		{EnergyCap: math.NaN()},
+		{EnergyCap: math.Inf(1)},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -99,8 +99,11 @@ func TestErrDrop(t *testing.T)     { one(t, ErrDrop, "errdrop", "internal/dist")
 func TestLockHeld(t *testing.T)    { one(t, LockHeld, "lockheld", "internal/dist") }
 func TestLeakyTicker(t *testing.T) { one(t, LeakyTicker, "leakyticker", "internal/dist") }
 
-func TestNoDeterm(t *testing.T)      { one(t, NoDeterm, "nodeterm", "internal/protocol") }
-func TestNoDetermTrace(t *testing.T) { none(t, NoDeterm, "nodeterm_trace", "internal/trace") }
+func TestNoDeterm(t *testing.T) { one(t, NoDeterm, "nodeterm", "internal/protocol") }
+
+// internal/trace records channel events and reads no clock, so it gets
+// no exemption.
+func TestNoDetermTrace(t *testing.T) { one(t, NoDeterm, "nodeterm_trace", "internal/trace") }
 
 // nodeterm only polices library code: the same violations in a binary
 // package are the binary's business.

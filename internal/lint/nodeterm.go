@@ -6,16 +6,15 @@ import (
 )
 
 // nodetermAllowed lists the library packages that are allowed to touch
-// wall-clock time and process environment: the engine owns retry
-// backoff and job timing, trace timestamps its spans, and dist owns
-// lease deadlines and worker liveness. Everything else in internal/*
-// must stay a pure function of its inputs, or the replay guarantee
-// (same seed, same bytes, any worker count) dies. Determinism of
-// results is unaffected by dist's clocks: job outputs are content
-// addressed, so scheduling timing cannot change the bytes.
+// wall-clock time and process environment: the engine owns job timing,
+// and dist owns lease deadlines, worker liveness and its post-retry
+// backoff. Everything else in internal/* must stay a pure function of
+// its inputs, or the replay guarantee (same seed, same bytes, any
+// worker count) dies. Determinism of results is unaffected by these
+// clocks: job outputs are content addressed, so scheduling timing
+// cannot change the bytes.
 var nodetermAllowed = map[string]bool{
 	"internal/engine": true,
-	"internal/trace":  true,
 	"internal/dist":   true,
 }
 

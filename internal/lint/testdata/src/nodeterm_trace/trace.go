@@ -1,6 +1,6 @@
 // Package nodeterm_trace is lint testdata loaded under the rel path
-// internal/trace: allowlisted for wall-clock reads (span timestamps),
-// so nothing here may be reported.
+// internal/trace, which is not allowlisted for wall-clock reads: the
+// time.Now below must be reported.
 package nodeterm_trace
 
 import "time"

@@ -6,7 +6,8 @@
 # (SimulatorDenseFlooding), the analytic surface behind Fig. 4
 # (Fig4Reachability), the simulated sweep behind Fig. 8
 # (Fig8SimReachability), the engine-scheduled campaign
-# (EngineCampaign), the cross-scheme channel-model shootout
+# (EngineCampaign), the engine's per-job scheduling cost on no-op jobs
+# (EngineOverhead), the cross-scheme channel-model shootout
 # (ShootoutCampaign), the serving fast path (ServeOptimal /
 # ServeSurfaceRow / ServeSurfaceFull / ServeShootoutCell — steady-state
 # snapshot hits) and the serving rebuild path (ServeRefresh), plus the
@@ -34,7 +35,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH.json}"
 benchtime="${2:-1x}"
 
-pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$|BenchmarkGenerateRho60$|BenchmarkGenerateRho140Sensing$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkRunSyncRho60$|BenchmarkResolveSlotDense$|BenchmarkResolveSlotSINR$'
+pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkEngineOverhead$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$|BenchmarkGenerateRho60$|BenchmarkGenerateRho140Sensing$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkRunSyncRho60$|BenchmarkResolveSlotDense$|BenchmarkResolveSlotSINR$'
 
 echo "== bench: $pattern (benchtime=$benchtime)" >&2
 go test -run=NONE -bench="$pattern" -benchtime="$benchtime" -benchmem . ./internal/serve/ ./internal/deploy/ ./internal/channel/ ./internal/sim/ |

@@ -45,6 +45,12 @@ echo "== tier 2: fuzz the deployment build against its reference (fixed short bu
 # internal/deploy/testdata/fuzz runs in tier 1.
 go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 10s ./internal/deploy
 
+echo "== tier 2: fuzz the cache's disk-entry read path (fixed short budget)"
+# HasResult and Get read disk entries a killed process may have torn;
+# an unusable entry must degrade to a counted, self-healing miss. The
+# committed corpus under internal/engine/testdata/fuzz runs in tier 1.
+go test -run '^$' -fuzz '^FuzzCacheDiskEntry$' -fuzztime 10s ./internal/engine
+
 echo "== tier 2: go run ./cmd/sensorlint ./... (ratchet + findings artifact)"
 # The committed baseline is empty on main (TestDriverRepoIsClean
 # asserts it); passing it anyway keeps this the one canonical
