@@ -351,21 +351,18 @@ func BenchmarkRefinedCFM(b *testing.B) {
 // and the higher counts track the engine's wall-clock speedup in the
 // perf trajectory.
 func BenchmarkEngineCampaign(b *testing.B) {
-	pa := benchPresetAnalytic()
-	ps := benchPresetSim()
-	ps.Runs = 4
+	spec := experiments.FigureSpec{Analytic: benchPresetAnalytic(), Sim: benchPresetSim()}
+	spec.Sim.Runs = 4
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			spec.Workers = workers
 			for i := 0; i < b.N; i++ {
-				c := experiments.Campaign{
-					Analytic: pa, Sim: ps,
-					Engine: engine.New(engine.Config{Workers: workers}),
-				}
-				figs, err := c.Run(context.Background(), nil)
+				figs, err := experiments.RunFigures(context.Background(),
+					engine.New(engine.Config{Workers: workers}), spec, nil, campaignFigures...)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(figs) != 10 {
+				if len(figs) != len(campaignFigures) {
 					b.Fatalf("campaign produced %d figures", len(figs))
 				}
 			}
@@ -373,22 +370,26 @@ func BenchmarkEngineCampaign(b *testing.B) {
 	}
 }
 
+// campaignFigures is the campaign the engine benchmarks render: the
+// paper's Figs. 4-12 plus fig12sim.
+var campaignFigures = []string{"fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+	"fig10", "fig11", "fig12sim", "fig12"}
+
 // BenchmarkEngineCachedCampaign measures the same campaign with a warm
 // result cache: the cost of a no-change rerun, i.e. the engine's cache
 // lookup plus figure assembly.
 func BenchmarkEngineCachedCampaign(b *testing.B) {
-	pa := benchPresetAnalytic()
-	ps := benchPresetSim()
+	spec := experiments.FigureSpec{Analytic: benchPresetAnalytic(), Sim: benchPresetSim()}
 	eng := engine.New(engine.Config{Cache: engine.NewCache("", experiments.CacheSalt)})
-	c := experiments.Campaign{Analytic: pa, Sim: ps, Engine: eng}
-	if _, err := c.Run(context.Background(), nil); err != nil {
-		b.Fatal(err) // warm the cache
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Run(context.Background(), nil); err != nil {
+	run := func() {
+		if _, err := experiments.RunFigures(context.Background(), eng, spec, nil, campaignFigures...); err != nil {
 			b.Fatal(err)
 		}
+	}
+	run() // warm the cache
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

@@ -62,7 +62,7 @@ func main() {
 	var (
 		figure   = flag.String("figure", "all", strings.Join(experiments.FigureIDs(), "|"))
 		quick    = flag.Bool("quick", false, "coarse grids and few runs (fast)")
-		skipSim  = flag.Bool("skip-sim", false, "omit the simulated figures")
+		skipSim  = flag.Bool("skip-sim", false, "with -figure all: omit the simulated figures")
 		out      = flag.String("out", "", "write the report to a file instead of stdout")
 		csvDir   = flag.String("csv-dir", "", "additionally dump figure series as CSV files into this directory")
 		runs     = flag.Int("runs", 0, "override simulation runs per grid point")
@@ -171,6 +171,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments: -shard/-merge/-serve/-coordinator/-worker are exclusive: pick one")
 		os.Exit(2)
 	}
+	if *skipSim && *figure != "all" {
+		fmt.Fprintln(os.Stderr, "experiments: -skip-sim only applies to -figure all")
+		os.Exit(2)
+	}
 	if *failAfter > 0 && *workerURL == "" {
 		fmt.Fprintln(os.Stderr, "experiments: -worker-fail-after only applies to -worker")
 		os.Exit(2)
@@ -235,7 +239,7 @@ func main() {
 		}
 	default:
 		var figs []*experiments.FigureResult
-		if figs, err = experiments.RunFigure(ctx, eng, *figure, spec, w); err == nil {
+		if figs, err = experiments.RunFigures(ctx, eng, spec, w, *figure); err == nil {
 			err = dumpCSV(*csvDir, spec.Analytic.Rhos, figs...)
 		}
 	}

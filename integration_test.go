@@ -104,8 +104,8 @@ func TestEndToEndCampaignReport(t *testing.T) {
 	pre := experiments.QuickAnalytic()
 	pre.Rhos = []float64{40, 120}
 	var b strings.Builder
-	c := experiments.Campaign{Analytic: pre, SkipSim: true, Extras: true}
-	figs, err := c.Run(context.Background(), &b)
+	figs, err := experiments.RunFigures(context.Background(), engine.New(engine.Config{}),
+		experiments.FigureSpec{Analytic: pre, SkipSim: true}, &b, "all")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,23 +130,68 @@ func keyedCell(kind, name string, cfg sim.Config, runs int, deadline float64, po
 // results in job order.
 type study interface {
 	jobs() []engine.Job
-	figure(ctx context.Context, results []engine.Result) (*FigureResult, error)
+	figure(results []engine.Result) (*FigureResult, error)
 }
 
-// runStudy returns the function that runs a just-built study's jobs on
-// eng and assembles its figure, passing a build error straight through:
+// runStudy returns the function that runs a just-built study through
+// runStudies, passing a build error straight through:
 // runStudy(ctx, eng)(newStudy(...)).
 func runStudy(ctx context.Context, eng *engine.Engine) func(study, error) (*FigureResult, error) {
 	return func(st study, err error) (*FigureResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		results, err := runJobs(ctx, eng, st.jobs())
+		figs, err := runStudies(ctx, eng, []study{st})
 		if err != nil {
 			return nil, err
 		}
-		return st.figure(ctx, results)
+		return figs[0], nil
 	}
+}
+
+// runStudies is the one figure path: it runs the union of the studies'
+// job sets on eng as one batch, then draws each study's figure from its
+// own results. The draws run concurrently, up to eng's worker count,
+// on a private engine, so eng sees only the job set's events.
+func runStudies(ctx context.Context, eng *engine.Engine, studies []study) ([]*FigureResult, error) {
+	jobs, at := unionJobs(studies)
+	results, err := runJobs(ctx, eng, jobs)
+	if err != nil {
+		return nil, err
+	}
+	own := make([][]engine.Result, len(studies))
+	for i, positions := range at {
+		for _, k := range positions {
+			own[i] = append(own[i], results[k])
+		}
+	}
+	return engine.Map(ctx, engine.New(engine.Config{Workers: eng.Workers()}), "draw", studies,
+		func(_ context.Context, st study, i int) (*FigureResult, error) {
+			return st.figure(own[i])
+		})
+}
+
+// unionJobs merges the studies' job sets into one, deduplicated by
+// fingerprint in first-seen order; at[i][j] is the union position of
+// study i's job j.
+func unionJobs(studies []study) (jobs []engine.Job, at [][]int) {
+	seen := map[string]int{}
+	at = make([][]int, len(studies))
+	for i, st := range studies {
+		for _, job := range st.jobs() {
+			fp := job.Fingerprint()
+			k, ok := seen[fp]
+			if !ok {
+				k = len(jobs)
+				jobs = append(jobs, job)
+				if fp != "" {
+					seen[fp] = k
+				}
+			}
+			at[i] = append(at[i], k)
+		}
+	}
+	return jobs, at
 }
 
 // cellStudy is a study whose jobs are cells averaging T: draw turns
@@ -158,7 +203,7 @@ type cellStudy[T any] struct {
 
 func (st cellStudy[T]) jobs() []engine.Job { return st.cells }
 
-func (st cellStudy[T]) figure(_ context.Context, results []engine.Result) (*FigureResult, error) {
+func (st cellStudy[T]) figure(results []engine.Result) (*FigureResult, error) {
 	aggs, err := resultValues[T](results)
 	if err != nil {
 		return nil, err

@@ -9,7 +9,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"maps"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,27 +29,36 @@ func tinySimPreset() experiments.Preset {
 	return pre
 }
 
+// campaignFigures is the simulated campaign these tests render: the
+// paper's Figs. 4-12 plus fig12sim, in emission order.
+var campaignFigures = []string{"fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+	"fig10", "fig11", "fig12sim", "fig12"}
+
+// campaignSpec is the small analytic and simulated presets the
+// campaign renders at.
+func campaignSpec() experiments.FigureSpec {
+	pa := experiments.QuickAnalytic()
+	pa.Rhos = []float64{40, 100}
+	return experiments.FigureSpec{Analytic: pa, Sim: tinySimPreset()}
+}
+
 // campaignArtifacts runs the full simulated campaign on an engine with
 // the given worker count and returns the rendered report plus every
 // figure's CSV bytes.
 func campaignArtifacts(t *testing.T, workers int) (string, map[string][]byte) {
 	t.Helper()
-	pa := experiments.QuickAnalytic()
-	pa.Rhos = []float64{40, 100}
-	c := experiments.Campaign{
-		Analytic: pa,
-		Sim:      tinySimPreset(),
-		Engine:   engine.New(engine.Config{Workers: workers}),
-	}
+	spec := campaignSpec()
+	spec.Workers = workers
 	var report bytes.Buffer
-	figs, err := c.Run(context.Background(), &report)
+	figs, err := experiments.RunFigures(context.Background(),
+		engine.New(engine.Config{Workers: workers}), spec, &report, campaignFigures...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	csvs := make(map[string][]byte, len(figs))
 	for _, f := range figs {
 		var b bytes.Buffer
-		if err := export.SeriesCSV(&b, f, pa.Rhos); err != nil {
+		if err := export.SeriesCSV(&b, f, spec.Analytic.Rhos); err != nil {
 			t.Fatal(err)
 		}
 		csvs[f.ID] = b.Bytes()
@@ -83,16 +95,12 @@ func TestCampaignOrderStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated campaign in -short mode")
 	}
-	pa := experiments.QuickAnalytic()
-	pa.Rhos = []float64{40, 100}
-	c := experiments.Campaign{Analytic: pa, Sim: tinySimPreset(),
-		Engine: engine.New(engine.Config{Workers: 8})}
-	figs, err := c.Run(context.Background(), nil)
+	figs, err := experiments.RunFigures(context.Background(), engine.New(engine.Config{Workers: 8}),
+		campaignSpec(), nil, campaignFigures...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"fig10", "fig11", "fig12sim", "fig12"}
+	want := campaignFigures
 	if len(figs) != len(want) {
 		t.Fatalf("got %d figures, want %d", len(figs), len(want))
 	}
@@ -109,18 +117,15 @@ func TestCampaignOrderStable(t *testing.T) {
 func TestCampaignCancellationMidRun(t *testing.T) {
 	pre := experiments.PaperSim() // big enough to still be running
 	pre.Rhos = []float64{60, 100, 140}
-	c := experiments.Campaign{
-		Analytic: experiments.QuickAnalytic(),
-		Sim:      pre,
-		Engine:   engine.New(engine.Config{Workers: 4}),
-	}
+	spec := experiments.FigureSpec{Analytic: experiments.QuickAnalytic(), Sim: pre, Workers: 4}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, err := c.Run(ctx, nil)
+	_, err := experiments.RunFigures(ctx, engine.New(engine.Config{Workers: 4}), spec, io.Discard,
+		campaignFigures...)
 	if err == nil {
 		t.Fatal("cancelled campaign returned no error")
 	}
@@ -139,18 +144,15 @@ func TestCampaignCacheReusesSurfaces(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated campaign in -short mode")
 	}
-	pa := experiments.QuickAnalytic()
-	pa.Rhos = []float64{40, 100}
 	cache := engine.NewCache(t.TempDir(), experiments.CacheSalt)
 	eng := engine.New(engine.Config{Workers: 4, Cache: cache})
-	c := experiments.Campaign{Analytic: pa, Sim: tinySimPreset(), Engine: eng}
 
 	var first, second bytes.Buffer
-	if _, err := c.Run(context.Background(), &first); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(context.Background(), &second); err != nil {
-		t.Fatal(err)
+	for _, w := range []*bytes.Buffer{&first, &second} {
+		if _, err := experiments.RunFigures(context.Background(), eng, campaignSpec(), w,
+			campaignFigures...); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if first.String() != second.String() {
 		t.Fatal("cached rerun produced a different report")
@@ -240,32 +242,78 @@ func TestDiskCacheSurvivesEngineRestart(t *testing.T) {
 		t.Skip("simulated campaign in -short mode")
 	}
 	dir := t.TempDir()
-	pa := experiments.QuickAnalytic()
-	pa.Rhos = []float64{40, 100}
-	mk := func() experiments.Campaign {
-		return experiments.Campaign{
-			Analytic: pa, Sim: tinySimPreset(),
-			Engine: engine.New(engine.Config{Workers: 4,
-				Cache: engine.NewCache(dir, experiments.CacheSalt)}),
+	run := func(w io.Writer) *engine.Engine {
+		eng := engine.New(engine.Config{Workers: 4,
+			Cache: engine.NewCache(dir, experiments.CacheSalt)})
+		if _, err := experiments.RunFigures(context.Background(), eng, campaignSpec(), w,
+			campaignFigures...); err != nil {
+			t.Fatal(err)
 		}
+		return eng
 	}
 	var first, second bytes.Buffer
-	if _, err := mk().Run(context.Background(), &first); err != nil {
-		t.Fatal(err)
-	}
-	c2 := mk()
-	if _, err := c2.Run(context.Background(), &second); err != nil {
-		t.Fatal(err)
-	}
+	run(&first)
+	restarted := run(&second)
 	if first.String() != second.String() {
 		t.Fatal("disk-cached rerun produced a different report")
 	}
-	if s := c2.Engine.Stats(); s.CacheHits < 4 {
+	if s := restarted.Stats(); s.CacheHits < 4 {
 		t.Fatalf("restarted engine cache hits = %d, want >= 4", s.CacheHits)
 	}
 	// The quick analytic surface contains infeasible (NaN) latency
 	// cells at p=1 densities; reaching here means they round-tripped.
 	if !strings.Contains(first.String(), "fig5") {
 		t.Fatal("report missing fig5")
+	}
+}
+
+// TestEngineSeesOnlyJobSets: ShootoutCtx and a single-figure render
+// report exactly their job set's jobs to the caller's engine, one start
+// and one done each. Figure draws run off that engine, so an OnEvent
+// observer (the repository benchmark counts every job it sees as a
+// cell) never sees them.
+func TestEngineSeesOnlyJobSets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulated campaign in -short mode")
+	}
+	ctx := context.Background()
+	spec := campaignSpec()
+	spec.ShootRhos = []float64{30}
+	render := map[string]func(*engine.Engine) error{
+		"shootout": func(eng *engine.Engine) error {
+			_, err := experiments.ShootoutCtx(ctx, eng, spec.Sim, spec.ShootRhos)
+			return err
+		},
+		"fig12sim": func(eng *engine.Engine) error {
+			_, err := experiments.RunFigures(ctx, eng, spec, io.Discard, "fig12sim")
+			return err
+		},
+	}
+	for id, run := range render {
+		jobs, err := experiments.FigureJobs(id, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]int{}
+		for _, j := range jobs {
+			want[j.Name()+" start"]++
+			want[j.Name()+" done"]++
+		}
+		var mu sync.Mutex
+		got := map[string]int{}
+		eng := engine.New(engine.Config{Workers: 2, OnEvent: func(ev engine.Event) {
+			mu.Lock()
+			got[ev.Job+" "+ev.Kind.String()]++
+			mu.Unlock()
+		}})
+		if err := run(eng); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%s: engine events %v, want its job set's %v", id, got, want)
+		}
+		if s := eng.Stats(); s.Jobs != len(jobs) || s.Batches != 1 {
+			t.Errorf("%s: engine ran %d jobs in %d batches, want its %d jobs in 1", id, s.Jobs, s.Batches, len(jobs))
+		}
 	}
 }

@@ -26,12 +26,6 @@ import (
 // slots are node-local), which changes async simulation outputs.
 const CacheSalt = "sensornet-exp-v3"
 
-// defaultEngine builds the engine used by the context-free entry
-// points, honouring the preset's worker bound.
-func defaultEngine(pre Preset) *engine.Engine {
-	return engine.New(engine.Config{Workers: pre.Workers})
-}
-
 // analyticPointKey fingerprints one analytic surface point: every field
 // of the model config plus the probability and constraint levels.
 func analyticPointKey(cfg analytic.Config, p float64, c optimize.Constraints) string {

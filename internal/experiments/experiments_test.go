@@ -234,9 +234,9 @@ func TestFmtHelpers(t *testing.T) {
 func TestCampaignAnalyticOnly(t *testing.T) {
 	pre := QuickAnalytic()
 	pre.Rhos = []float64{40, 100}
-	c := Campaign{Analytic: pre, SkipSim: true}
 	var b strings.Builder
-	figs, err := c.Run(context.Background(), &b)
+	figs, err := RunFigures(context.Background(), testEngine(), FigureSpec{Analytic: pre}, &b,
+		"fig4", "fig5", "fig6", "fig7", "fig12")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestSimFiguresQuick(t *testing.T) {
 	if optP[1] > optP[0]+0.2 {
 		t.Fatalf("simulated optimal p rising with density: %v", optP)
 	}
-	f12, err := simSuccessRate(context.Background(), surf, pre.Workers)
+	f12, err := runStudy(context.Background(), testEngine())(newSuccessStudy(pre, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,5 +285,28 @@ func TestSimFiguresQuick(t *testing.T) {
 		if r <= 0 || r >= 1 {
 			t.Fatalf("simulated success rate %v implausible", r)
 		}
+	}
+}
+
+// TestFig12SimZeroSuccessRate: where flooding never delivers (at
+// rho = 0.04 the source is alone) fig12sim renders the ratio as "-", as
+// Fig. 12 does, instead of dividing by the zero success rate.
+func TestFig12SimZeroSuccessRate(t *testing.T) {
+	pre := QuickSim()
+	pre.Rhos = []float64{0.04}
+	pre.Grid = []float64{0.5, 1}
+	pre.Runs = 2
+	f, err := runStudy(context.Background(), testEngine())(newSuccessStudy(pre, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rate := f.Series["successRate"][0]; rate != 0 {
+		t.Fatalf("success rate of a lone source = %v, want 0", rate)
+	}
+	if ratio := f.Series["ratio"][0]; !math.IsNaN(ratio) {
+		t.Errorf("ratio at a zero success rate = %v, want NaN", ratio)
+	}
+	if cell := f.Tables[0].Rows[0][3]; cell != "-" {
+		t.Errorf("ratio renders as %q, want \"-\"", cell)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"sensornet/internal/engine"
 )
@@ -22,26 +23,20 @@ type FigureSpec struct {
 	CrashRates, LossRates []float64
 	// ShootRhos are the shootout densities (empty: DefaultShootoutRhos).
 	ShootRhos []float64
-	// SkipSim drops the simulated surface and its figures from "all".
+	// SkipSim drops the simulated figures (fig8–fig11 and fig12sim)
+	// from "all".
 	SkipSim bool
 	// Workers bounds replication parallelism inside simulated surface
-	// rows and fig12sim's flooding runs; it never affects job identity.
+	// rows; it never affects job identity.
 	Workers int
 }
 
-// campaign is the full campaign "all" runs.
-func (s FigureSpec) campaign(eng *engine.Engine) Campaign {
-	return Campaign{Analytic: s.Analytic, Sim: s.Sim, SkipSim: s.SkipSim,
-		Extras: true, Engine: eng}
-}
-
-// figureRow is one entry of the figure table. A figure with a cacheable
-// job set is a study (its jobs, and the figure their results assemble
-// into); an analytic-only figure evaluates the model directly.
+// figureRow is one entry of the figure table: a figure ID and the study
+// that renders it. An analytic-only figure's study has an empty job
+// set.
 type figureRow struct {
-	id       string
-	study    func(FigureSpec) (study, error)
-	analytic func(FigureSpec) (*FigureResult, error)
+	id    string
+	study func(FigureSpec) (study, error)
 }
 
 // figureTable lists every figure besides "all", with the per-figure
@@ -55,32 +50,52 @@ var figureTable = []figureRow{
 	{id: "fig9", study: onSurface(true, plain(Fig9))},
 	{id: "fig10", study: onSurface(true, plain(Fig10))},
 	{id: "fig11", study: onSurface(true, plain(Fig11))},
-	{id: "fig12", study: onSurface(false, func(_ context.Context, s *Surface, _ int) (*FigureResult, error) {
-		return Fig12(s)
-	})},
-	{id: "fig12sim", study: onSurface(true, simSuccessRate)},
-	{id: "cfm", analytic: func(s FigureSpec) (*FigureResult, error) { return CFMBaseline(s.Analytic) }},
-	{id: "carrier", analytic: func(s FigureSpec) (*FigureResult, error) { return CarrierSenseAblation(s.Analytic) }},
-	{id: "costfn", analytic: func(s FigureSpec) (*FigureResult, error) { return CostFunctions(s.Analytic, 5) }},
+	{id: "fig12", study: onSurface(false, Fig12)},
+	{id: "fig12sim", study: func(s FigureSpec) (study, error) { return newSuccessStudy(s.Sim, s.Workers) }},
+	{id: "cfm", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) { return CFMBaseline(s.Analytic) })},
+	{id: "carrier", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) { return CarrierSenseAblation(s.Analytic) })},
+	{id: "costfn", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) { return CostFunctions(s.Analytic, 5) })},
 	{id: "percolation", study: func(FigureSpec) (study, error) { return cliPercolation(), nil }},
 	{id: "collisions", study: func(s FigureSpec) (study, error) { return collisionStudy(s.Sim, 100) }},
-	{id: "slots", analytic: func(s FigureSpec) (*FigureResult, error) {
-		return SlotSweep(80, []int{1, 2, 3, 4, 6, 8, 12}, s.Analytic.Grid, s.Analytic.Constraints)
-	}},
-	{id: "field", analytic: func(s FigureSpec) (*FigureResult, error) {
-		return FieldScaling(80, []int{3, 5, 8, 12, 16}, 0.15, s.Analytic.Constraints)
-	}},
+	slotsRow(1, 2, 3, 4, 6, 8, 12),
+	fieldRow(3, 5, 8, 12, 16),
 	{id: "schemes", study: func(s FigureSpec) (study, error) { return schemeStudy(s.Sim, []float64{40, 100}) }},
 	{id: "hetero", study: func(s FigureSpec) (study, error) { return heteroStudy(s.Sim, 80) }},
-	{id: "refinedcfm", analytic: func(s FigureSpec) (*FigureResult, error) { return RefinedCFM(s.Analytic, 5) }},
+	{id: "refinedcfm", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) { return RefinedCFM(s.Analytic, 5) })},
 	{id: "joint", study: func(s FigureSpec) (study, error) {
 		return jointStudy(s.Sim, 100, 15, []int{1, 2, 3, 4, 6, 9})
 	}},
-	{id: "mumode", analytic: func(s FigureSpec) (*FigureResult, error) { return MuModeAblation(s.Analytic) }},
+	{id: "mumode", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) { return MuModeAblation(s.Analytic) })},
 	{id: "degradation", study: func(s FigureSpec) (study, error) {
 		return degradationStudy(s.Sim, s.DegRho, s.CrashRates, s.LossRates)
 	}},
 	{id: "shootout", study: func(s FigureSpec) (study, error) { return newShootStudy(s.Sim, s.ShootRhos) }},
+}
+
+// allRows is the figure list "all" renders, in emission order: the
+// paper's figures, then the extras. It reuses the table's rows, except
+// that slots and field sweep the narrower ranges "all" always has.
+var allRows = slices.Concat(
+	tableRows("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+		"fig12sim", "fig12", "cfm", "carrier", "costfn"),
+	[]figureRow{slotsRow(1, 2, 3, 4, 6, 8), fieldRow(3, 5, 8, 12)},
+	tableRows("percolation"))
+
+// simFigures are the rows FigureSpec.SkipSim drops from "all".
+var simFigures = []string{"fig8", "fig9", "fig10", "fig11", "fig12sim"}
+
+// slotsRow is the backoff-window sweep over the given slot counts.
+func slotsRow(slots ...int) figureRow {
+	return figureRow{id: "slots", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) {
+		return SlotSweep(80, slots, s.Analytic.Grid, s.Analytic.Constraints)
+	})}
+}
+
+// fieldRow is the field-radius scaling study over the given radii.
+func fieldRow(fields ...int) figureRow {
+	return figureRow{id: "field", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) {
+		return FieldScaling(80, fields, 0.15, s.Analytic.Constraints)
+	})}
 }
 
 // onSurface draws a figure from the spec's analytic or simulated
@@ -97,10 +112,27 @@ func onSurface(simulated bool, draw surfaceDraw) func(FigureSpec) (study, error)
 
 // plain lifts a paper figure that cannot fail.
 func plain(fig func(*Surface) *FigureResult) surfaceDraw {
-	return func(_ context.Context, s *Surface, _ int) (*FigureResult, error) { return fig(s), nil }
+	return func(s *Surface) (*FigureResult, error) { return fig(s), nil }
 }
 
-// FigureIDs lists every figure ID FigureJobs and RunFigure accept, in
+// analyticStudy is an analytic-only figure: its job set is empty, and
+// drawing it evaluates the model directly.
+type analyticStudy func() (*FigureResult, error)
+
+func (analyticStudy) jobs() []engine.Job { return nil }
+
+func (st analyticStudy) figure([]engine.Result) (*FigureResult, error) {
+	return st()
+}
+
+// analyticOnly makes an analytic-only figure a study.
+func analyticOnly(fig func(FigureSpec) (*FigureResult, error)) func(FigureSpec) (study, error) {
+	return func(s FigureSpec) (study, error) {
+		return analyticStudy(func() (*FigureResult, error) { return fig(s) }), nil
+	}
+}
+
+// FigureIDs lists every figure ID FigureJobs and RunFigures accept, in
 // table order, ending with "all".
 func FigureIDs() []string {
 	ids := make([]string, 0, len(figureTable)+1)
@@ -119,49 +151,85 @@ func lookupFigure(id string) (figureRow, error) {
 	return figureRow{}, fmt.Errorf("unknown figure %q", id)
 }
 
-// FigureJobs builds the cacheable job set behind the selected figure —
-// the unit of work the -shard split, the -merge assembly, and the
-// coordinator/worker backend all agree on. For "all" it is the
-// campaign's first batch: both surfaces and the percolation cells.
-func FigureJobs(id string, spec FigureSpec) ([]engine.Job, error) {
-	if id == "all" {
-		return spec.campaign(nil).jobs(spec.Workers), nil
+// tableRows looks up rows of the figure table by ID; it panics on an
+// unknown ID, which only a literal list in this package can pass.
+func tableRows(ids ...string) []figureRow {
+	rows := make([]figureRow, len(ids))
+	for i, id := range ids {
+		row, err := lookupFigure(id)
+		if err != nil {
+			panic(err)
+		}
+		rows[i] = row
 	}
-	row, err := lookupFigure(id)
-	if err != nil {
-		return nil, err
-	}
-	if row.study == nil {
-		return nil, fmt.Errorf("figure %q has no cacheable job set to distribute", id)
-	}
-	st, err := row.study(spec)
-	if err != nil {
-		return nil, err
-	}
-	return st.jobs(), nil
+	return rows
 }
 
-// RunFigure renders the selected figure ("all" for the full campaign)
-// to w and returns the rendered figures. A figure's job set runs on
-// eng, so a cache-only engine assembles it from a sharded or
-// distributed run's results without recomputing them.
-func RunFigure(ctx context.Context, eng *engine.Engine, id string, spec FigureSpec,
-	w io.Writer) ([]*FigureResult, error) {
-	if id == "all" {
-		return spec.campaign(eng).Run(ctx, w)
+// figureStudies builds the study of every figure in ids, in order,
+// expanding "all" into its rows.
+func figureStudies(spec FigureSpec, ids []string) ([]study, error) {
+	var rows []figureRow
+	for _, id := range ids {
+		if id != "all" {
+			row, err := lookupFigure(id)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, row)
+			continue
+		}
+		for _, row := range allRows {
+			if !spec.SkipSim || !slices.Contains(simFigures, row.id) {
+				rows = append(rows, row)
+			}
+		}
 	}
-	row, err := lookupFigure(id)
+	studies := make([]study, len(rows))
+	for i, row := range rows {
+		st, err := row.study(spec)
+		if err != nil {
+			return nil, err
+		}
+		studies[i] = st
+	}
+	return studies, nil
+}
+
+// FigureJobs builds the cacheable job set behind the selected figure —
+// the unit of work the -shard split, the -merge assembly, and the
+// coordinator/worker backend all agree on. For "all" it is the union of
+// its figures' job sets.
+func FigureJobs(id string, spec FigureSpec) ([]engine.Job, error) {
+	studies, err := figureStudies(spec, []string{id})
 	if err != nil {
 		return nil, err
 	}
-	var f *FigureResult
-	if row.study != nil {
-		f, err = runStudy(ctx, eng)(row.study(spec))
-	} else {
-		f, err = row.analytic(spec)
+	jobs, _ := unionJobs(studies)
+	if len(jobs) == 0 {
+		return nil, fmt.Errorf("figure %q has no cacheable job set to distribute", id)
 	}
+	return jobs, nil
+}
+
+// RunFigures renders the listed figures ("all" for the full report) to
+// w, in list order, and returns them; a nil w renders nothing. Their job
+// sets run on eng as one batch, so a cache-only engine assembles every
+// figure from a sharded or distributed run's results without
+// recomputing them.
+func RunFigures(ctx context.Context, eng *engine.Engine, spec FigureSpec, w io.Writer,
+	ids ...string) ([]*FigureResult, error) {
+	studies, err := figureStudies(spec, ids)
 	if err != nil {
 		return nil, err
 	}
-	return []*FigureResult{f}, f.Render(w)
+	figs, err := runStudies(ctx, eng, studies)
+	if err != nil || w == nil {
+		return figs, err
+	}
+	for _, f := range figs {
+		if err := f.Render(w); err != nil {
+			return nil, err
+		}
+	}
+	return figs, nil
 }

@@ -5,7 +5,9 @@ import (
 	"math"
 
 	"sensornet/internal/analytic"
+	"sensornet/internal/engine"
 	"sensornet/internal/optimize"
+	"sensornet/internal/protocol"
 	"sensornet/internal/viz"
 )
 
@@ -213,6 +215,68 @@ func Fig12(s *Surface) (*FigureResult, error) {
 	f.Tables = []Table{t}
 	f.Notes = append(f.Notes,
 		"paper: the ratio optimal-p/success-rate stays nearly constant across densities (~11)")
+	return f, nil
+}
+
+// successStudy is fig12sim, the measured counterpart of Fig. 12: the
+// simulated surface, for Fig. 8's optimal probability, plus one
+// flooding cell per density, for the success rate it compares with.
+type successStudy struct {
+	pre     Preset
+	workers int
+	cells   []engine.Job
+}
+
+func newSuccessStudy(pre Preset, workers int) (study, error) {
+	if err := checkRuns("fig12sim", pre.Runs); err != nil {
+		return nil, err
+	}
+	st := successStudy{pre: pre, workers: workers}
+	for _, rho := range pre.Rhos {
+		cfg := pre.SimConfig(rho)
+		cfg.Protocol = protocol.Flooding{}
+		st.cells = append(st.cells, cellJob[schemeCell](keyedCell("flood-cell",
+			fmt.Sprintf("flood(rho=%g)", rho), cfg, pre.Runs, pre.Constraints.Latency, nil)))
+	}
+	return st, nil
+}
+
+func (st successStudy) jobs() []engine.Job {
+	return append(SurfaceJobs(st.pre, true, st.workers), st.cells...)
+}
+
+func (st successStudy) figure(results []engine.Result) (*FigureResult, error) {
+	rows := len(results) - len(st.cells)
+	surf, err := assembleSurface(st.pre, true, results[:rows])
+	if err != nil {
+		return nil, err
+	}
+	cells, err := resultValues[schemeCell](results[rows:])
+	if err != nil {
+		return nil, err
+	}
+	f := &FigureResult{ID: "fig12sim",
+		Title:  "Simulated flooding success rate vs optimal probability",
+		Series: map[string][]float64{}}
+	optP := Fig8(surf).Series["optimalP"]
+
+	t := Table{Title: "simulated success rate of flooding vs optimal p"}
+	t.Header = []string{"rho", "success rate", "optimal p", "ratio"}
+	var rates, ratios []float64
+	for i, rho := range st.pre.Rhos {
+		rate := cells[i].SuccessRate
+		ratio := math.NaN()
+		if rate > 0 {
+			ratio = optP[i] / rate
+		}
+		rates = append(rates, rate)
+		ratios = append(ratios, ratio)
+		t.Add(fmt.Sprintf("%g", rho), fmtF(rate), fmtF(optP[i]), fmtF1(ratio))
+	}
+	f.Series["successRate"] = rates
+	f.Series["optimalP"] = optP
+	f.Series["ratio"] = ratios
+	f.Tables = []Table{t}
 	return f, nil
 }
 

@@ -78,7 +78,7 @@ func TestFiguresGolden(t *testing.T) {
 		Cache: engine.NewCache("", experiments.CacheSalt)})
 	for _, id := range goldenFigures {
 		var b bytes.Buffer
-		if _, err := experiments.RunFigure(ctx, eng, id, spec, &b); err != nil {
+		if _, err := experiments.RunFigures(ctx, eng, spec, &b, id); err != nil {
 			t.Fatalf("figure %s: %v", id, err)
 		}
 		sum := sha256.Sum256(b.Bytes())

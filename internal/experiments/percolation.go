@@ -25,8 +25,10 @@ func Percolation(ctx context.Context, eng *engine.Engine, p int, grid []float64,
 	return runStudy(ctx, eng)(percolationStudy(p, grid, runs, seed), nil)
 }
 
-// cliPercolation is the percolation study the CLI and the campaign run:
-// a radius-18 lattice, p from 0.35 to 0.9 in steps of 0.05, 10 runs.
+// cliPercolation is the percolation study the CLI renders, alone and in
+// "all": a radius-18 lattice, 10 runs, p from 0.35 in steps of 0.05.
+// The float-accumulated grid ends at 0.85: the step past it lands just
+// above 0.9.
 func cliPercolation() study {
 	var grid []float64
 	for p := 0.35; p <= 0.9; p += 0.05 {

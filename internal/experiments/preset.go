@@ -26,10 +26,8 @@ type Preset struct {
 	Grid []float64
 	// Constraints fixes the latency/reachability/budget levels.
 	Constraints optimize.Constraints
-	// Runs is the number of random simulation runs per grid point;
-	// Workers bounds their parallelism (0 = unbounded).
-	Runs    int
-	Workers int
+	// Runs is the number of random simulation runs per grid point.
+	Runs int
 	// Seed is the base seed for simulated campaigns.
 	Seed int64
 	// MaxPhases caps execution length.
@@ -147,18 +145,17 @@ type surfaceStudy struct {
 	draw      surfaceDraw
 }
 
-// surfaceDraw draws a figure from a surface; workers bounds any
-// replications it runs itself.
-type surfaceDraw func(ctx context.Context, surf *Surface, workers int) (*FigureResult, error)
+// surfaceDraw draws a figure from a surface.
+type surfaceDraw func(*Surface) (*FigureResult, error)
 
 func (st surfaceStudy) jobs() []engine.Job {
 	return SurfaceJobs(st.pre, st.simulated, st.workers)
 }
 
-func (st surfaceStudy) figure(ctx context.Context, results []engine.Result) (*FigureResult, error) {
+func (st surfaceStudy) figure(results []engine.Result) (*FigureResult, error) {
 	surf, err := assembleSurface(st.pre, st.simulated, results)
 	if err != nil {
 		return nil, err
 	}
-	return st.draw(ctx, surf, st.workers)
+	return st.draw(surf)
 }

@@ -8,6 +8,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -287,7 +290,8 @@ func TestShardedEngineRefusesSurfaceAssembly(t *testing.T) {
 // TestFigureTableShardMerge: every figure with a job set, "all"
 // included, survives the shard/merge split. Two shard processes fill
 // one cache from FigureJobs, and a cache-only engine then renders the
-// figure byte-identically to a direct run, never missing a job.
+// figure byte-identically to a direct run, never missing a job and
+// running none.
 func TestFigureTableShardMerge(t *testing.T) {
 	pa := experiments.QuickAnalytic()
 	pa.Rhos = []float64{20, 100}
@@ -311,7 +315,7 @@ func TestFigureTableShardMerge(t *testing.T) {
 		}
 		sharded++
 		var direct, merged bytes.Buffer
-		if _, err := experiments.RunFigure(ctx, engine.New(engine.Config{Workers: 2}), id, spec, &direct); err != nil {
+		if _, err := experiments.RunFigures(ctx, engine.New(engine.Config{Workers: 2}), spec, &direct, id); err != nil {
 			t.Fatalf("%s direct: %v", id, err)
 		}
 		dir := t.TempDir()
@@ -320,15 +324,54 @@ func TestFigureTableShardMerge(t *testing.T) {
 				t.Fatalf("%s shard %d: %v", id, i, err)
 			}
 		}
-		if _, err := experiments.RunFigure(ctx, mergeEngine(dir), id, spec, &merged); err != nil {
+		merge := mergeEngine(dir)
+		if _, err := experiments.RunFigures(ctx, merge, spec, &merged, id); err != nil {
 			t.Fatalf("%s merge: %v", id, err)
 		}
 		if direct.String() != merged.String() {
 			t.Errorf("%s: merged render differs from the direct run", id)
 		}
+		if s := merge.Stats(); s.Ran != 0 {
+			t.Errorf("%s: merge engine ran %d jobs, want 0 (stats %+v)", id, s.Ran, s)
+		}
 	}
 	// Ten surface figures, seven cell studies, and "all".
 	if sharded != 18 {
 		t.Errorf("%d figures have a job set, want 18", sharded)
+	}
+}
+
+// TestFig12SimMergeNeedsFloodingCells: fig12sim's flooding runs are
+// cells of its job set, so a cache-only engine holding only fig8's
+// results (the simulated surface) refuses to render it, naming one
+// flooding cell per density, instead of simulating them itself.
+func TestFig12SimMergeNeedsFloodingCells(t *testing.T) {
+	ctx := context.Background()
+	spec := experiments.FigureSpec{Analytic: experiments.QuickAnalytic(), Sim: tinySimPreset(), Workers: 2}
+	jobs, err := experiments.FigureJobs("fig8", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fill := engine.New(engine.Config{Workers: 2, Cache: engine.NewCache(dir, experiments.CacheSalt)})
+	if _, err := fill.Run(ctx, jobs); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = experiments.RunFigures(ctx, mergeEngine(dir), spec, io.Discard, "fig12sim")
+	var missing *engine.MissingError
+	if !errors.As(err, &missing) {
+		t.Fatalf("fig12sim merge over fig8's results: err = %v, want *engine.MissingError", err)
+	}
+	var names []string
+	for _, j := range missing.Jobs {
+		names = append(names, j.Name)
+	}
+	var want []string
+	for _, rho := range spec.Sim.Rhos {
+		want = append(want, fmt.Sprintf("flood(rho=%g)", rho))
+	}
+	if !slices.Equal(names, want) {
+		t.Errorf("missing jobs %v, want the flooding cells %v", names, want)
 	}
 }

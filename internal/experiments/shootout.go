@@ -275,7 +275,7 @@ func ShootoutCtx(ctx context.Context, eng *engine.Engine, pre Preset,
 	return runStudy(ctx, eng)(newShootStudy(pre, rhos))
 }
 
-func (st *shootStudy) figure(_ context.Context, results []engine.Result) (*FigureResult, error) {
+func (st *shootStudy) figure(results []engine.Result) (*FigureResult, error) {
 	data, err := st.data(results)
 	if err != nil {
 		return nil, err

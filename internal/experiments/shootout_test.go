@@ -206,7 +206,7 @@ func shootoutRun(t *testing.T, workers int) (string, [][]byte, sim.PoolStats) {
 			t.Fatal(err)
 		}
 	}
-	f, err := st.figure(context.Background(), results)
+	f, err := st.figure(results)
 	if err != nil {
 		t.Fatal(err)
 	}

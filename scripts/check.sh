@@ -84,6 +84,34 @@ wait "$shard0"
 "$tmp/experiments" -figure fig4 -quick -cache-dir "$tmp/cache" -merge 2 -out "$tmp/merged.txt"
 cmp "$tmp/direct.txt" "$tmp/merged.txt"
 
+echo "== tier 2: -skip-sim outside -figure all exits 2"
+set +e
+"$tmp/experiments" -figure fig8 -quick -skip-sim >/dev/null 2>&1
+skip_rc=$?
+set -e
+[ "$skip_rc" -eq 2 ] || { echo "-figure fig8 -skip-sim exited $skip_rc, want 2" >&2; exit 1; }
+
+echo "== tier 2: committed full-report artifacts match a fresh -figure all"
+# report_full.txt and results/ are the paper-preset report EXPERIMENTS.md
+# cites; regenerate both and compare byte for byte, in both directions.
+"$tmp/experiments" -figure all -out "$tmp/report_full.txt" -csv-dir "$tmp/results"
+cmp report_full.txt "$tmp/report_full.txt"
+for f in results/*.csv "$tmp"/results/*.csv; do
+    cmp "results/${f##*/}" "$tmp/results/${f##*/}"
+done
+
+echo "== tier 2: sharded all smoke (the union of every figure's job set)"
+# "all" shards as one job set: both surfaces, fig12sim's flooding cells
+# and the percolation cells. Two shard processes fill one cache and the
+# merged report must render byte-identically to the direct run.
+"$tmp/experiments" -figure all -quick -out "$tmp/all-direct.txt"
+"$tmp/experiments" -figure all -quick -cache-dir "$tmp/allcache" -shard 0/2 &
+shard0=$!
+"$tmp/experiments" -figure all -quick -cache-dir "$tmp/allcache" -shard 1/2
+wait "$shard0"
+"$tmp/experiments" -figure all -quick -cache-dir "$tmp/allcache" -merge 2 -out "$tmp/all-merged.txt"
+cmp "$tmp/all-direct.txt" "$tmp/all-merged.txt"
+
 echo "== tier 2: sharded shootout slice smoke (one density, CFM/CAM/SINR columns)"
 # A one-density slice of the cross-scheme shootout campaign through the
 # same shard/merge machinery: two shard processes fill one cache, and
