@@ -141,20 +141,9 @@ func TestDistributedChaosByteIdentical(t *testing.T) {
 	t.Logf("chaos campaign: %d completed, %d duplicates absorbed, %d leases expired, %d steals",
 		s.Completed, s.Duplicates, s.Expired, s.Steals)
 
-	// Byte identity at the cache layer: same file names, same bytes.
-	localTree, distTree := readTree(t, localDir), readTree(t, distDir)
-	if len(localTree) == 0 || len(localTree) != len(distTree) {
-		t.Fatalf("cache trees differ in size: local %d, dist %d", len(localTree), len(distTree))
-	}
-	for name, lb := range localTree {
-		db, ok := distTree[name]
-		if !ok {
-			t.Fatalf("distributed cache missing entry %s", name)
-		}
-		if string(lb) != string(db) {
-			t.Fatalf("cache entry %s differs:\n%s\nvs\n%s", name, lb, db)
-		}
-	}
+	// Byte identity at the cache layer: the same envelope bytes under
+	// every key.
+	sameRecords(t, localDir, distDir)
 
 	// Merge identity: a cache-only engine over the chaos-built cache
 	// assembles the same surface the local run computed.

@@ -618,8 +618,8 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // result ingests one posted shard result under the coordinator lock,
-// returning the HTTP status, response body, and (for 429) a
-// Retry-After hint for the handler to write after release. The
+// returning the HTTP status, response body, and (for 429) the wait the
+// handler writes as Retry-After after release. The
 // IngestResult call stays inside the critical section deliberately: it
 // is a local content-addressed cache write, and admitting a result
 // must be atomic with the job-state transition or a concurrent
@@ -693,8 +693,10 @@ func (c *Coordinator) result(req ResultRequest) (int, any, time.Duration) {
 	// so the deferred retry is a plain replay.
 	if wait, ok := c.admitIngestLocked(now); !ok {
 		c.backpressured++
-		return http.StatusTooManyRequests,
-			map[string]string{"error": "dist: ingest budget exhausted; retry after backoff"}, wait
+		return http.StatusTooManyRequests, BackpressureResponse{
+			Error:       "dist: ingest budget exhausted; retry after backoff",
+			RetryMillis: int64((wait + time.Millisecond - 1) / time.Millisecond),
+		}, wait
 	}
 	if err := c.cfg.Sink.IngestResult(req.Fingerprint, req.Payload); err != nil {
 		c.ingestErrors++

@@ -140,6 +140,16 @@ type ResultResponse struct {
 	Draining bool `json:"draining,omitempty"`
 }
 
+// BackpressureResponse is the body of a 429 answer to a result post.
+// RetryMillis is the wait, rounded up to the millisecond, until the
+// ingest window admits the replay; the Retry-After header carries the
+// same wait rounded up to whole seconds for clients that read only
+// headers.
+type BackpressureResponse struct {
+	Error       string `json:"error"`
+	RetryMillis int64  `json:"retryMillis"`
+}
+
 // Stats snapshots the coordinator's queue, lease, and worker state for
 // the /api/status endpoint and end-of-campaign reporting.
 type Stats struct {

@@ -100,6 +100,10 @@ func TestBackpressure429(t *testing.T) {
 	if ra := rec.Header().Get("Retry-After"); ra != "1" {
 		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
+	var hint BackpressureResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &hint); err != nil || hint.RetryMillis != 1000 {
+		t.Fatalf("429 body %s: retryMillis = %d (err %v), want the exact 1000ms wait", rec.Body.Bytes(), hint.RetryMillis, err)
+	}
 	s := c.Stats()
 	if s.Backpressured != 1 || s.Ingested != 2 || s.Completed != 2 || s.Leased != 1 {
 		t.Fatalf("stats after 429 = %+v", s)

@@ -12,6 +12,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,29 +32,56 @@ func tinyAnalyticPreset() experiments.Preset {
 	return pre
 }
 
-// readTree returns relative path → content for every file under dir.
-func readTree(t *testing.T, dir string) map[string][]byte {
+// readRecords returns key → envelope for every record in a cache
+// directory, which must hold only segments. A segment is a run of
+// two-line records: a "<hex key> <length>" header, then the
+// compact-JSON envelope. Each key must be stored once.
+func readRecords(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	out := map[string][]byte{}
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(dir, path)
-		if err != nil {
-			return err
-		}
-		out[rel] = b
-		return nil
-	})
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := map[string]string{}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) != ".seg" {
+			t.Fatalf("%s: %s is not a segment", dir, e.Name())
+		}
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+		if len(lines)%2 != 0 {
+			t.Fatalf("%s: a record is cut short", e.Name())
+		}
+		for i := 0; i < len(lines); i += 2 {
+			key, n, _ := strings.Cut(lines[i], " ")
+			if n != strconv.Itoa(len(lines[i+1])) {
+				t.Fatalf("%s: record %s declares %s bytes, holds %d", e.Name(), key, n, len(lines[i+1]))
+			}
+			if _, dup := out[key]; dup {
+				t.Fatalf("%s: key %s stored twice", dir, key)
+			}
+			out[key] = lines[i+1]
+		}
+	}
 	return out
+}
+
+// sameRecords fails unless two cache directories store the same
+// envelope bytes under the same keys.
+func sameRecords(t *testing.T, localDir, distDir string) {
+	t.Helper()
+	local, dist := readRecords(t, localDir), readRecords(t, distDir)
+	if len(local) == 0 || len(local) != len(dist) {
+		t.Fatalf("caches differ in size: local %d records, dist %d", len(local), len(dist))
+	}
+	for key, env := range local {
+		if dist[key] != env {
+			t.Fatalf("record %s differs:\n%s\nvs\n%s", key, env, dist[key])
+		}
+	}
 }
 
 // runDistributed drives a full campaign through a coordinator and the
@@ -147,19 +176,11 @@ func TestDistributedMergesByteIdentical(t *testing.T) {
 		t.Fatalf("survivor completed %d of %d", reports[1].Completed, len(jobs))
 	}
 
-	// Byte identity at the cache layer: same file names, same bytes.
-	localTree, distTree := readTree(t, localDir), readTree(t, distDir)
-	if len(localTree) == 0 || len(localTree) != len(distTree) {
-		t.Fatalf("cache trees differ in size: local %d, dist %d", len(localTree), len(distTree))
-	}
-	for name, lb := range localTree {
-		db, ok := distTree[name]
-		if !ok {
-			t.Fatalf("distributed cache missing entry %s", name)
-		}
-		if string(lb) != string(db) {
-			t.Fatalf("cache entry %s differs:\n%s\nvs\n%s", name, lb, db)
-		}
+	// Byte identity at the cache layer: the same envelope bytes under
+	// every key, all in the coordinator's one segment.
+	sameRecords(t, localDir, distDir)
+	if entries, err := os.ReadDir(distDir); err != nil || len(entries) != 1 {
+		t.Fatalf("distributed cache holds %d files, want one segment (err %v)", len(entries), err)
 	}
 
 	// Merge identity: a cache-only engine over the distributed cache

@@ -54,7 +54,7 @@ type WorkerConfig struct {
 	// heartbeat, or result post is always safe.
 	PostAttempts int
 	// PostBackoff spaces the retries; the zero value means the shared
-	// engine discipline with Base 100ms, Max 2s. A 429's Retry-After
+	// engine discipline with Base 100ms, Max 2s. A 429's retry hint
 	// overrides the computed delay.
 	PostBackoff engine.BackoffPolicy
 	// FailAfter, when > 0, injects a crash: after that many posted
@@ -101,7 +101,7 @@ type Worker struct {
 	jobs map[string]engine.Job
 	base string
 	// ttlMillis remembers the lease TTL the coordinator last granted
-	// (updated by Run, read by retryAfter to bound Retry-After hints).
+	// (updated by Run, read by retryAfter to bound 429 retry hints).
 	ttlMillis atomic.Int64
 }
 
@@ -159,7 +159,7 @@ func (w *Worker) logf(format string, args ...any) {
 // truncates bytes produces a retry, never a silently damaged message.
 // Every failure — transport error, non-200 status, checksum mismatch,
 // undecodable body — is retried up to PostAttempts times on the shared
-// engine backoff discipline; a 429's Retry-After overrides the
+// engine backoff discipline; a 429's retry hint overrides the
 // computed delay. Retrying everything is sound because the protocol is
 // idempotent end to end (duplicate leases, heartbeats, and result
 // posts are all absorbed), and under a hostile transport a "permanent"
@@ -186,7 +186,7 @@ func (w *Worker) post(ctx context.Context, path string, req, resp any) error {
 				return context.Cause(ctx)
 			}
 		}
-		// Default spacing for the next round; a Retry-After below
+		// Default spacing for the next round; a 429's retry hint below
 		// overrides it.
 		wait = w.cfg.PostBackoff.Delay(path, attempt)
 		hr, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(body))
@@ -212,7 +212,7 @@ func (w *Worker) post(ctx context.Context, path string, req, resp any) error {
 		}
 		if res.StatusCode == http.StatusTooManyRequests {
 			lastErr = fmt.Errorf("dist: %s: coordinator backpressured the post", path)
-			if ra := w.retryAfter(res); ra > 0 {
+			if ra := w.retryAfter(res, data); ra > 0 {
 				wait = ra
 			}
 			continue
@@ -233,23 +233,24 @@ func (w *Worker) post(ctx context.Context, path string, req, resp any) error {
 	return fmt.Errorf("dist: %s: giving up after %d attempts: %w", path, w.cfg.PostAttempts, lastErr)
 }
 
-// retryAfter parses a Retry-After header's delay-seconds form,
-// returning 0 when absent or unparseable (HTTP-date form is not worth
-// supporting for a header we mint ourselves). A value that does parse
-// is clamped into the coordinator's own hint range, [50ms, TTL/4]: the
-// header crosses an untrusted (and, under internal/chaos, actively
-// corrupted) transport, so a flipped digit must not stall a worker for
-// hours ("9999999") or turn the backoff into a hot spin ("0", "-3").
-func (w *Worker) retryAfter(res *http.Response) time.Duration {
-	v := res.Header.Get("Retry-After")
-	if v == "" {
+// retryAfter reads a 429's retry hint: the body's retryMillis when it
+// is positive, else the Retry-After header's delay-seconds form (for a
+// coordinator that sends only the header), else 0 (HTTP-date form is
+// not worth supporting for a header we mint ourselves). A hint is
+// clamped into the coordinator's own hint range, [50ms, TTL/4]: it
+// crosses an untrusted (and, under internal/chaos, actively corrupted)
+// transport, so a flipped digit must not stall a worker for hours
+// ("9999999") or turn the backoff into a hot spin ("0", "-3").
+func (w *Worker) retryAfter(res *http.Response, body []byte) time.Duration {
+	var d time.Duration
+	var hint BackpressureResponse
+	if json.Unmarshal(body, &hint) == nil && hint.RetryMillis > 0 {
+		d = time.Duration(hint.RetryMillis) * time.Millisecond
+	} else if secs, err := strconv.Atoi(res.Header.Get("Retry-After")); err == nil {
+		d = time.Duration(secs) * time.Second
+	} else {
 		return 0
 	}
-	secs, err := strconv.Atoi(v)
-	if err != nil {
-		return 0
-	}
-	d := time.Duration(secs) * time.Second
 	lo, hi := 50*time.Millisecond, w.ttl()/4
 	if hi < lo {
 		hi = lo

@@ -138,6 +138,39 @@ func TestWorkerPostHonorsRetryAfter(t *testing.T) {
 	}
 }
 
+// TestWorkerPostSubSecondRetryHint: against a real coordinator whose
+// ingest window is 100ms, a deferred result post is replayed after the
+// 429 body's millisecond hint, well under the whole-second Retry-After
+// header the coordinator also sends.
+func TestWorkerPostSubSecondRetryHint(t *testing.T) {
+	c, err := NewCoordinator(Config{Sink: newFakeSink(), Shards: 1, LeaseTTL: time.Minute,
+		IngestBurst: 1, IngestWindow: 100 * time.Millisecond}, jobsFor("a", "b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := testWorker(t, scriptedServer(t, c.ServeHTTP), nil)
+	first, second := lease(t, c, "w-test"), lease(t, c, "w-test")
+	// The first result takes the window's one slot, so the second post
+	// meets a full window.
+	if r, code := postResult(t, c, ResultRequest{Worker: "w-test", LeaseID: first.LeaseID,
+		Fingerprint: first.Job.Fingerprint, Payload: []byte(`1`)}); code != http.StatusOK || !r.Accepted {
+		t.Fatalf("first post: code %d resp %+v", code, r)
+	}
+	start := time.Now()
+	var resp ResultResponse
+	if err := w.post(context.Background(), PathResult, ResultRequest{Worker: "w-test",
+		LeaseID: second.LeaseID, Fingerprint: second.Job.Fingerprint, Payload: []byte(`1`)}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if s := c.Stats(); !resp.Accepted || s.Backpressured != 1 || s.Ingested != 2 {
+		t.Fatalf("resp %+v, stats %+v: want one 429 then an accepted replay", resp, s)
+	}
+	if elapsed >= 500*time.Millisecond {
+		t.Fatalf("replay after %v, want well under a second (the 100ms window's hint)", elapsed)
+	}
+}
+
 // TestWorkerPostGivesUpAfterAttempts: a persistently failing endpoint
 // exhausts PostAttempts and surfaces the last error.
 func TestWorkerPostGivesUpAfterAttempts(t *testing.T) {
@@ -279,10 +312,11 @@ func TestWorkerReLeaseAnsweredFromCache(t *testing.T) {
 	}
 }
 
-// TestRetryAfterClamped pins the clamp on the Retry-After hint: the
-// header crosses an untrusted transport, so parsed values are forced
-// into the coordinator's own [50ms, TTL/4] hint range — no multi-hour
-// stalls from a corrupted digit, no hot spin from "0" or a negative.
+// TestRetryAfterClamped pins the clamp on the 429 retry hint: the body's
+// retryMillis, else the Retry-After header, crosses an untrusted
+// transport, so parsed values are forced into the coordinator's own
+// [50ms, TTL/4] hint range — no multi-hour stalls from a corrupted
+// digit, no hot spin from "0" or a negative.
 func TestRetryAfterClamped(t *testing.T) {
 	w := testWorker(t, "http://unused.invalid", nil)
 	resp := func(v string) *http.Response {
@@ -295,26 +329,31 @@ func TestRetryAfterClamped(t *testing.T) {
 	// Before any lease the TTL defaults to 30s, so the range is
 	// [50ms, 7.5s].
 	for _, tc := range []struct {
-		header string
-		want   time.Duration
+		header, body string
+		want         time.Duration
 	}{
-		{"", 0},                             // absent: fall back to computed backoff
-		{"soon", 0},                         // unparseable: same
-		{"-3", 50 * time.Millisecond},       // negative: clamp low, not ignore
-		{"0", 50 * time.Millisecond},        // zero would hot-spin
-		{"2", 2 * time.Second},              // in range: honored
-		{"999999", 7500 * time.Millisecond}, // ~11 days: clamp to TTL/4
+		{"", "", 0},                                          // absent: fall back to computed backoff
+		{"soon", "", 0},                                      // unparseable: same
+		{"-3", "", 50 * time.Millisecond},                    // negative: clamp low, not ignore
+		{"0", "", 50 * time.Millisecond},                     // zero would hot-spin
+		{"2", "", 2 * time.Second},                           // in range: honored
+		{"999999", "", 7500 * time.Millisecond},              // ~11 days: clamp to TTL/4
+		{"1", `{"retryMillis":120}`, 120 * time.Millisecond}, // the body's exact wait wins
+		{"1", `{"retryMillis":0}`, time.Second},              // no body hint: the header
+		{"1", `{"retryMillis":`, time.Second},                // undecodable body: the header
+		{"", `{"retryMillis":10}`, 50 * time.Millisecond},    // clamped like the header
+		{"", `{"retryMillis":99999999}`, 7500 * time.Millisecond},
 	} {
-		if got := w.retryAfter(resp(tc.header)); got != tc.want {
-			t.Errorf("Retry-After %q: %v, want %v", tc.header, got, tc.want)
+		if got := w.retryAfter(resp(tc.header), []byte(tc.body)); got != tc.want {
+			t.Errorf("Retry-After %q, body %s: %v, want %v", tc.header, tc.body, got, tc.want)
 		}
 	}
 	// After a lease granted TTLMillis=200 the ceiling tightens to 50ms.
 	w.ttlMillis.Store(200)
-	if got := w.retryAfter(resp("999999")); got != 50*time.Millisecond {
+	if got := w.retryAfter(resp("999999"), nil); got != 50*time.Millisecond {
 		t.Errorf("post-lease clamp = %v, want 50ms", got)
 	}
-	if got := w.retryAfter(resp("2")); got != 50*time.Millisecond {
+	if got := w.retryAfter(resp("2"), nil); got != 50*time.Millisecond {
 		t.Errorf("in-range value above the tightened ceiling = %v, want 50ms", got)
 	}
 }

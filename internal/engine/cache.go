@@ -1,40 +1,78 @@
 package engine
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 )
 
 // Cache is a content-addressed result store with two layers: an
 // in-memory map holding live result values, and an optional on-disk
-// JSON store (one file per entry) that survives across processes.
-// Entries are addressed by sha256(salt ‖ fingerprint), so changing the
-// code-version salt invalidates every prior entry at once.
+// store that survives across processes. Entries are addressed by
+// sha256(salt ‖ fingerprint), so changing the code-version salt
+// invalidates every prior entry at once.
+//
+// The disk store is a directory of append-only segments. On its first
+// disk store each Cache creates a segment of its own, so no two writers
+// ever share one, and it appends every entry to it as one record, in a
+// single write:
+//
+//	<hex key> <length>\n<envelope>\n
+//
+// The envelope is compact JSON, so a record is two lines. Records are
+// never rewritten or deleted. Readers keep a lazily built index from
+// key to record location; a lookup miss refreshes it by listing the
+// directory and scanning only the headers appended since the last
+// scan. Every read parses the envelope and checks its fingerprint and
+// salt; an unusable record is counted, reported and dropped from this
+// cache's index, and the recompute's appended record supersedes it.
 type Cache struct {
 	dir  string
 	salt string
 
 	// Warnf, when non-nil, receives diagnostics about recoverable disk
-	// problems (corrupt entries treated as misses). Defaults to
+	// problems (corrupt records treated as misses). Defaults to
 	// log.Printf; set to a no-op to silence.
 	Warnf func(format string, args ...any)
 
 	mu          sync.Mutex
-	mem         map[string]any
-	raw         map[string][]byte // ingested payloads not yet decoded
+	mem         map[key]any
+	raw         map[key][]byte   // ingested payloads not yet decoded
+	index       map[key][]record // disk records, in scan order
 	hits        int
 	misses      int
 	stores      int
 	corrupt     int
 	ingestDupes int
+
+	// segMu guards seg, this cache's own segment.
+	segMu sync.Mutex
+	seg   *os.File
+
+	// scanMu serializes index refreshes; it guards segs and scanBuf.
+	scanMu  sync.Mutex
+	segs    map[string]*segment
+	scanBuf *bufio.Reader
 }
+
+// key is a content address: sha256(salt ‖ 0x1f ‖ fingerprint).
+type key [sha256.Size]byte
+
+// segSuffix names segment files. Anything else in the directory is
+// ignored, including the one-file-per-entry JSON layout of earlier
+// versions, whose jobs recompute.
+const segSuffix = ".seg"
 
 // envelope is the on-disk cache entry format. The fingerprint is
 // retained verbatim so an address-level hash collision (or a salt
@@ -46,22 +84,47 @@ type envelope struct {
 	Payload     json.RawMessage `json:"payload"`
 }
 
+// record locates one envelope inside a segment.
+type record struct {
+	seg *segment
+	off int64 // offset of the envelope
+	n   int64 // envelope length
+}
+
+// segment is the scan state of one segment file.
+type segment struct {
+	f    *os.File
+	size int64 // file size at the last scan
+	next int64 // offset of the first record not yet indexed
+	// broken marks a header or terminator no append can complete: the
+	// segment is not scanned again.
+	broken bool
+	// tail is the key of the incomplete or misframed record at next,
+	// when its header parsed: a torn append, or one still in flight.
+	// tailReported records that a lookup counted it.
+	tail                  key
+	hasTail, tailReported bool
+}
+
 // NewCache returns a cache salted with the given code-version string.
 // A non-empty dir enables the on-disk layer rooted there (created on
 // first store).
 func NewCache(dir, salt string) *Cache {
 	return &Cache{dir: dir, salt: salt,
-		mem: make(map[string]any), raw: make(map[string][]byte)}
+		mem: make(map[key]any), raw: make(map[key][]byte),
+		index: make(map[key][]record), segs: make(map[string]*segment)}
 }
 
 // key computes the content address of a fingerprint under the cache's
 // salt.
-func (c *Cache) key(fingerprint string) string {
+func (c *Cache) key(fingerprint string) key {
 	h := sha256.New()
 	h.Write([]byte(c.salt))
 	h.Write([]byte{0x1f})
 	h.Write([]byte(fingerprint))
-	return hex.EncodeToString(h.Sum(nil))
+	var k key
+	h.Sum(k[:0])
+	return k
 }
 
 // Get looks a fingerprint up, first in memory (decoded values, then
@@ -92,7 +155,7 @@ func (c *Cache) Get(fingerprint string, decode func([]byte) (any, error)) (any, 
 			return v, true
 		}
 		// An undecodable ingested payload degrades to a miss, exactly
-		// like a corrupt disk entry.
+		// like a corrupt disk record.
 		c.mu.Lock()
 		c.corrupt++
 		delete(c.raw, k)
@@ -100,7 +163,12 @@ func (c *Cache) Get(fingerprint string, decode func([]byte) (any, error)) (any, 
 	}
 
 	if c.dir != "" && decode != nil {
-		if v, ok := c.diskGet(k, fingerprint, decode); ok {
+		var v any
+		accept := func(p []byte) (err error) {
+			v, err = decode(p)
+			return err
+		}
+		if c.diskFind(k, fingerprint, accept) {
 			c.mu.Lock()
 			c.mem[k] = v
 			c.hits++
@@ -114,48 +182,92 @@ func (c *Cache) Get(fingerprint string, decode func([]byte) (any, error)) (any, 
 	return nil, false
 }
 
-// readEnvelope reads and parses the disk entry at key, without
-// validating it against any particular fingerprint.
-func (c *Cache) readEnvelope(key string) (envelope, bool) {
-	var env envelope
-	raw, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return env, false
+// diskFind reports whether a disk record for k holds an envelope of
+// fingerprint under this cache's salt whose payload accept (when
+// non-nil) takes. It tries k's indexed records in order, dropping and
+// reporting each unusable one, then refreshes the index once and tries
+// the new ones. A lookup that finds nothing reports the record for k,
+// if any, at which a segment's scan stopped: a torn append.
+func (c *Cache) diskFind(k key, fingerprint string, accept func([]byte) error) bool {
+	for pass := 0; pass < 2; pass++ {
+		if pass > 0 {
+			c.refresh()
+		}
+		c.mu.Lock()
+		recs := c.index[k]
+		c.mu.Unlock()
+		for _, r := range recs {
+			err := c.readRecord(r, fingerprint, accept)
+			if err == nil {
+				return true
+			}
+			if c.drop(k, r) {
+				c.reportCorrupt(k, fingerprint, err)
+			}
+		}
 	}
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return env, false
+	c.scanMu.Lock()
+	torn := 0
+	for _, s := range c.segs {
+		if s.hasTail && !s.tailReported && s.tail == k {
+			s.tailReported = true
+			torn++
+		}
 	}
-	return env, true
+	c.scanMu.Unlock()
+	for i := 0; i < torn; i++ {
+		c.reportCorrupt(k, fingerprint, errors.New("torn or misframed record ends a segment"))
+	}
+	return false
 }
 
-func (c *Cache) diskGet(key, fingerprint string, decode func([]byte) (any, error)) (any, bool) {
-	raw, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil, false // absent: a plain miss
+// readRecord reads r's envelope and checks that it names fingerprint
+// under this cache's salt and, when accept is non-nil, that accept
+// takes its payload.
+func (c *Cache) readRecord(r record, fingerprint string, accept func([]byte) error) error {
+	buf := make([]byte, r.n)
+	if _, err := r.seg.f.ReadAt(buf, r.off); err != nil {
+		return fmt.Errorf("read: %w", err)
 	}
 	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		c.discardCorrupt(key, fingerprint, fmt.Errorf("unmarshal: %w", err))
-		return nil, false
+	if err := json.Unmarshal(buf, &env); err != nil {
+		return fmt.Errorf("unmarshal: %w", err)
 	}
 	if env.Fingerprint != fingerprint || env.Salt != c.salt {
-		c.discardCorrupt(key, fingerprint, errors.New("fingerprint/salt mismatch"))
-		return nil, false
+		return errors.New("fingerprint/salt mismatch")
 	}
-	v, err := decode(env.Payload)
-	if err != nil {
-		c.discardCorrupt(key, fingerprint, fmt.Errorf("decode payload: %w", err))
-		return nil, false
+	if accept != nil {
+		if err := accept(env.Payload); err != nil {
+			return fmt.Errorf("decode payload: %w", err)
+		}
 	}
-	return v, true
+	return nil
 }
 
-// discardCorrupt handles an unreadable disk entry: a truncated write
+// drop removes r from k's indexed records, reporting whether it was
+// still there: of several readers that found r unusable, one drops it.
+// Readers may still hold the old slice, so it is copied, not edited.
+func (c *Cache) drop(k key, r record) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	recs := c.index[k]
+	i := slices.Index(recs, r)
+	switch {
+	case i < 0:
+		return false
+	case len(recs) == 1:
+		delete(c.index, k)
+	default:
+		c.index[k] = slices.Delete(slices.Clone(recs), i, i+1)
+	}
+	return true
+}
+
+// reportCorrupt counts and logs an unusable disk record: a torn append
 // from a killed process, a stale format, or an address collision. The
-// entry is logged, counted, and removed so the job recomputes and the
-// fresh Put overwrites it — corruption degrades to a cache miss, never
-// to a failed job.
-func (c *Cache) discardCorrupt(key, fingerprint string, reason error) {
+// lookup degrades to a miss and the job recomputes, so corruption never
+// fails a job; the bytes stay on disk.
+func (c *Cache) reportCorrupt(k key, fingerprint string, reason error) {
 	c.mu.Lock()
 	c.corrupt++
 	warnf := c.Warnf
@@ -163,9 +275,108 @@ func (c *Cache) discardCorrupt(key, fingerprint string, reason error) {
 	if warnf == nil {
 		warnf = log.Printf
 	}
-	warnf("engine: cache entry %s (fingerprint %q) is corrupt, treating as a miss: %v",
-		key, fingerprint, reason)
-	os.Remove(c.path(key))
+	warnf("engine: cache record %x (fingerprint %q) is corrupt, treating as a miss: %v",
+		k[:], fingerprint, reason)
+}
+
+// refresh indexes the records appended to the directory's segments
+// since the last refresh.
+func (c *Cache) refresh() {
+	c.scanMu.Lock()
+	defer c.scanMu.Unlock()
+	ents, err := os.ReadDir(c.dir)
+	if err != nil {
+		return // no directory yet: nothing stored
+	}
+	if c.scanBuf == nil {
+		c.scanBuf = bufio.NewReaderSize(nil, 16<<10)
+	}
+	add := func(k key, r record) {
+		c.mu.Lock()
+		c.index[k] = append(c.index[k], r)
+		c.mu.Unlock()
+	}
+	for _, e := range ents {
+		name := e.Name()
+		if !e.Type().IsRegular() || !strings.HasSuffix(name, segSuffix) {
+			continue
+		}
+		s := c.segs[name]
+		if s == nil {
+			f, err := os.Open(filepath.Join(c.dir, name))
+			if err != nil {
+				continue
+			}
+			s = &segment{f: f}
+			c.segs[name] = s
+		}
+		s.scan(c.scanBuf, add)
+	}
+}
+
+// scan indexes, through add, the complete records appended to s since
+// its last scan, reading each header and skipping its envelope
+// unparsed. It stops at a record still incomplete, to retry it on the
+// next scan, and for good at a header or terminator that is malformed.
+func (s *segment) scan(br *bufio.Reader, add func(key, record)) {
+	if s.broken {
+		return
+	}
+	fi, err := s.f.Stat()
+	if err != nil || fi.Size() == s.size {
+		return
+	}
+	s.size = fi.Size()
+	br.Reset(io.NewSectionReader(s.f, s.next, s.size-s.next))
+	for s.next < s.size {
+		line, err := br.ReadSlice('\n')
+		if err != nil && err != bufio.ErrBufferFull {
+			return // a header still being appended, or torn
+		}
+		k, n, ok := parseHeader(line)
+		if !ok {
+			s.broken = true
+			return
+		}
+		off := s.next + int64(len(line))
+		s.tail, s.hasTail = k, true
+		if n > s.size-off-1 {
+			return // the envelope is still being appended, or torn
+		}
+		if _, err := br.Discard(int(n)); err != nil {
+			return
+		}
+		if b, err := br.ReadByte(); err != nil || b != '\n' {
+			s.broken = err == nil
+			return
+		}
+		add(k, record{seg: s, off: off, n: n})
+		s.next = off + n + 1
+		s.hasTail, s.tailReported = false, false
+	}
+}
+
+// parseHeader parses a record header line, "<hex key> <length>\n".
+func parseHeader(line []byte) (k key, n int64, ok bool) {
+	const hexLen = 2 * len(k)
+	if len(line) < hexLen+3 || line[hexLen] != ' ' || line[len(line)-1] != '\n' {
+		return k, 0, false
+	}
+	if _, err := hex.Decode(k[:], line[:hexLen]); err != nil {
+		return k, 0, false
+	}
+	u, err := strconv.ParseUint(string(line[hexLen+1:len(line)-1]), 10, 63)
+	return k, int64(u), err == nil
+}
+
+// appendRecord appends env framed as a segment record under k to dst.
+func appendRecord(dst []byte, k key, env []byte) []byte {
+	dst = hex.AppendEncode(dst, k[:])
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(len(env)), 10)
+	dst = append(dst, '\n')
+	dst = append(dst, env...)
+	return append(dst, '\n')
 }
 
 // Put stores a result under a fingerprint. When encode is non-nil and
@@ -192,48 +403,57 @@ func (c *Cache) Put(fingerprint string, v any, encode func(any) ([]byte, error))
 	_ = c.storeDisk(k, fingerprint, payload)
 }
 
-// storeDisk writes one envelope to disk. It is the single disk-write
-// path — Put and IngestResult both funnel through it, which is what
-// makes remotely posted results byte-identical to locally computed
-// ones.
-func (c *Cache) storeDisk(key, fingerprint string, payload []byte) error {
-	raw, err := json.Marshal(envelope{Fingerprint: fingerprint, Salt: c.salt, Payload: payload})
+// storeDisk appends one envelope to this cache's segment. It is the
+// single disk-write path — Put and IngestResult both funnel through
+// it, which is what makes remotely posted results byte-identical to
+// locally computed ones.
+func (c *Cache) storeDisk(k key, fingerprint string, payload []byte) error {
+	env, err := json.Marshal(envelope{Fingerprint: fingerprint, Salt: c.salt, Payload: payload})
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return err
-	}
-	// Write-rename so concurrent readers never observe a torn entry.
-	tmp, err := os.CreateTemp(c.dir, "entry-*.tmp")
+	f, err := c.ownSegment()
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(raw)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
+	// One write per record: a reader sees a record whole, or an
+	// incomplete tail it retries, never two records interleaved.
+	if _, err := f.Write(appendRecord(make([]byte, 0, len(env)+96), k, env)); err != nil {
+		// The failed write may have left a torn record; later appends
+		// go to a fresh segment instead of behind it.
+		c.segMu.Lock()
+		if c.seg == f {
+			c.seg = nil
 		}
-		return cerr
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
+		c.segMu.Unlock()
+		f.Close()
 		return err
 	}
 	return nil
 }
 
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
+// ownSegment returns this cache's segment, creating it on first use.
+func (c *Cache) ownSegment() (*os.File, error) {
+	c.segMu.Lock()
+	defer c.segMu.Unlock()
+	if c.seg == nil {
+		if err := os.MkdirAll(c.dir, 0o755); err != nil {
+			return nil, err
+		}
+		f, err := os.CreateTemp(c.dir, "*"+segSuffix)
+		if err != nil {
+			return nil, err
+		}
+		c.seg = f
+	}
+	return c.seg, nil
 }
 
 // CacheStats reports cache effectiveness counters. Corrupt counts disk
-// entries that could not be read back (torn writes, stale formats) and
-// were discarded as misses. IngestDupes counts IngestResult calls for
-// fingerprints that already had a valid stored result — duplicate wire
-// deliveries absorbed without rewriting the entry.
+// records that could not be read back (torn appends, stale formats,
+// identity mismatches) and were dropped as misses. IngestDupes counts
+// IngestResult calls for fingerprints that already had a valid stored
+// result — duplicate wire deliveries absorbed without storing again.
 type CacheStats struct {
 	Hits, Misses, Stores int
 	Corrupt              int

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -71,12 +72,10 @@ func TestCacheRejectsCorruptEntries(t *testing.T) {
 	c := NewCache(dir, "salt")
 	c.Put("fp", 1.5, encode)
 
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("entries %v err %v", entries, err)
-	}
-	path := filepath.Join(dir, entries[0].Name())
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+	// Replace the segment's one record with a complete record under the
+	// same key whose envelope is not JSON.
+	path := onlySegment(t, dir)
+	if err := os.WriteFile(path, appendRecord(nil, c.key("fp"), []byte("{not json")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fresh := NewCache(dir, "salt")
@@ -95,13 +94,12 @@ func TestCacheEnvelopeFingerprintChecked(t *testing.T) {
 	c := NewCache(dir, "salt")
 	c.Put("fp", 9.0, encode)
 
-	// Rewrite the entry claiming a different fingerprint: the address
+	// Rewrite the record claiming a different fingerprint: the address
 	// matches but the identity check must reject it.
-	entries, _ := os.ReadDir(dir)
-	path := filepath.Join(dir, entries[0].Name())
+	path := onlySegment(t, dir)
 	raw, _ := json.Marshal(envelope{Fingerprint: "other", Salt: "salt",
 		Payload: json.RawMessage("9")})
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	if err := os.WriteFile(path, appendRecord(nil, c.key("fp"), raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fresh := NewCache(dir, "salt")
@@ -109,6 +107,41 @@ func TestCacheEnvelopeFingerprintChecked(t *testing.T) {
 	if _, ok := fresh.Get("fp", decode); ok {
 		t.Fatal("mismatched fingerprint served")
 	}
+	if s := fresh.Stats(); s.Corrupt != 1 {
+		t.Fatalf("Corrupt = %d, want 1", s.Corrupt)
+	}
+}
+
+// onlySegment returns the path of the one file in dir, which must be a
+// segment.
+func onlySegment(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 || filepath.Ext(entries[0].Name()) != segSuffix {
+		t.Fatalf("want one segment in %s, got %v (err %v)", dir, entries, err)
+	}
+	return filepath.Join(dir, entries[0].Name())
+}
+
+// segmentRecords parses a segment's two-line records, failing on any
+// byte that is not part of a complete one.
+func segmentRecords(t *testing.T, path string) map[key][][]byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[key][][]byte{}
+	for len(raw) > 0 {
+		nl := bytes.IndexByte(raw, '\n')
+		k, n, ok := parseHeader(raw[:nl+1])
+		if nl < 0 || !ok || n > int64(len(raw)-nl-2) || raw[nl+1+int(n)] != '\n' {
+			t.Fatalf("%s: malformed record at %q", path, raw[:min(len(raw), 100)])
+		}
+		out[k] = append(out[k], raw[nl+1:nl+1+int(n)])
+		raw = raw[nl+2+int(n):]
+	}
+	return out
 }
 
 func TestNilCacheIsInert(t *testing.T) {
@@ -159,6 +192,8 @@ func TestEngineDiskCacheSkipsRecomputeAcrossEngines(t *testing.T) {
 	}
 }
 
+// TestCacheConcurrentAccess: concurrent Puts and Gets on one cache
+// append every record whole to the cache's one segment.
 func TestCacheConcurrentAccess(t *testing.T) {
 	c := NewCache(t.TempDir(), "salt")
 	encode, decode := jsonCodec()
@@ -179,4 +214,76 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	if _, err := eng.Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
+	recs := segmentRecords(t, onlySegment(t, c.dir))
+	total := 0
+	for i := 0; i < 8; i++ {
+		fp := fmt.Sprintf("fp%d", i)
+		want, _ := json.Marshal(envelope{Fingerprint: fp, Salt: "salt", Payload: json.RawMessage(fmt.Sprint(i))})
+		for _, env := range recs[c.key(fp)] {
+			if !bytes.Equal(env, want) {
+				t.Fatalf("%s: record %s, want %s", fp, env, want)
+			}
+		}
+		total += len(recs[c.key(fp)])
+	}
+	if total != len(jobs) {
+		t.Fatalf("segment holds %d records, want one per Put (%d)", total, len(jobs))
+	}
+}
+
+// BenchmarkCacheDisk times the cache's disk layer at the size of a
+// distributed PaperAnalytic campaign: 700 entries with ~400-byte
+// payloads, a point's size. Put and Ingest store them through one
+// cache into a fresh directory; ColdGet reads a filled directory back
+// through a fresh cache.
+func BenchmarkCacheDisk(b *testing.B) {
+	const n = 700
+	fps := make([]string, n)
+	payloads := make([][]byte, n)
+	for i := range fps {
+		fps[i] = fmt.Sprintf("point(rho=%d,p=%d)", i/35, i%35)
+		vals := make([]float64, 24)
+		for j := range vals {
+			vals[j] = float64(i*24+j) / 7
+		}
+		payloads[i], _ = json.Marshal(vals)
+	}
+	encode := func(v any) ([]byte, error) { return v.([]byte), nil }
+	decode := func(p []byte) (any, error) { return p, nil }
+	store := func(name string, put func(c *Cache, j int)) {
+		b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := NewCache(b.TempDir(), "salt")
+				b.StartTimer()
+				for j := range fps {
+					put(c, j)
+				}
+			}
+		})
+	}
+	store("Put", func(c *Cache, j int) { c.Put(fps[j], payloads[j], encode) })
+	store("Ingest", func(c *Cache, j int) {
+		if err := c.IngestResult(fps[j], payloads[j]); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run(fmt.Sprintf("ColdGet/n=%d", n), func(b *testing.B) {
+		dir := b.TempDir()
+		fill := NewCache(dir, "salt")
+		for j := range fps {
+			fill.Put(fps[j], payloads[j], encode)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := NewCache(dir, "salt")
+			for j := range fps {
+				if _, ok := c.Get(fps[j], decode); !ok {
+					b.Fatalf("cold Get of %s missed", fps[j])
+				}
+			}
+		}
+	})
 }

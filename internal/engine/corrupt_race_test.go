@@ -1,36 +1,58 @@
 package engine
 
 import (
+	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
 
-// corruptEntry plants an unreadable disk entry for fp in c's directory,
-// bypassing the write path (as a torn write from a killed process
-// would).
-func corruptEntry(t *testing.T, c *Cache, fp string) {
+// plantRecord appends env, framed as one complete record under fp's
+// key, to the segment file name in c's directory, bypassing the write
+// path as a damaged or foreign writer would.
+func plantRecord(t *testing.T, c *Cache, name, fp string, env []byte) {
 	t.Helper()
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(c.path(c.key(fp)), []byte(`{"fingerprint":"`), 0o644); err != nil {
+	f, err := os.OpenFile(filepath.Join(c.dir, name), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(appendRecord(nil, c.key(fp), env)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// corruptEntry plants an unreadable record for fp in c's directory (a
+// complete record whose envelope is torn JSON), bypassing the write
+// path. Its segment's name sorts before any writer's (those are
+// decimal numbers without a leading zero), so a fresh cache meets the
+// corrupt record first and must fall through it to a healed one.
+func corruptEntry(t *testing.T, c *Cache, fp string) {
+	t.Helper()
+	plantRecord(t, c, "0-planted"+segSuffix, fp, []byte(`{"fingerprint":"`))
+}
+
 // TestCorruptHealConcurrentReaders exercises the self-healing path
-// under reader concurrency: many goroutines Get a corrupt entry at
+// under reader concurrency: many goroutines Get a corrupt record at
 // once. Every reader must observe a plain miss (never a wrong value,
-// never a panic), the entry must be discarded, and a subsequent Put
-// must heal it for all readers. Run under -race this also pins the
-// heal path's locking.
+// never a panic), the record must be dropped from the index (its bytes
+// stay on disk), and a subsequent Put must heal it for all readers and
+// for a fresh cache over the same directory. Run under -race this also
+// pins the heal path's locking.
 func TestCorruptHealConcurrentReaders(t *testing.T) {
 	encode, decode := testCodec()
 	const fp = "corrupt-concurrent"
 	c := NewCache(t.TempDir(), "s")
 	c.Warnf = func(string, ...any) {} // expected corruption noise
 	corruptEntry(t, c, fp)
+	planted := readDirFiles(t, c.dir)
 
 	const readers = 16
 	var wg sync.WaitGroup
@@ -48,11 +70,17 @@ func TestCorruptHealConcurrentReaders(t *testing.T) {
 	if got := c.Stats().Corrupt; got < 1 {
 		t.Fatalf("Corrupt = %d, want >= 1 discard", got)
 	}
-	if _, err := os.Stat(c.path(c.key(fp))); !os.IsNotExist(err) {
-		t.Fatalf("corrupt entry not removed: %v", err)
+	c.mu.Lock()
+	left := len(c.index[c.key(fp)])
+	c.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("corrupt record not dropped from the index: %d left", left)
+	}
+	if after := readDirFiles(t, c.dir); !reflect.DeepEqual(after, planted) {
+		t.Fatal("a reader rewrote or deleted the corrupt record's segment")
 	}
 
-	// Heal: a recompute's Put rewrites the entry; every reader (and a
+	// Heal: a recompute's Put appends a good record; every reader (and a
 	// fresh cache over the same dir) now sees the healed value.
 	c.Put(fp, 9.75, encode)
 	for i := 0; i < readers; i++ {
@@ -66,6 +94,7 @@ func TestCorruptHealConcurrentReaders(t *testing.T) {
 	}
 	wg.Wait()
 	fresh := NewCache(c.dir, "s")
+	fresh.Warnf = func(string, ...any) {}
 	if v, ok := fresh.Get(fp, decode); !ok || v.(float64) != 9.75 {
 		t.Fatalf("healed entry not durable: %v, %v", v, ok)
 	}
@@ -73,23 +102,18 @@ func TestCorruptHealConcurrentReaders(t *testing.T) {
 
 // TestCorruptHealRaceWithRewrite interleaves the heal (discard +
 // recompute-Put) with concurrent readers of the same key: readers must
-// only ever observe a miss or the healed value. This is the
-// heal-rewrite vs second-reader race the single-reader tests of the
-// fault-tolerance PR left uncovered.
+// only ever observe a miss or the healed value, and the healed record
+// must be durable — a fresh cache over the directory reads it back
+// after every round. Each round uses a new fingerprint, so the memory
+// layers and the index never mask the disk path.
 func TestCorruptHealRaceWithRewrite(t *testing.T) {
 	encode, decode := testCodec()
-	const fp = "heal-rewrite-race"
 	c := NewCache(t.TempDir(), "s")
 	c.Warnf = func(string, ...any) {}
 
 	for round := 0; round < 20; round++ {
+		fp := fmt.Sprintf("heal-rewrite-race-%d", round)
 		corruptEntry(t, c, fp)
-		// Memory layers would mask the disk path after the first heal:
-		// clear them so every round exercises diskGet.
-		c.mu.Lock()
-		c.mem = map[string]any{}
-		c.raw = map[string][]byte{}
-		c.mu.Unlock()
 
 		var wg sync.WaitGroup
 		// One goroutine plays the recomputing worker: it reads (triggering
@@ -114,9 +138,15 @@ func TestCorruptHealRaceWithRewrite(t *testing.T) {
 		}
 		wg.Wait()
 
-		// After the dust settles the entry is healed and readable.
+		// After the dust settles the entry is healed and readable, in
+		// this cache and through a fresh one.
 		if v, ok := c.Get(fp, decode); !ok || v.(float64) != 1.5 {
 			t.Fatalf("round %d: post-heal Get = %v, %v", round, v, ok)
+		}
+		fresh := NewCache(c.dir, "s")
+		fresh.Warnf = func(string, ...any) {}
+		if v, ok := fresh.Get(fp, decode); !ok || v.(float64) != 1.5 {
+			t.Fatalf("round %d: healed entry not durable: fresh Get = %v, %v", round, v, ok)
 		}
 	}
 }

@@ -1,17 +1,25 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"testing"
 )
 
-// FuzzCacheDiskEntry feeds arbitrary bytes to the cache's disk-entry
-// read path as the on-disk entry of one fixed fingerprint: a torn
-// write, a stale format, another salt's entry or plain garbage must
-// degrade to a counted, self-healing miss, and only a well-formed
-// envelope for this fingerprint and salt may ever be served.
+// FuzzCacheDiskEntry feeds arbitrary bytes to the cache's disk read
+// path as a segment in the cache directory. HasResult and Get must
+// never panic and must serve only a complete, well-formed record for
+// one fixed fingerprint and salt. Every other record under its key — a
+// torn tail, a stale format, another fingerprint's or salt's envelope,
+// garbage — must count as Corrupt once, and a record under another key
+// counts nothing. Afterwards a valid ingest must read back from memory
+// and through a fresh cache.
 func FuzzCacheDiskEntry(f *testing.F) {
 	const fp, salt = "fuzz-fingerprint", "fuzz-salt"
 	decode := func(b []byte) (any, error) {
@@ -24,56 +32,109 @@ func FuzzCacheDiskEntry(f *testing.F) {
 		}
 		return *v, nil
 	}
-	f.Fuzz(func(t *testing.T, entry []byte) {
+	f.Fuzz(func(t *testing.T, seg []byte) {
 		c := NewCache(t.TempDir(), salt)
 		c.Warnf = func(string, ...any) {}
-		path := c.path(c.key(fp))
-		if err := os.WriteFile(path, entry, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(c.dir, "fuzz"+segSuffix), seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		want := expectSegment(seg, c.key(fp), fp, salt, decode)
 
-		var env envelope
-		wellFormed := json.Unmarshal(entry, &env) == nil &&
-			env.Fingerprint == fp && env.Salt == salt
-		has := c.HasResult(fp)
-		if has != wellFormed {
-			t.Fatalf("HasResult = %v for an entry whose envelope match is %v", has, wellFormed)
+		if has := c.HasResult(fp); has != want.has {
+			t.Fatalf("HasResult = %v, want %v", has, want.has)
 		}
-		want, decErr := decode(env.Payload)
-		usable := wellFormed && decErr == nil
-
 		v, hit := c.Get(fp, decode)
-		if hit != usable {
-			t.Fatalf("Get hit = %v, want %v (HasResult %v, decode error %v)", hit, usable, has, decErr)
+		if hit != want.hit {
+			t.Fatalf("Get hit = %v, want %v (HasResult %v)", hit, want.hit, want.has)
+		}
+		if hit && v != want.v {
+			t.Fatalf("Get = %v, want the decoded payload %v", v, want.v)
+		}
+		if s := c.Stats(); s.Corrupt != want.corrupt {
+			t.Fatalf("Corrupt = %d, want %d", s.Corrupt, want.corrupt)
 		}
 		if hit {
-			if v != want {
-				t.Fatalf("Get = %v, want the decoded payload %v", v, want)
-			}
-			if s := c.Stats(); s.Corrupt != 0 {
-				t.Fatalf("a usable entry counted as corrupt: %+v", s)
-			}
 			return
 		}
-		if s := c.Stats(); s.Corrupt != 1 {
-			t.Fatalf("Corrupt = %d after an unusable entry, want 1", s.Corrupt)
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("unusable entry not removed: stat err %v", err)
-		}
 		if c.HasResult(fp) {
-			t.Fatal("HasResult true after the unusable entry was discarded")
+			t.Fatal("HasResult true after every record was found unusable")
+		}
+		if s := c.Stats(); s.Corrupt != want.corrupt {
+			t.Fatalf("Corrupt = %d after a second lookup, want %d (each record counts once)", s.Corrupt, want.corrupt)
 		}
 
-		// The slot heals: a valid ingest reads back, from memory and
-		// from disk through a fresh cache.
+		// The key heals: a valid ingest reads back, from memory and from
+		// disk through a fresh cache.
 		if err := c.IngestResult(fp, []byte("2.5")); err != nil {
 			t.Fatal(err)
 		}
-		for _, cache := range []*Cache{c, NewCache(c.dir, salt)} {
+		fresh := NewCache(c.dir, salt)
+		fresh.Warnf = func(string, ...any) {}
+		for _, cache := range []*Cache{c, fresh} {
 			if v, ok := cache.Get(fp, decode); !ok || v != 2.5 {
 				t.Fatalf("ingested payload reads back as %v, %v; want 2.5", v, ok)
 			}
 		}
 	})
+}
+
+// segmentOutcome is what a cache must make of one segment for one
+// fingerprint.
+type segmentOutcome struct {
+	has, hit bool
+	v        any
+	corrupt  int
+}
+
+// recordHeader is the segment record header, "<hex key> <length>\n".
+var recordHeader = regexp.MustCompile(`^([0-9a-fA-F]{64}) ([0-9]+)\n$`)
+
+// expectSegment is the fuzz oracle, written apart from the cache's
+// scanner: it parses seg record by record up to the first one that is
+// malformed or incomplete, and applies the read rules to k's records.
+func expectSegment(seg []byte, k key, fp, salt string, decode func([]byte) (any, error)) segmentOutcome {
+	var envs [][]byte // k's complete records, in order
+	tornK := false    // the scan ends at an unfinished record under k
+	for {
+		nl := bytes.IndexByte(seg, '\n')
+		if nl < 0 {
+			break
+		}
+		m := recordHeader.FindSubmatch(seg[:nl+1])
+		if m == nil {
+			break
+		}
+		n, err := strconv.ParseUint(string(m[2]), 10, 63)
+		if err != nil {
+			break
+		}
+		hk, _ := hex.DecodeString(string(m[1]))
+		body := seg[nl+1:]
+		if n >= uint64(len(body)) || body[n] != '\n' {
+			tornK = bytes.Equal(hk, k[:])
+			break
+		}
+		if bytes.Equal(hk, k[:]) {
+			envs = append(envs, body[:n])
+		}
+		seg = body[n+1:]
+	}
+
+	var out segmentOutcome
+	for i, raw := range envs {
+		var env envelope
+		if json.Unmarshal(raw, &env) != nil || env.Fingerprint != fp || env.Salt != salt {
+			continue
+		}
+		out.has = true
+		if v, err := decode(env.Payload); err == nil {
+			out.hit, out.v, out.corrupt = true, v, i
+			return out
+		}
+	}
+	out.corrupt = len(envs)
+	if tornK {
+		out.corrupt++
+	}
+	return out
 }

@@ -8,8 +8,8 @@ import (
 // ResultSink is the result-ingest surface a remote executor posts
 // through: a coordinator that receives computed payloads over the wire
 // lands them here so they become indistinguishable from locally stored
-// results. *Cache implements it — IngestResult writes the exact disk
-// envelope Put would write, so a campaign merged from remotely posted
+// results. *Cache implements it — IngestResult appends the exact disk
+// record Put would append, so a campaign merged from remotely posted
 // results is byte-identical to one computed in-process.
 type ResultSink interface {
 	// HasResult reports whether a valid stored result exists for the
@@ -22,9 +22,9 @@ type ResultSink interface {
 }
 
 // HasResult implements ResultSink: a fingerprint has a result when it
-// is live in memory (decoded or raw) or readable and well-formed on
-// disk. Corrupt disk entries report false (and are left for the read
-// path's self-healing to discard).
+// is live in memory (decoded or raw) or has a disk record whose
+// envelope names it under this cache's salt. Unusable records met on
+// the way are dropped and counted as on the read path.
 func (c *Cache) HasResult(fingerprint string) bool {
 	if c == nil || fingerprint == "" {
 		return false
@@ -34,29 +34,22 @@ func (c *Cache) HasResult(fingerprint string) bool {
 	_, inMem := c.mem[k]
 	_, inRaw := c.raw[k]
 	c.mu.Unlock()
-	if inMem || inRaw {
-		return true
-	}
-	if c.dir == "" {
-		return false
-	}
-	env, ok := c.readEnvelope(k)
-	return ok && env.Fingerprint == fingerprint && env.Salt == c.salt
+	return inMem || inRaw || (c.dir != "" && c.diskFind(k, fingerprint, nil))
 }
 
 // IngestResult implements ResultSink. The payload is kept in the raw
 // in-memory layer (promoted to a decoded value on the next Get) and,
-// when a directory is configured, written to disk through the same
-// envelope path Put uses — so remotely computed entries are
+// when a directory is configured, appended to disk through the same
+// record path Put uses — so remotely computed entries are
 // byte-identical to local ones.
 //
 // Ingest is idempotent by content addressing: a fingerprint that
-// already has a valid stored result is not rewritten — the duplicate
-// is counted (CacheStats.IngestDupes) and dropped, which keeps a
-// replayed or duplicated wire delivery from ever touching the entry a
-// reader may be holding open. Distributed callers dedupe by job state
-// before ingesting, so a nonzero IngestDupes count means a duplicate
-// slipped past the protocol layer.
+// already has a valid stored result is not stored again — the
+// duplicate is counted (CacheStats.IngestDupes) and dropped, which
+// keeps a replayed or duplicated wire delivery from appending a second
+// record. Distributed callers dedupe by job state before ingesting, so
+// a nonzero IngestDupes count means a duplicate slipped past the
+// protocol layer.
 func (c *Cache) IngestResult(fingerprint string, payload []byte) error {
 	if c == nil {
 		return fmt.Errorf("engine: ingest into a nil cache")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -38,9 +39,9 @@ func readDirFiles(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestIngestByteIdenticalToPut is the remote-execution byte-identity
-// anchor at the cache layer: ingesting the encoded payload produces the
-// exact same disk entry (same file name, same bytes) as a local Put of
-// the computed value.
+// anchor at the cache layer: ingesting the encoded payload appends the
+// exact same disk record (same key, same envelope bytes) as a local Put
+// of the computed value.
 func TestIngestByteIdenticalToPut(t *testing.T) {
 	encode, _ := testCodec()
 	const fp = "job-fingerprint"
@@ -59,27 +60,20 @@ func TestIngestByteIdenticalToPut(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lf, rf := readDirFiles(t, localDir), readDirFiles(t, remoteDir)
-	if len(lf) != 1 || len(rf) != 1 {
-		t.Fatalf("want one entry per dir, got %d and %d", len(lf), len(rf))
+	lb, err := os.ReadFile(onlySegment(t, localDir))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, lb := range lf {
-		rb, ok := rf[name]
-		if !ok {
-			t.Fatalf("ingested entry file name differs: local has %q, remote has %v", name, keys(rf))
-		}
-		if !bytes.Equal(lb, rb) {
-			t.Fatalf("ingested entry differs from local Put:\n%s\nvs\n%s", lb, rb)
-		}
+	rb, err := os.ReadFile(onlySegment(t, remoteDir))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func keys(m map[string][]byte) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
+	if !bytes.HasPrefix(lb, []byte(fmt.Sprintf("%x ", local.key(fp)))) {
+		t.Fatalf("local record is not under the fingerprint's key: %s", lb)
 	}
-	return out
+	if !bytes.Equal(lb, rb) {
+		t.Fatalf("ingested record differs from local Put:\n%s\nvs\n%s", lb, rb)
+	}
 }
 
 func TestIngestHasResultAndGet(t *testing.T) {
@@ -147,9 +141,9 @@ func TestIngestRejectsBadInput(t *testing.T) {
 }
 
 // TestIngestDuplicateAbsorbed: re-ingesting a fingerprint that already
-// has a valid result is a counted no-op — the stored entry is not
-// rewritten (no second disk write a reader could observe mid-rename)
-// and IngestDupes records the absorbed duplicate.
+// has a valid result is a counted no-op — no second record is appended
+// (the segment's bytes are unchanged) and IngestDupes records the
+// absorbed duplicate.
 func TestIngestDuplicateAbsorbed(t *testing.T) {
 	_, decode := testCodec()
 	c := NewCache(t.TempDir(), "s")
@@ -168,8 +162,8 @@ func TestIngestDuplicateAbsorbed(t *testing.T) {
 		t.Fatalf("Stores = %d, want 1 (duplicate must not re-store)", s.Stores)
 	}
 	after := readDirFiles(t, c.dir)
-	if len(before) != 1 || len(after) != 1 {
-		t.Fatalf("entry counts: before %d, after %d", len(before), len(after))
+	if len(before) != 1 || !reflect.DeepEqual(before, after) {
+		t.Fatalf("the duplicate changed the segment: before %q, after %q", before, after)
 	}
 	if v, ok := c.Get("fp", decode); !ok || v.(float64) != 1.5 {
 		t.Fatalf("Get after duplicate ingest = %v, %v", v, ok)

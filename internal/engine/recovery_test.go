@@ -1,12 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -57,9 +57,9 @@ func diskJob(name, key string, fn func(context.Context) (any, error)) JobFunc {
 	}
 }
 
-// TestTornCacheEntryRecovered: a truncated disk entry (a write cut off
-// by a kill) degrades to a miss — logged, counted, recomputed, and
-// overwritten with a good entry — instead of failing the job.
+// TestTornCacheEntryRecovered: a truncated disk record (an append cut
+// off by a kill) degrades to a miss — logged, counted, recomputed, and
+// superseded by a good record — instead of failing the job.
 func TestTornCacheEntryRecovered(t *testing.T) {
 	dir := t.TempDir()
 	var computes atomic.Int64
@@ -74,17 +74,14 @@ func TestTornCacheEntryRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear the entry: keep a prefix of the valid JSON.
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("entries %v err %v", entries, err)
-	}
-	path := filepath.Join(dir, entries[0].Name())
+	// Tear the record: keep its header and a prefix of the valid JSON.
+	path := onlySegment(t, dir)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
+	header := bytes.IndexByte(raw, '\n') + 1
+	if err := os.WriteFile(path, raw[:header+(len(raw)-header)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -108,7 +105,8 @@ func TestTornCacheEntryRecovered(t *testing.T) {
 		t.Errorf("Corrupt = %d, want 1", got)
 	}
 
-	// The recompute's Put healed the entry: a cold cache now hits disk.
+	// The recompute's Put appended a good record: a cold cache now hits
+	// disk.
 	third := NewCache(dir, "salt")
 	res, err := New(Config{Workers: 1, Cache: third}).Run(context.Background(), []Job{job})
 	if err != nil || !res[0].FromCache {

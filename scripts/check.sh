@@ -83,6 +83,16 @@ shard0=$!
 wait "$shard0"
 "$tmp/experiments" -figure fig4 -quick -cache-dir "$tmp/cache" -merge 2 -out "$tmp/merged.txt"
 cmp "$tmp/direct.txt" "$tmp/merged.txt"
+# Each shard process appended its results to one segment of its own,
+# and the merge stored nothing: exactly two files, both segments, and
+# no temp files.
+files="$(ls "$tmp/cache" | wc -l)"
+segments="$(ls "$tmp/cache" | grep -c '\.seg$' || true)"
+[ "$files" -eq 2 ] && [ "$segments" -eq 2 ] || {
+    echo "shard cache holds $files files ($segments segments), want 2 segments:" >&2
+    ls -l "$tmp/cache" >&2
+    exit 1
+}
 
 echo "== tier 2: -skip-sim outside -figure all exits 2"
 set +e
