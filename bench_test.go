@@ -14,6 +14,7 @@ import (
 	"sensornet/internal/engine"
 	"sensornet/internal/experiments"
 	"sensornet/internal/optimize"
+	"sensornet/internal/protocol"
 	"sensornet/internal/sim"
 )
 
@@ -220,7 +221,8 @@ func BenchmarkAblationAsync(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := pre.SimConfig(80)
 				cfg.Seed = int64(i)
-				if _, err := optimize.SweepSim(context.Background(), cfg, []float64{0.2}, pre.Constraints, 2, 0); err != nil {
+				cfg.Protocol = protocol.Probability{P: 0.2}
+				if _, err := sim.RunMany(context.Background(), cfg, 2, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -355,7 +357,6 @@ func BenchmarkEngineCampaign(b *testing.B) {
 	spec.Sim.Runs = 4
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			spec.Workers = workers
 			for i := 0; i < b.N; i++ {
 				figs, err := experiments.RunFigures(context.Background(),
 					engine.New(engine.Config{Workers: workers}), spec, nil, campaignFigures...)

@@ -65,7 +65,7 @@ func main() {
 		skipSim  = flag.Bool("skip-sim", false, "with -figure all: omit the simulated figures")
 		out      = flag.String("out", "", "write the report to a file instead of stdout")
 		csvDir   = flag.String("csv-dir", "", "additionally dump figure series as CSV files into this directory")
-		runs     = flag.Int("runs", 0, "override simulation runs per grid point")
+		runs     = flag.Int("runs", 0, "override simulation runs per grid point (0 = the preset's count)")
 		async    = flag.Bool("async", false, "simulate with unaligned phase grids")
 		workers  = flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
 		timeout  = flag.Duration("timeout", 0, "per-job timeout (0 = none)")
@@ -116,6 +116,14 @@ func main() {
 	defer stopPprof()
 
 	spec := experiments.FigureSpec{DegRho: *degRho, SkipSim: *skipSim}
+	if err := checkRho(*degRho); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments: -deg-rho:", err)
+		os.Exit(2)
+	}
+	if *runs < 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -runs: %d is negative (0 keeps the preset's run count)\n", *runs)
+		os.Exit(2)
+	}
 	if spec.CrashRates, err = parseRates(*crashRates); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: -crash-rates:", err)
 		os.Exit(2)
@@ -212,8 +220,6 @@ func main() {
 		// never-recompute serving contract stays the explicit default.
 		Budget: engine.NewBudget(*serveBudget, *serveBurst, *serveInflight),
 	})
-
-	spec.Workers = eng.Workers()
 
 	// Ctrl-C cancels outstanding jobs and exits cleanly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -613,12 +619,20 @@ func parseRhos(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad density %q: %v", p, err)
 		}
-		if r <= 0 || math.IsInf(r, 0) || math.IsNaN(r) {
-			return nil, fmt.Errorf("density %v not a positive finite number", r)
+		if err := checkRho(r); err != nil {
+			return nil, err
 		}
 		rhos = append(rhos, r)
 	}
 	return rhos, nil
+}
+
+// checkRho rejects a density no deployment can place.
+func checkRho(r float64) error {
+	if !(r > 0) || math.IsInf(r, 1) {
+		return fmt.Errorf("density %v not a positive finite number", r)
+	}
+	return nil
 }
 
 // parseRates parses a comma-separated list of finite rates in [0, 1];

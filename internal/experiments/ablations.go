@@ -23,8 +23,8 @@ type collCell struct {
 	Rate float64 `json:"rate"`
 }
 
-func (c *collCell) add(res *sim.Result, deadline float64) {
-	c.ReachAtL += res.Timeline.ReachabilityAtPhase(deadline)
+func (c *collCell) add(res *sim.Result, levels optimize.Constraints) {
+	c.ReachAtL += res.Timeline.ReachabilityAtPhase(levels.Latency)
 	c.Deliveries += float64(res.Delivered)
 	c.Collisions += float64(res.LostToCollision)
 	if n := res.Delivered + res.LostToCollision; n > 0 {

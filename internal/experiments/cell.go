@@ -4,21 +4,25 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"sensornet/internal/analytic"
 	"sensornet/internal/engine"
+	"sensornet/internal/optimize"
 	"sensornet/internal/sim"
 )
 
 // cell is one replicated cell: the mean, over runs replications, of one
-// simulation configuration's per-run outcomes. Every simulated study
-// besides the surfaces is a keyed set of cells.
+// simulation configuration's per-run outcomes. Every simulated study is
+// a keyed set of cells.
 type cell struct {
 	name, key string
 	cfg       sim.Config
 	runs      int
-	// deadline is the phase at which the cell reads reachability.
-	deadline float64
+	// levels are the constraint levels the cell's aggregate reads its
+	// runs at: every aggregate reads reachability at levels.Latency, and
+	// a surface point also reads Reach and Budget.
+	levels optimize.Constraints
 	// replicate maps replication i to its configuration. Nil keeps sim's
 	// own Seed+i ladder (sim.ReplicationConfig): cells built from one
 	// preset seed then share every replication's deployment (common
@@ -39,11 +43,12 @@ var poolLimit int64 = 256 << 20
 // newPool returns the deployment pool of one job set.
 func newPool() *sim.Pool { return sim.NewPool(poolLimit) }
 
-// aggregate is a study's per-cell mean: add accumulates one run, div
-// divides every sum by the run count once all runs are in.
+// aggregate is a study's per-cell mean: add accumulates one run, read
+// at the cell's constraint levels, and div divides every sum by the run
+// count once all runs are in.
 type aggregate[T any] interface {
 	*T
-	add(res *sim.Result, deadline float64)
+	add(res *sim.Result, levels optimize.Constraints)
 	div(n float64)
 }
 
@@ -61,6 +66,9 @@ func cellJob[T any, A aggregate[T]](c cell) engine.Job {
 		EncodeFn: encodeCell[T],
 		DecodeFn: decodeCell[T],
 		Fn: func(ctx context.Context) (any, error) {
+			if err := checkRuns("a cell", c.runs); err != nil {
+				return nil, err
+			}
 			var agg T
 			for i := 0; i < c.runs; i++ {
 				if err := ctx.Err(); err != nil {
@@ -74,7 +82,7 @@ func cellJob[T any, A aggregate[T]](c cell) engine.Job {
 				if err != nil {
 					return nil, err
 				}
-				A(&agg).add(res, c.deadline)
+				A(&agg).add(res, c.levels)
 			}
 			A(&agg).div(float64(c.runs))
 			return agg, nil
@@ -121,7 +129,8 @@ func cellKey(kind string, cfg sim.Config, model any, parts ...any) string {
 // kind and every one of those inputs (the protocol by its type and
 // exact parameters).
 func keyedCell(kind, name string, cfg sim.Config, runs int, deadline float64, pool *sim.Pool) cell {
-	return cell{name: name, cfg: cfg, runs: runs, deadline: deadline, pool: pool,
+	return cell{name: name, cfg: cfg, runs: runs, pool: pool,
+		levels: optimize.Constraints{Latency: deadline},
 		key: cellKey(kind, cfg, cfg.Model,
 			fmt.Sprintf("%T%v", cfg.Protocol, cfg.Protocol), deadline, runs)}
 }
@@ -230,6 +239,14 @@ func resultValues[T any](results []engine.Result) ([]T, error) {
 func checkRuns(study string, runs int) error {
 	if runs < 1 {
 		return fmt.Errorf("experiments: %s needs Runs >= 1, got %d", study, runs)
+	}
+	return nil
+}
+
+// checkDensity rejects a study density no deployment can place.
+func checkDensity(study string, rho float64) error {
+	if !(rho > 0) || math.IsInf(rho, 1) {
+		return fmt.Errorf("experiments: %s density %g not a positive finite number", study, rho)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"sensornet/internal/engine"
 	"sensornet/internal/faults"
+	"sensornet/internal/optimize"
 	"sensornet/internal/protocol"
 	"sensornet/internal/sim"
 	"sensornet/internal/viz"
@@ -35,9 +36,9 @@ type degCell struct {
 	Depleted float64 `json:"depleted"`
 }
 
-func (c *degCell) add(res *sim.Result, deadline float64) {
+func (c *degCell) add(res *sim.Result, levels optimize.Constraints) {
 	c.Coverage += res.Timeline.FinalReachability()
-	c.ReachAtL += res.Timeline.ReachabilityAtPhase(deadline)
+	c.ReachAtL += res.Timeline.ReachabilityAtPhase(levels.Latency)
 	c.Settle += settlePhase(res.PhaseNew)
 	c.Broadcasts += float64(res.Broadcasts)
 	c.Delivered += float64(res.Delivered)
@@ -79,10 +80,14 @@ func Degradation(ctx context.Context, eng *engine.Engine, pre Preset, rho float6
 // replications' deployments and — because the fault plan's streams
 // derive from the run seed, not the rates — coupled fault draws: at a
 // fixed replication the crashed set at a low rate is a subset of the
-// crashed set at a high one. Every (crash, loss) pair must pass
-// faults.Config.Validate, so a bad rate fails before any job is built.
+// crashed set at a high one. The density must be positive and finite,
+// and every (crash, loss) pair must pass faults.Config.Validate, so a
+// bad density or rate fails before any job is built.
 func degradationStudy(pre Preset, rho float64, crashRates, lossRates []float64) (study, error) {
 	if err := checkRuns("degradation", pre.Runs); err != nil {
+		return nil, err
+	}
+	if err := checkDensity("degradation", rho); err != nil {
 		return nil, err
 	}
 	if len(crashRates) == 0 {
@@ -123,7 +128,7 @@ func degradationStudy(pre Preset, rho float64, crashRates, lossRates []float64) 
 					name: fmt.Sprintf("deg(%s,crash=%g,loss=%g)", s.name, crash, loss),
 					key: cellKey("deg-cell", cfg, cfg.Model, s.name, crash, loss,
 						pre.Constraints.Latency, pre.Runs),
-					cfg: cfg, runs: pre.Runs, deadline: pre.Constraints.Latency, pool: pool,
+					cfg: cfg, runs: pre.Runs, levels: pre.Constraints, pool: pool,
 				}))
 			}
 		}

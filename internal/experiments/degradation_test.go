@@ -56,6 +56,17 @@ func TestDegradationRejectsBadRates(t *testing.T) {
 	}
 }
 
+// TestDegradationRejectsBadDensity: a density no deployment can place
+// fails the job set when it is built, instead of building cells that
+// each fail at run time.
+func TestDegradationRejectsBadDensity(t *testing.T) {
+	for _, rho := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		if _, err := FigureJobs("degradation", FigureSpec{Sim: degPreset(), DegRho: rho}); err == nil {
+			t.Errorf("FigureJobs accepted density %v", rho)
+		}
+	}
+}
+
 // TestDegradationDeterministic: two fresh runs of the study render
 // byte-identical tables and series — the fault plans, deployments, and
 // replication seeds are all pure functions of the preset.

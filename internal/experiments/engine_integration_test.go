@@ -48,7 +48,6 @@ func campaignSpec() experiments.FigureSpec {
 func campaignArtifacts(t *testing.T, workers int) (string, map[string][]byte) {
 	t.Helper()
 	spec := campaignSpec()
-	spec.Workers = workers
 	var report bytes.Buffer
 	figs, err := experiments.RunFigures(context.Background(),
 		engine.New(engine.Config{Workers: workers}), spec, &report, campaignFigures...)
@@ -117,7 +116,7 @@ func TestCampaignOrderStable(t *testing.T) {
 func TestCampaignCancellationMidRun(t *testing.T) {
 	pre := experiments.PaperSim() // big enough to still be running
 	pre.Rhos = []float64{60, 100, 140}
-	spec := experiments.FigureSpec{Analytic: experiments.QuickAnalytic(), Sim: pre, Workers: 4}
+	spec := experiments.FigureSpec{Analytic: experiments.QuickAnalytic(), Sim: pre}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)

@@ -9,6 +9,8 @@ import (
 	"sensornet/internal/analytic"
 	"sensornet/internal/engine"
 	"sensornet/internal/optimize"
+	"sensornet/internal/protocol"
+	"sensornet/internal/sim"
 )
 
 // CacheSalt is the code-version salt mixed into every job fingerprint
@@ -24,6 +26,11 @@ import (
 // v3: the async engine's phase-boundary conventions were unified
 // (boundary-valued receptions attribute to the phase they close, trace
 // slots are node-local), which changes async simulation outputs.
+//
+// The simulated surface's move from per-density rows on a derived
+// deployment stream to pooled per-point cells changed its values
+// without a bump: its jobs took a new key kind, sim-point, which no
+// old entry matches.
 const CacheSalt = "sensornet-exp-v3"
 
 // analyticPointKey fingerprints one analytic surface point: every field
@@ -65,7 +72,8 @@ func fromNullable(p *float64) float64 {
 	return *p
 }
 
-// encodePoints serialises a surface row for the disk cache layer.
+// encodePoints serialises analytic surface points for the disk cache
+// layer.
 func encodePoints(v any) ([]byte, error) {
 	pts, ok := v.([]optimize.Point)
 	if !ok {
@@ -123,8 +131,8 @@ func decodePoints(data []byte) (any, error) {
 // point (one grid probability at one density). Point-level sharding
 // keeps every worker of a wide pool busy even when the preset sweeps
 // few densities, and lets a warmed cache resume a partially computed
-// row. The job's value is a 1-element []optimize.Point so the row cache
-// codec is shared.
+// row. The job's value is a 1-element []optimize.Point, the payload
+// its cache entries have always held.
 func analyticPointJob(pre Preset, rho, p float64) engine.Job {
 	cfg := pre.AnalyticConfig(rho)
 	return engine.JobFunc{
@@ -153,54 +161,129 @@ func analyticPointJobs(pre Preset) []engine.Job {
 	return jobs
 }
 
-// assembleSurface reassembles a surface job set's results, in job
-// order, into a Surface: an analytic surface's point jobs (one 1-point
-// []optimize.Point each, row-major in (Rhos, Grid) order), or a
-// simulated surface's row jobs (one row per density).
-func assembleSurface(pre Preset, simulated bool, results []engine.Result) (*Surface, error) {
-	rows, err := resultValues[[]optimize.Point](results)
-	if err != nil {
-		return nil, err
-	}
-	s := &Surface{Pre: pre, Simulated: simulated}
-	if simulated {
-		s.Points = rows
-		return s, nil
-	}
-	if len(rows) != len(pre.Rhos)*len(pre.Grid) {
-		return nil, fmt.Errorf("experiments: %d point results for a %dx%d surface",
-			len(rows), len(pre.Rhos), len(pre.Grid))
-	}
-	for i := range pre.Rhos {
-		row := make([]optimize.Point, len(pre.Grid))
-		for j, pts := range rows[i*len(pre.Grid) : (i+1)*len(pre.Grid)] {
-			if len(pts) != 1 {
-				return nil, fmt.Errorf("experiments: job %q returned %d points, want 1",
-					results[i*len(pre.Grid)+j].Name, len(pts))
-			}
-			row[j] = pts[0]
+// simPointJobs builds the cell batch of a preset's simulated surface,
+// row-major in (Rhos, Grid) order: one PB_CAM cell per (density,
+// probability) point, keyed by the point and every constraint level.
+// The points of a density share each replication's deployment through
+// pool, so they differ only in protocol coin flips — the pairing the
+// optimizer's argmax wants.
+func simPointJobs(pre Preset, pool *sim.Pool) []engine.Job {
+	c := pre.Constraints
+	jobs := make([]engine.Job, 0, len(pre.Rhos)*len(pre.Grid))
+	for _, rho := range pre.Rhos {
+		for _, p := range pre.Grid {
+			cfg := pre.SimConfig(rho)
+			cfg.Protocol = protocol.Probability{P: p}
+			jobs = append(jobs, cellJob[pointCell](cell{
+				name: fmt.Sprintf("sim-point(rho=%g,p=%g)", rho, p),
+				key: cellKey("sim-point", cfg, cfg.Model, p,
+					c.Latency, c.Reach, c.Budget, pre.Runs),
+				cfg: cfg, runs: pre.Runs, levels: c, pool: pool,
+			}))
 		}
-		s.Points = append(s.Points, row)
 	}
-	return s, nil
+	return jobs
 }
 
-// simRowJob builds the cached job computing one simulated surface row.
-// Replications inside the row run through sim.RunMany bounded by
-// `workers`, so the engine's worker count composes with replication
-// parallelism. The worker count is deliberately excluded from the key:
-// it changes scheduling, never results.
-func simRowJob(pre Preset, rho float64, workers int) engine.Job {
-	cfg := pre.SimConfig(rho)
-	c := pre.Constraints
-	return engine.JobFunc{
-		JobName: fmt.Sprintf("sim-row(rho=%g)", rho),
-		Key: cellKey("sim-row", cfg, cfg.Model,
-			pre.Grid, c.Latency, c.Reach, c.Budget, pre.Runs),
-		EncodeFn: encodePoints,
-		DecodeFn: decodePoints,
-		Fn: func(ctx context.Context) (any, error) {
-			return optimize.SweepSim(ctx, cfg, pre.Grid, c, pre.Runs, workers)
-		},
+// pointCell is the cached aggregate of one simulated surface point: the
+// mean of each metric over the runs, except latency and broadcasts to
+// the reachability target, which average over the runs that reached it
+// and count those runs. Every field is finite; point applies the
+// feasibility rule.
+type pointCell struct {
+	Runs          int     `json:"runs"`
+	ReachAtL      float64 `json:"reachAtL"`
+	Latency       float64 `json:"latency"`
+	LatencyRuns   int     `json:"latencyRuns"`
+	Broadcasts    float64 `json:"broadcasts"`
+	BroadcastRuns int     `json:"broadcastRuns"`
+	ReachAtBudget float64 `json:"reachAtBudget"`
+	SuccessRate   float64 `json:"successRate"`
+	Final         float64 `json:"final"`
+}
+
+func (c *pointCell) add(res *sim.Result, levels optimize.Constraints) {
+	tl := res.Timeline
+	c.ReachAtL += tl.ReachabilityAtPhase(levels.Latency)
+	if l, ok := tl.LatencyToReach(levels.Reach); ok {
+		c.Latency += l
+		c.LatencyRuns++
 	}
+	if b, ok := tl.BroadcastsToReach(levels.Reach); ok {
+		c.Broadcasts += b
+		c.BroadcastRuns++
+	}
+	c.ReachAtBudget += tl.ReachabilityAtBudget(levels.Budget)
+	c.SuccessRate += res.SuccessRate
+	c.Final += tl.FinalReachability()
+}
+
+func (c *pointCell) div(n float64) {
+	c.Runs = int(n)
+	c.ReachAtL /= n
+	if c.LatencyRuns > 0 {
+		c.Latency /= float64(c.LatencyRuns)
+	}
+	if c.BroadcastRuns > 0 {
+		c.Broadcasts /= float64(c.BroadcastRuns)
+	}
+	c.ReachAtBudget /= n
+	c.SuccessRate /= n
+	c.Final /= n
+}
+
+// point reads the cell as the surface point at probability p. Latency
+// and broadcasts read NaN unless at least half the runs reached the
+// target: an operating point that mostly fails its constraint is not a
+// usable optimum.
+func (c pointCell) point(p float64) optimize.Point {
+	majority := func(mean float64, runs int) float64 {
+		if runs < 1 || 2*runs < c.Runs {
+			return math.NaN()
+		}
+		return mean
+	}
+	return optimize.Point{P: p, ReachAtL: c.ReachAtL,
+		Latency:       majority(c.Latency, c.LatencyRuns),
+		Broadcasts:    majority(c.Broadcasts, c.BroadcastRuns),
+		ReachAtBudget: c.ReachAtBudget, SuccessRate: c.SuccessRate, Final: c.Final}
+}
+
+// assembleSurface reassembles a surface job set's results, in job
+// order, into a Surface. Both surfaces are row-major in (Rhos, Grid)
+// order: an analytic point job returns a 1-point []optimize.Point, a
+// simulated one a pointCell.
+func assembleSurface(pre Preset, simulated bool, results []engine.Result) (*Surface, error) {
+	g := len(pre.Grid)
+	if len(results) != len(pre.Rhos)*g {
+		return nil, fmt.Errorf("experiments: %d point results for a %dx%d surface",
+			len(results), len(pre.Rhos), g)
+	}
+	pts := make([]optimize.Point, len(results))
+	if simulated {
+		cells, err := resultValues[pointCell](results)
+		if err != nil {
+			return nil, err
+		}
+		for k, c := range cells {
+			pts[k] = c.point(pre.Grid[k%g])
+		}
+	} else {
+		rows, err := resultValues[[]optimize.Point](results)
+		if err != nil {
+			return nil, err
+		}
+		for k, row := range rows {
+			if len(row) != 1 {
+				return nil, fmt.Errorf("experiments: job %q returned %d points, want 1",
+					results[k].Name, len(row))
+			}
+			pts[k] = row[0]
+		}
+	}
+	s := &Surface{Pre: pre, Simulated: simulated}
+	for i := range pre.Rhos {
+		s.Points = append(s.Points, pts[i*g:(i+1)*g:(i+1)*g])
+	}
+	return s, nil
 }

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"sensornet/internal/engine"
+	"sensornet/internal/metrics"
+	"sensornet/internal/optimize"
+	"sensornet/internal/sim"
 )
 
 // testEngine is a fresh uncached engine for one test's figure.
@@ -277,7 +280,7 @@ func TestSimFiguresQuick(t *testing.T) {
 	if optP[1] > optP[0]+0.2 {
 		t.Fatalf("simulated optimal p rising with density: %v", optP)
 	}
-	f12, err := runStudy(context.Background(), testEngine())(newSuccessStudy(pre, 0))
+	f12, err := runStudy(context.Background(), testEngine())(newSuccessStudy(pre))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +299,7 @@ func TestFig12SimZeroSuccessRate(t *testing.T) {
 	pre.Rhos = []float64{0.04}
 	pre.Grid = []float64{0.5, 1}
 	pre.Runs = 2
-	f, err := runStudy(context.Background(), testEngine())(newSuccessStudy(pre, 1))
+	f, err := runStudy(context.Background(), testEngine())(newSuccessStudy(pre))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,5 +311,79 @@ func TestFig12SimZeroSuccessRate(t *testing.T) {
 	}
 	if cell := f.Tables[0].Rows[0][3]; cell != "-" {
 		t.Errorf("ratio renders as %q, want \"-\"", cell)
+	}
+}
+
+// TestSimSurfacePoolBuildsEachDeploymentOnce: the points of a density
+// share each replication's deployment, so a quick sim surface builds
+// one deployment per (density, replication) and leaves its pool empty.
+func TestSimSurfacePoolBuildsEachDeploymentOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulated surface in -short mode")
+	}
+	pre := QuickSim()
+	pool := newPool()
+	jobs := simPointJobs(pre, pool)
+	if _, err := engine.New(engine.Config{Workers: 2}).Run(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	if st, want := pool.Stats(), (sim.PoolStats{Builds: len(pre.Rhos) * pre.Runs}); st != want {
+		t.Errorf("pool stats %+v, want %+v", st, want)
+	}
+}
+
+// TestSimSurfaceNeedsRuns: a sim preset without replications fails with
+// the run-count error on every path to the surface, before any run.
+func TestSimSurfaceNeedsRuns(t *testing.T) {
+	ctx := context.Background()
+	pre := QuickSim()
+	pre.Runs = 0
+	check := func(path string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "needs Runs >= 1, got 0") {
+			t.Errorf("%s: error %v, want the run-count error", path, err)
+		}
+	}
+	_, err := SimSurfaceCtx(ctx, testEngine(), pre)
+	check("SimSurfaceCtx", err)
+	spec := FigureSpec{Analytic: QuickAnalytic(), Sim: pre}
+	for _, id := range []string{"fig8", "fig12sim"} {
+		_, err = RunFigures(ctx, testEngine(), spec, nil, id)
+		check("RunFigures "+id, err)
+	}
+	_, err = testEngine().Run(ctx, SurfaceJobs(pre, true, 1))
+	check("SurfaceJobs", err)
+}
+
+// TestPointCellMajorityRule: a surface point's latency and broadcasts
+// average over the runs that reached the target, and read NaN unless at
+// least half the runs did.
+func TestPointCellMajorityRule(t *testing.T) {
+	levels := optimize.Constraints{Latency: 1, Reach: 1, Budget: 1}
+	// run reaches everyone at phase latency, or half the nodes.
+	run := func(latency float64, reaches bool) *sim.Result {
+		final := 0.5
+		if reaches {
+			final = 1
+		}
+		return &sim.Result{Timeline: metrics.Timeline{N: 10, Phases: []float64{0, latency},
+			CumReach: []float64{0, final}, CumBroadcasts: []float64{0, 2 * latency}}}
+	}
+	point := func(runs ...*sim.Result) optimize.Point {
+		var c pointCell
+		for _, r := range runs {
+			c.add(r, levels)
+		}
+		c.div(float64(len(runs)))
+		return c.point(0.5)
+	}
+	if pt := point(run(1, true), run(1, false), run(1, false), run(1, false)); !math.IsNaN(pt.Latency) || !math.IsNaN(pt.Broadcasts) {
+		t.Errorf("one feasible run of four: latency %v, broadcasts %v, want NaN", pt.Latency, pt.Broadcasts)
+	}
+	if pt := point(run(1, true), run(3, true), run(2, false)); pt.Latency != 2 || pt.Broadcasts != 4 {
+		t.Errorf("two feasible runs of three: latency %v, broadcasts %v, want 2 and 4", pt.Latency, pt.Broadcasts)
+	}
+	if pt := point(); !math.IsNaN(pt.Latency) || !math.IsNaN(pt.Broadcasts) {
+		t.Errorf("no runs: latency %v, broadcasts %v, want NaN", pt.Latency, pt.Broadcasts)
 	}
 }

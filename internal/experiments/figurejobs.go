@@ -26,9 +26,6 @@ type FigureSpec struct {
 	// SkipSim drops the simulated figures (fig8–fig11 and fig12sim)
 	// from "all".
 	SkipSim bool
-	// Workers bounds replication parallelism inside simulated surface
-	// rows; it never affects job identity.
-	Workers int
 }
 
 // figureRow is one entry of the figure table: a figure ID and the study
@@ -51,7 +48,7 @@ var figureTable = []figureRow{
 	{id: "fig10", study: onSurface(true, plain(Fig10))},
 	{id: "fig11", study: onSurface(true, plain(Fig11))},
 	{id: "fig12", study: onSurface(false, Fig12)},
-	{id: "fig12sim", study: func(s FigureSpec) (study, error) { return newSuccessStudy(s.Sim, s.Workers) }},
+	{id: "fig12sim", study: func(s FigureSpec) (study, error) { return newSuccessStudy(s.Sim) }},
 	{id: "cfm", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) { return CFMBaseline(s.Analytic) })},
 	{id: "carrier", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) { return CarrierSenseAblation(s.Analytic) })},
 	{id: "costfn", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) { return CostFunctions(s.Analytic, 5) })},
@@ -105,8 +102,11 @@ func onSurface(simulated bool, draw surfaceDraw) func(FigureSpec) (study, error)
 		pre := s.Analytic
 		if simulated {
 			pre = s.Sim
+			if err := checkRuns("the simulated surface", pre.Runs); err != nil {
+				return nil, err
+			}
 		}
-		return surfaceStudy{pre: pre, simulated: simulated, workers: s.Workers, draw: draw}, nil
+		return surfaceStudy{pre: pre, simulated: simulated, draw: draw}, nil
 	}
 }
 

@@ -222,16 +222,15 @@ func Fig12(s *Surface) (*FigureResult, error) {
 // simulated surface, for Fig. 8's optimal probability, plus one
 // flooding cell per density, for the success rate it compares with.
 type successStudy struct {
-	pre     Preset
-	workers int
-	cells   []engine.Job
+	pre   Preset
+	cells []engine.Job
 }
 
-func newSuccessStudy(pre Preset, workers int) (study, error) {
+func newSuccessStudy(pre Preset) (study, error) {
 	if err := checkRuns("fig12sim", pre.Runs); err != nil {
 		return nil, err
 	}
-	st := successStudy{pre: pre, workers: workers}
+	st := successStudy{pre: pre}
 	for _, rho := range pre.Rhos {
 		cfg := pre.SimConfig(rho)
 		cfg.Protocol = protocol.Flooding{}
@@ -242,16 +241,16 @@ func newSuccessStudy(pre Preset, workers int) (study, error) {
 }
 
 func (st successStudy) jobs() []engine.Job {
-	return append(SurfaceJobs(st.pre, true, st.workers), st.cells...)
+	return append(SurfaceJobs(st.pre, true, 0), st.cells...)
 }
 
 func (st successStudy) figure(results []engine.Result) (*FigureResult, error) {
-	rows := len(results) - len(st.cells)
-	surf, err := assembleSurface(st.pre, true, results[:rows])
+	points := len(results) - len(st.cells)
+	surf, err := assembleSurface(st.pre, true, results[:points])
 	if err != nil {
 		return nil, err
 	}
-	cells, err := resultValues[schemeCell](results[rows:])
+	cells, err := resultValues[schemeCell](results[points:])
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,8 @@ func FuzzDecodeCell(f *testing.F) {
 		degCell{Coverage: 0.5, ReachAtL: 0.25, Settle: 9, Broadcasts: 120,
 			Delivered: 3000, LostColl: 44, LostFault: 12.5, Crashed: 3.25, Depleted: 0},
 		collCell{ReachAtL: 0.6, Deliveries: 880, Collisions: 140.5, Rate: 0.137},
+		pointCell{Runs: 30, ReachAtL: 0.634, Latency: 4.99, LatencyRuns: 27, Broadcasts: 93.5,
+			BroadcastRuns: 27, ReachAtBudget: 0.555, SuccessRate: 0.21, Final: 0.81},
 	} {
 		b, err := json.Marshal(v)
 		if err != nil {
@@ -28,6 +30,7 @@ func FuzzDecodeCell(f *testing.F) {
 		cellRoundTrip[schemeCell](t, data)
 		cellRoundTrip[degCell](t, data)
 		cellRoundTrip[collCell](t, data)
+		cellRoundTrip[pointCell](t, data)
 	})
 }
 

@@ -47,7 +47,7 @@ func TestExistingJobIdentityPinned(t *testing.T) {
 			"b6afe5f5e02ac10dc4803a8c46fa42c13766f6382feb611a7c0e9107713fc97b"},
 		{"sim-surface",
 			jobsDigest(SurfaceJobs(ps, true, 1)),
-			"a832d424d661879d611763dee1c4e10f2e90d15e0caa8c491a2ed64ea5e770f0"},
+			"2816d87cbfc213d1376b15eb799c34a0ff7e056fd1faa5b05eb3cecf561172df"},
 		{"degradation",
 			jobsDigest(mustJobs(FigureJobs("degradation", FigureSpec{Sim: ps, DegRho: 60}))),
 			"6f8bf749901cd682bc07e57a8e0363ef23f34dd756a8b54ff4eab4838a643448"},

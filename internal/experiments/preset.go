@@ -120,15 +120,14 @@ func AnalyticSurfaceCtx(ctx context.Context, eng *engine.Engine, pre Preset) (*S
 }
 
 // SimSurfaceCtx sweeps the simulator over the preset, submitting one
-// cached job per density to eng; replications inside each row fan out
-// up to the engine's worker bound. For a fixed preset seed the surface
-// is identical for any worker count.
+// cached cell per (density, probability) point to eng. For a fixed
+// preset seed the surface is identical for any worker count.
 func SimSurfaceCtx(ctx context.Context, eng *engine.Engine, pre Preset) (*Surface, error) {
 	return surface(ctx, eng, pre, true)
 }
 
 func surface(ctx context.Context, eng *engine.Engine, pre Preset, simulated bool) (*Surface, error) {
-	results, err := runJobs(ctx, eng, SurfaceJobs(pre, simulated, eng.Workers()))
+	results, err := runJobs(ctx, eng, SurfaceJobs(pre, simulated, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +140,6 @@ func surface(ctx context.Context, eng *engine.Engine, pre Preset, simulated bool
 type surfaceStudy struct {
 	pre       Preset
 	simulated bool
-	workers   int
 	draw      surfaceDraw
 }
 
@@ -149,7 +147,7 @@ type surfaceStudy struct {
 type surfaceDraw func(*Surface) (*FigureResult, error)
 
 func (st surfaceStudy) jobs() []engine.Job {
-	return SurfaceJobs(st.pre, st.simulated, st.workers)
+	return SurfaceJobs(st.pre, st.simulated, 0)
 }
 
 func (st surfaceStudy) figure(results []engine.Result) (*FigureResult, error) {

@@ -24,20 +24,18 @@ func runJobs(ctx context.Context, eng *engine.Engine, jobs []engine.Job) ([]engi
 }
 
 // SurfaceJobs returns the cacheable job set behind a preset's surface —
-// the unit the shard layer distributes. The jobs (and their
-// fingerprints) are exactly those AnalyticSurfaceCtx/SimSurfaceCtx
+// the unit the shard layer distributes: one job per (density,
+// probability) point, row-major in (Rhos, Grid) order. The jobs (and
+// their fingerprints) are exactly those AnalyticSurfaceCtx/SimSurfaceCtx
 // submit, so shard processes and the merge process address the same
-// cache entries. workers bounds the replication parallelism inside each
-// simulated row; it never affects job identity.
+// cache entries. workers is unused: a simulated point runs its
+// replications in turn, and parallelism comes from the engine's
+// workers.
 func SurfaceJobs(pre Preset, simulated bool, workers int) []engine.Job {
-	if !simulated {
-		return analyticPointJobs(pre)
+	if simulated {
+		return simPointJobs(pre, newPool())
 	}
-	jobs := make([]engine.Job, len(pre.Rhos))
-	for i, rho := range pre.Rhos {
-		jobs[i] = simRowJob(pre, rho, workers)
-	}
-	return jobs
+	return analyticPointJobs(pre)
 }
 
 // ShardReport summarises one shard process's pass over a job set.

@@ -302,7 +302,7 @@ func TestFigureTableShardMerge(t *testing.T) {
 	ps.Runs = 2
 	spec := experiments.FigureSpec{Analytic: pa, Sim: ps, DegRho: 40,
 		CrashRates: []float64{0, 0.3}, LossRates: []float64{0, 0.2},
-		ShootRhos: []float64{30}, Workers: 2}
+		ShootRhos: []float64{30}}
 	ctx := context.Background()
 	sharded := 0
 	for _, id := range experiments.FigureIDs() {
@@ -347,7 +347,7 @@ func TestFigureTableShardMerge(t *testing.T) {
 // flooding cell per density, instead of simulating them itself.
 func TestFig12SimMergeNeedsFloodingCells(t *testing.T) {
 	ctx := context.Background()
-	spec := experiments.FigureSpec{Analytic: experiments.QuickAnalytic(), Sim: tinySimPreset(), Workers: 2}
+	spec := experiments.FigureSpec{Analytic: experiments.QuickAnalytic(), Sim: tinySimPreset()}
 	jobs, err := experiments.FigureJobs("fig8", spec)
 	if err != nil {
 		t.Fatal(err)

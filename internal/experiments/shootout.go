@@ -30,9 +30,9 @@ type schemeCell struct {
 	SuccessRate float64 `json:"successRate"`
 }
 
-func (c *schemeCell) add(res *sim.Result, deadline float64) {
+func (c *schemeCell) add(res *sim.Result, levels optimize.Constraints) {
 	c.Coverage += res.Timeline.FinalReachability()
-	c.ReachAtL += res.Timeline.ReachabilityAtPhase(deadline)
+	c.ReachAtL += res.Timeline.ReachabilityAtPhase(levels.Latency)
 	c.Settle += settlePhase(res.PhaseNew)
 	c.Broadcasts += float64(res.Broadcasts)
 	c.Delivered += float64(res.Delivered)
@@ -95,8 +95,8 @@ func newShootStudy(pre Preset, rhos []float64) (*shootStudy, error) {
 		rhos = DefaultShootoutRhos()
 	}
 	for _, rho := range rhos {
-		if rho <= 0 {
-			return nil, fmt.Errorf("experiments: shootout density %g not positive", rho)
+		if err := checkDensity("shootout", rho); err != nil {
+			return nil, err
 		}
 	}
 	pre = capHorizon(pre)
@@ -155,7 +155,7 @@ func (st *shootStudy) cellJob(model channel.Model, rho float64, s shootScheme) e
 	return cellJob[schemeCell](cell{
 		name: fmt.Sprintf("shoot(%s,%s,rho=%g)", model, s.key, rho),
 		key:  cellKey("shoot-cell", cfg, int(model), parts...),
-		cfg:  cfg, runs: st.pre.Runs, deadline: st.pre.Constraints.Latency,
+		cfg:  cfg, runs: st.pre.Runs, levels: st.pre.Constraints,
 		pool: st.pool,
 	})
 }

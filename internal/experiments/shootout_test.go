@@ -142,7 +142,7 @@ func TestShootoutFigureJobsRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	routed, err := FigureJobs("shootout", FigureSpec{Analytic: QuickAnalytic(), Sim: pre,
-		DegRho: 60, ShootRhos: []float64{25, 50}, Workers: 1})
+		DegRho: 60, ShootRhos: []float64{25, 50}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,20 +7,13 @@ import (
 
 // CtxBg flags context.Background() / context.TODO() in internal
 // packages. The engine's cancellation contract (SIGINT aborts a
-// campaign mid-flight, PR 1) only holds if contexts flow down from the
-// caller, so library code must accept a ctx parameter. The one blessed
-// exception is the documented convenience-wrapper pattern, where a
-// function X exists solely to call its context-taking twin:
-//
-//	func RunMany(cfg Config, runs, workers int) (*Aggregate, error) {
-//		return RunManyCtx(context.Background(), cfg, runs, workers)
-//	}
-//
-// A Background()/TODO() call is exempt when it appears as an argument
-// to a call of <X>Ctx or <X>Context (case-insensitive) from inside X.
+// campaign mid-flight) only holds if contexts flow down from the
+// caller, so library code must accept a ctx parameter. APIs are
+// ctx-first: there is no exemption for a context-free wrapper around a
+// …Ctx twin, because the repository keeps no such twins.
 var CtxBg = &Analyzer{
 	Name: "ctxbg",
-	Doc:  "context.Background/TODO in internal code outside the XxxCtx wrapper pattern",
+	Doc:  "context.Background/TODO in internal code",
 	Run:  runCtxBg,
 }
 
@@ -29,53 +22,15 @@ func runCtxBg(p *Pass) {
 		return
 	}
 	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-			// Arguments of calls to this function's Ctx/Context twin
-			// are exempt regions.
-			var exempt []ast.Expr
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok && isCtxTwin(fn.Name.Name, call) {
-					exempt = append(exempt, call.Args...)
-				}
-				return true
-			})
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				name, ok := p.IsPkgCall(call, "context", "Background", "TODO")
-				if !ok {
-					return true
-				}
-				for _, e := range exempt {
-					if call.Pos() >= e.Pos() && call.End() <= e.End() {
-						return true
-					}
-				}
-				p.Reportf(call.Pos(), "context.%s() in internal code: accept a ctx parameter (or add a %sCtx wrapper) so cancellation reaches this call", name, fn.Name.Name)
-				return true
-			})
-		}
+			if name, ok := p.IsPkgCall(call, "context", "Background", "TODO"); ok {
+				p.Reportf(call.Pos(), "context.%s() in internal code: accept a ctx parameter so cancellation reaches this call", name)
+			}
+			return true
+		})
 	}
-}
-
-// isCtxTwin reports whether call invokes the Ctx/Context twin of the
-// function named outer: RunMany → RunManyCtx, Run → (c.)RunContext,
-// SimSuccessRate → simSuccessRateCtx.
-func isCtxTwin(outer string, call *ast.CallExpr) bool {
-	var callee string
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		callee = fun.Name
-	case *ast.SelectorExpr:
-		callee = fun.Sel.Name
-	default:
-		return false
-	}
-	return strings.EqualFold(callee, outer+"Ctx") || strings.EqualFold(callee, outer+"Context")
 }

@@ -1,5 +1,6 @@
 // Package ctxbg is lint testdata: context.Background/TODO in internal
-// code, with the blessed XxxCtx wrapper pattern as the exemption.
+// code. Every call is flagged, a context-free wrapper around a …Ctx
+// twin included: APIs are ctx-first.
 package ctxbg
 
 import "context"
@@ -9,12 +10,12 @@ type runner struct{}
 func (runner) SweepCtx(ctx context.Context, n int) error     { return ctx.Err() }
 func (runner) SweepContext(ctx context.Context, n int) error { return ctx.Err() }
 
-// Sweep is the documented wrapper pattern: allowed.
+// Sweep is a context-free wrapper around its Ctx twin: flagged.
 func (r runner) Sweep(n int) error {
 	return r.SweepCtx(context.Background(), n)
 }
 
-// sweep delegates to the Context-suffixed twin, lower-cased: allowed.
+// sweep wraps the Context-suffixed twin, lower-cased: flagged.
 func sweep(r runner, n int) error {
 	return r.SweepContext(context.Background(), n)
 }
@@ -27,7 +28,7 @@ func Orphan(r runner, n int) error {
 
 // Todo is no better: flagged.
 func Todo(r runner, n int) error {
-	return r.SweepCtx(context.TODO(), n) // wrapper twin is SweepCtx, not TodoCtx: flagged
+	return r.SweepCtx(context.TODO(), n)
 }
 
 // Mismatch delegates to something that is not its own Ctx twin:

@@ -1,10 +1,11 @@
-// Package optimize sweeps the broadcast probability p and locates the
-// optima the paper reports: for each density it finds the p that
-// maximises reachability under a latency constraint (Fig. 4), minimises
-// latency under a reachability constraint (Fig. 5), minimises the
-// broadcast count under a reachability constraint (Fig. 6), and
-// maximises reachability under a broadcast budget (Fig. 7) — and the
-// simulated counterparts (Figs. 8–11).
+// Package optimize sweeps the analytical model over the broadcast
+// probability p and locates the optima the paper reports: for each
+// density it finds the p that maximises reachability under a latency
+// constraint (Fig. 4), minimises latency under a reachability
+// constraint (Fig. 5), minimises the broadcast count under a
+// reachability constraint (Fig. 6), and maximises reachability under a
+// broadcast budget (Fig. 7) — and, on the simulated surfaces the
+// experiments package measures, the counterparts (Figs. 8–11).
 //
 // One model evaluation per grid point yields a full timeline, from which
 // all four metrics are read, so a sweep costs a single pass regardless
@@ -12,16 +13,12 @@
 package optimize
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"sensornet/internal/analytic"
-	"sensornet/internal/deploy"
 	"sensornet/internal/mathx"
 	"sensornet/internal/metrics"
-	"sensornet/internal/protocol"
-	"sensornet/internal/sim"
 )
 
 // Constraints fixes the three constraint levels of §4.1's metrics.
@@ -85,73 +82,6 @@ func SweepAnalytic(base analytic.Config, grid []float64, c Constraints) ([]Point
 		out = append(out, pt)
 	}
 	return out, nil
-}
-
-// SweepSim evaluates the simulator over the probability grid, averaging
-// `runs` random runs per point (metrics are averaged per-run, matching
-// the paper's 30-run averages; infeasible runs are skipped NaN-style).
-// base.Protocol is overridden with PB_CAM at each grid probability.
-//
-// Deployments are common random numbers across the grid: unless
-// base.Deployment pins one explicitly, the sweep samples each
-// replication's deployment once (sim.ReplicationDeployments) and reuses
-// it at every probability, so grid points differ only in protocol coin
-// flips — the variance-reduction pairing the optimizer's argmax wants —
-// and the sweep pays the neighbour-index build once per replication
-// instead of once per (replication, probability) pair.
-//
-// Cancellation is checked between grid points and between replications.
-func SweepSim(ctx context.Context, base sim.Config, grid []float64, c Constraints, runs, workers int) ([]Point, error) {
-	if len(grid) == 0 {
-		return nil, fmt.Errorf("optimize: empty probability grid")
-	}
-	var deps []*deploy.Deployment
-	if base.Deployment == nil {
-		var err error
-		deps, err = sim.ReplicationDeployments(base, runs)
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := make([]Point, 0, len(grid))
-	for _, p := range grid {
-		cfg := base
-		cfg.Protocol = protocol.Probability{P: p}
-		var agg *sim.Aggregate
-		var err error
-		if deps != nil {
-			agg, err = sim.RunManyDeployments(ctx, cfg, deps, workers)
-		} else {
-			agg, err = sim.RunMany(ctx, cfg, runs, workers)
-		}
-		if err != nil {
-			return nil, err
-		}
-		pt := Point{P: p}
-		pt.ReachAtL = metrics.Summarize(agg.ReachabilityAtPhase(c.Latency)).Mean
-		pt.Latency = meanOrNaN(agg.LatencyToReach(c.Reach))
-		pt.Broadcasts = meanOrNaN(agg.BroadcastsToReach(c.Reach))
-		pt.ReachAtBudget = metrics.Summarize(agg.ReachabilityAtBudget(c.Budget)).Mean
-		pt.SuccessRate = metrics.Summarize(agg.SuccessRates()).Mean
-		finals := make([]float64, len(agg.Runs))
-		for i, r := range agg.Runs {
-			finals[i] = r.Timeline.FinalReachability()
-		}
-		pt.Final = metrics.Summarize(finals).Mean
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
-// meanOrNaN averages the feasible samples but reports NaN when fewer
-// than half the runs were feasible: an operating point that mostly
-// fails its constraint is not a usable optimum.
-func meanOrNaN(xs []float64) float64 {
-	s := metrics.Summarize(xs)
-	if s.Count*2 < len(xs) || s.Count == 0 {
-		return math.NaN()
-	}
-	return s.Mean
 }
 
 // Optimum is a located optimal probability and its objective value.

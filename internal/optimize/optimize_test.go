@@ -1,14 +1,11 @@
 package optimize
 
 import (
-	"context"
 	"math"
 	"testing"
 
 	"sensornet/internal/analytic"
-	"sensornet/internal/channel"
 	"sensornet/internal/mathx"
-	"sensornet/internal/sim"
 )
 
 func paperConstraints() Constraints {
@@ -165,49 +162,5 @@ func TestPickAllNaN(t *testing.T) {
 	pts := []Point{{P: 0.1, Latency: math.NaN()}}
 	if _, ok := MinLatency(pts); ok {
 		t.Fatal("all-NaN sweep should report no optimum")
-	}
-}
-
-func TestMeanOrNaNMajorityRule(t *testing.T) {
-	if !math.IsNaN(meanOrNaN([]float64{1, math.NaN(), math.NaN(), math.NaN()})) {
-		t.Fatal("mostly-infeasible samples should be NaN")
-	}
-	if got := meanOrNaN([]float64{1, 3, math.NaN()}); got != 2 {
-		t.Fatalf("majority-feasible mean = %v, want 2", got)
-	}
-	if !math.IsNaN(meanOrNaN(nil)) {
-		t.Fatal("empty should be NaN")
-	}
-}
-
-func TestSweepSimSmall(t *testing.T) {
-	base := sim.Config{P: 4, S: 3, Rho: 30, Model: channel.CAM, Seed: 77}
-	grid := []float64{0.1, 0.5, 1}
-	pts, err := SweepSim(context.Background(), base, grid, Constraints{Latency: 5, Reach: 0.5, Budget: 30}, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	for _, pt := range pts {
-		if pt.ReachAtL < 0 || pt.ReachAtL > 1 {
-			t.Fatalf("reach@L %v outside [0,1]", pt.ReachAtL)
-		}
-		if pt.SuccessRate < 0 || pt.SuccessRate > 1 {
-			t.Fatalf("success rate %v outside [0,1]", pt.SuccessRate)
-		}
-	}
-}
-
-func TestSweepSimEmptyGrid(t *testing.T) {
-	if _, err := SweepSim(context.Background(), sim.Config{P: 4, S: 3, Rho: 30}, nil, Constraints{}, 2, 1); err == nil {
-		t.Fatal("empty grid should error")
-	}
-}
-
-func TestSweepSimPropagatesErrors(t *testing.T) {
-	if _, err := SweepSim(context.Background(), sim.Config{P: 0, S: 3}, []float64{0.5}, Constraints{}, 2, 1); err == nil {
-		t.Fatal("invalid sim config should error")
 	}
 }

@@ -7,6 +7,7 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -276,8 +277,10 @@ func TestServeUnknownRho404(t *testing.T) {
 func TestServeRejectsInvalidShootout(t *testing.T) {
 	pa, ps := testPresets()
 	eng := engine.New(engine.Config{Workers: 1, CacheOnly: true})
-	if _, err := serve.NewCtx(t.Context(), eng, pa, ps, serve.WithShootoutRhos([]float64{-1})); err == nil {
-		t.Error("NewCtx accepted a non-positive shootout density")
+	for _, rho := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := serve.NewCtx(t.Context(), eng, pa, ps, serve.WithShootoutRhos([]float64{rho})); err == nil {
+			t.Errorf("NewCtx accepted shootout density %v", rho)
+		}
 	}
 	ps.Runs = 0
 	if _, err := serve.NewCtx(t.Context(), eng, pa, ps); err == nil {

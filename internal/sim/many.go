@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
-	"sensornet/internal/deploy"
 	"sensornet/internal/engine"
 	"sensornet/internal/metrics"
 )
@@ -24,7 +22,7 @@ type Aggregate struct {
 // ReplicationConfig returns the configuration of replication i.
 // Per-replication seeds Seed..Seed+runs-1 are RunMany's documented
 // public contract (the paper's 30-run averages), and the common-random-
-// numbers ladder the optimizer and the experiment cells rely on.
+// numbers ladder the experiment cells share deployments on.
 func ReplicationConfig(cfg Config, i int) Config {
 	c := cfg
 	//lint:ignore seedderive seeds Seed..Seed+runs-1 are RunMany's documented public contract (paper's 30-run averages)
@@ -45,46 +43,6 @@ func ReplicationConfig(cfg Config, i int) Config {
 // recovery (a panicking replication surfaces as an error instead of
 // crashing the process).
 func RunMany(ctx context.Context, cfg Config, runs, workers int) (*Aggregate, error) {
-	return runMany(ctx, cfg, runs, workers, nil)
-}
-
-// ReplicationDeployments samples the deployment each replication
-// i = 0..runs-1 would use, one per replication, without running
-// anything. The deployment of replication i derives from the
-// replication's own seed (Seed+i) through a dedicated stream, so it is
-// independent of the protocol draws and can be shared across
-// configurations that vary only protocol parameters: running
-// Run(replication i's config with Deployment = deps[i]) for two
-// probabilities compares them on identical fields — common random
-// numbers for the deployment component. SweepSim applies exactly this.
-func ReplicationDeployments(cfg Config, runs int) ([]*deploy.Deployment, error) {
-	if runs <= 0 {
-		return nil, fmt.Errorf("sim: runs must be > 0, got %d", runs)
-	}
-	cfg.applyDefaults()
-	out := make([]*deploy.Deployment, runs)
-	for i := range out {
-		seed := ReplicationConfig(cfg, i).Seed
-		rng := rand.New(rand.NewSource(engine.DeriveSeed(seed, "sim", "deployment")))
-		d, err := deploy.Generate(deployConfig(&cfg), rng)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = d
-	}
-	return out, nil
-}
-
-// RunManyDeployments is RunMany with a pre-sampled deployment per
-// replication (deps[i] for replication i, which keeps seed Seed+i for
-// its protocol draws). The replication count is len(deps). Use
-// ReplicationDeployments to sample the slice once and share it across
-// several RunManyDeployments calls that vary protocol parameters.
-func RunManyDeployments(ctx context.Context, cfg Config, deps []*deploy.Deployment, workers int) (*Aggregate, error) {
-	return runMany(ctx, cfg, len(deps), workers, deps)
-}
-
-func runMany(ctx context.Context, cfg Config, runs, workers int, deps []*deploy.Deployment) (*Aggregate, error) {
 	if runs <= 0 {
 		return nil, fmt.Errorf("sim: runs must be > 0, got %d", runs)
 	}
@@ -101,11 +59,7 @@ func runMany(ctx context.Context, cfg Config, runs, workers int, deps []*deploy.
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			c := ReplicationConfig(cfg, i)
-			if deps != nil {
-				c.Deployment = deps[i]
-			}
-			return Run(c)
+			return Run(ReplicationConfig(cfg, i))
 		})
 	if err != nil {
 		if ctx.Err() != nil {

@@ -103,29 +103,6 @@ func TestSINRMatchesCAMForLoneTransmitters(t *testing.T) {
 	}
 }
 
-// TestSINRReplicationDeploymentsCarryGains pins that the CRN deployment
-// pre-sampling path builds the same gain tables Run would.
-func TestSINRReplicationDeploymentsCarryGains(t *testing.T) {
-	cfg := Config{P: 3, Rho: 15, S: 3, Model: channel.ModelSINR, Seed: 7}
-	deps, err := ReplicationDeployments(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range deps {
-		if d.Gains == nil || d.SensingGains == nil {
-			t.Fatalf("replication %d deployment lacks gain tables", i)
-		}
-		if d.GainAlpha != channel.DefaultSINRParams().Alpha {
-			t.Fatalf("replication %d GainAlpha = %v", i, d.GainAlpha)
-		}
-	}
-	// And the runs accept them.
-	cfg.Deployment = deps[0]
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSINRAsyncLoneTransmittersMatchCAM is the async counterpart of the
 // lone-transmitter equivalence: on a two-node field transmissions never
 // overlap, so the continuous-time SINR engine must hand over the packet

@@ -17,10 +17,13 @@
 # tables (GenerateSINR, at the shootout's densities 40 and 100), the
 # placement replay every pooled run pays instead of a build (Place, at
 # the same densities), an unpooled simulation run that pays a build and
-# the connectivity walk (RunSyncRho60), the CAM and SINR slot
-# resolvers (ResolveSlotDense, ResolveSlotSINR), and the engine cache's
-# disk layer at a distributed analytic campaign's 700 entries: stores
-# through Put and IngestResult, and a cold read-back (CacheDisk).
+# the connectivity walk (RunSyncRho60) and its asynchronous counterpart
+# (RunAsyncRho60), the CAM and SINR slot resolvers (ResolveSlotDense,
+# ResolveSlotSINR), one analytic μ/ring-recursion point (RunRho60) and
+# the optimal-probability law calibration behind the law-tuned schemes
+# (CalibrateLaw), and the engine cache's disk layer at a distributed
+# analytic campaign's 700 entries: stores through Put and IngestResult,
+# and a cold read-back (CacheDisk).
 #
 # The latency tier then boots a real `experiments -serve` over a
 # warmed quick cache, drives it with cmd/loadgen (closed loop, mixed
@@ -37,10 +40,10 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH.json}"
 benchtime="${2:-1x}"
 
-pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkEngineOverhead$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$|BenchmarkGenerateRho60$|BenchmarkGenerateRho140Sensing$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkRunSyncRho60$|BenchmarkResolveSlotDense$|BenchmarkResolveSlotSINR$|BenchmarkCacheDisk$'
+pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkEngineOverhead$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$|BenchmarkGenerateRho60$|BenchmarkGenerateRho140Sensing$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkRunSyncRho60$|BenchmarkRunAsyncRho60$|BenchmarkResolveSlotDense$|BenchmarkResolveSlotSINR$|BenchmarkRunRho60$|BenchmarkCalibrateLaw$|BenchmarkCacheDisk$'
 
 echo "== bench: $pattern (benchtime=$benchtime)" >&2
-go test -run=NONE -bench="$pattern" -benchtime="$benchtime" -benchmem . ./internal/serve/ ./internal/deploy/ ./internal/channel/ ./internal/sim/ ./internal/engine/ |
+go test -run=NONE -bench="$pattern" -benchtime="$benchtime" -benchmem . ./internal/serve/ ./internal/deploy/ ./internal/channel/ ./internal/sim/ ./internal/analytic/ ./internal/engine/ |
 	tee /dev/stderr |
 	awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 		/^Benchmark/ && NF >= 7 {

@@ -101,6 +101,19 @@ skip_rc=$?
 set -e
 [ "$skip_rc" -eq 2 ] || { echo "-figure fig8 -skip-sim exited $skip_rc, want 2" >&2; exit 1; }
 
+echo "== tier 2: a negative -runs or a bad -deg-rho exits 2"
+# -runs 0 keeps the preset's run count; a negative count is a usage
+# error, not a silent default. A density no deployment can place fails
+# before any job is built.
+for args in "-runs -3" "-deg-rho -1" "-deg-rho NaN"; do
+    set +e
+    # shellcheck disable=SC2086
+    "$tmp/experiments" -figure degradation -quick $args >/dev/null 2>&1
+    rc=$?
+    set -e
+    [ "$rc" -eq 2 ] || { echo "-figure degradation $args exited $rc, want 2" >&2; exit 1; }
+done
+
 echo "== tier 2: committed full-report artifacts match a fresh -figure all"
 # report_full.txt and results/ are the paper-preset report EXPERIMENTS.md
 # cites; regenerate both and compare byte for byte, in both directions.
