@@ -170,7 +170,7 @@ func BenchmarkFig12SuccessRate(b *testing.B) {
 func BenchmarkCFMBaseline(b *testing.B) {
 	pre := benchPresetAnalytic()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CFMBaseline(pre); err != nil {
+		if _, err := experiments.CFMBaseline(context.Background(), benchEngine(), pre); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -182,7 +182,7 @@ func BenchmarkCarrierSenseAblation(b *testing.B) {
 	pre := benchPresetAnalytic()
 	pre.Rhos = []float64{80}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CarrierSenseAblation(pre); err != nil {
+		if _, err := experiments.CarrierSenseAblation(context.Background(), benchEngine(), pre); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -247,7 +247,7 @@ func BenchmarkCostFunctions(b *testing.B) {
 	pre := benchPresetAnalytic()
 	pre.Rhos = []float64{20, 60}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CostFunctions(pre, 2); err != nil {
+		if _, err := experiments.CostFunctions(context.Background(), benchEngine(), pre, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -282,7 +282,7 @@ func BenchmarkSlotSweep(b *testing.B) {
 	grid := []float64{0.05, 0.1, 0.2, 0.4, 0.8}
 	c := optimize.Constraints{Latency: 5, Reach: 0.72, Budget: 35}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SlotSweep(80, []int{1, 3, 8}, grid, c); err != nil {
+		if _, err := experiments.SlotSweep(context.Background(), benchEngine(), 80, []int{1, 3, 8}, grid, c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -292,7 +292,7 @@ func BenchmarkSlotSweep(b *testing.B) {
 func BenchmarkFieldScaling(b *testing.B) {
 	c := optimize.Constraints{Latency: 5, Reach: 0.5, Budget: 35}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FieldScaling(80, []int{3, 6, 9}, 0.15, c); err != nil {
+		if _, err := experiments.FieldScaling(context.Background(), benchEngine(), 80, []int{3, 6, 9}, 0.15, c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -341,7 +341,7 @@ func BenchmarkHeterogeneity(b *testing.B) {
 func BenchmarkRefinedCFM(b *testing.B) {
 	pre := benchPresetAnalytic()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RefinedCFM(pre, 2); err != nil {
+		if _, err := experiments.RefinedCFM(context.Background(), benchEngine(), pre, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

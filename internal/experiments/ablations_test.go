@@ -38,7 +38,7 @@ func TestCollisionProfileShape(t *testing.T) {
 func TestSlotSweepShape(t *testing.T) {
 	grid := mathx.Range(0.02, 1, 0.02)
 	c := optimize.Constraints{Latency: 5, Reach: 0.72, Budget: 35}
-	f, err := SlotSweep(80, []int{1, 3, 8}, grid, c)
+	f, err := SlotSweep(context.Background(), testEngine(), 80, []int{1, 3, 8}, grid, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +55,14 @@ func TestSlotSweepShape(t *testing.T) {
 
 func TestSlotSweepErrorPropagation(t *testing.T) {
 	c := optimize.Constraints{Latency: 5, Reach: 0.72, Budget: 35}
-	if _, err := SlotSweep(80, []int{0}, []float64{0.1}, c); err == nil {
+	if _, err := SlotSweep(context.Background(), testEngine(), 80, []int{0}, []float64{0.1}, c); err == nil {
 		t.Fatal("invalid slot count should error")
 	}
 }
 
 func TestFieldScalingLatencyLinear(t *testing.T) {
 	c := optimize.Constraints{Latency: 5, Reach: 0.5, Budget: 35}
-	f, err := FieldScaling(80, []int{3, 6, 9}, 0.15, c)
+	f, err := FieldScaling(context.Background(), testEngine(), 80, []int{3, 6, 9}, 0.15, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestHeterogeneity(t *testing.T) {
 func TestRefinedCFM(t *testing.T) {
 	pre := QuickAnalytic()
 	pre.Rhos = []float64{20, 60, 100}
-	f, err := RefinedCFM(pre, 2)
+	f, err := RefinedCFM(context.Background(), testEngine(), pre, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestMuModeAblation(t *testing.T) {
 	pre := QuickAnalytic()
 	pre.Rhos = []float64{40, 120}
 	pre.Grid = mathx.Range(0.04, 1, 0.04)
-	f, err := MuModeAblation(pre)
+	f, err := MuModeAblation(context.Background(), testEngine(), pre)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,11 +203,11 @@ func unionJobs(studies []study) (jobs []engine.Job, at [][]int) {
 	return jobs, at
 }
 
-// cellStudy is a study whose jobs are cells averaging T: draw turns
-// their aggregates, in job order, into the figure.
+// cellStudy is a study whose jobs are cells holding T: draw turns their
+// values, in job order, into the figure.
 type cellStudy[T any] struct {
 	cells []engine.Job
-	draw  func([]T) *FigureResult
+	draw  func([]T) (*FigureResult, error)
 }
 
 func (st cellStudy[T]) jobs() []engine.Job { return st.cells }
@@ -217,7 +217,7 @@ func (st cellStudy[T]) figure(results []engine.Result) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return st.draw(aggs), nil
+	return st.draw(aggs)
 }
 
 // resultValues reads the typed values out of job results, in job

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 func TestCostFunctionsShape(t *testing.T) {
 	pre := QuickAnalytic()
 	pre.Rhos = []float64{10, 40}
-	f, err := CostFunctions(pre, 3)
+	f, err := CostFunctions(context.Background(), testEngine(), pre, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestCostFunctionsShape(t *testing.T) {
 func TestCostFunctionsSeedsClamped(t *testing.T) {
 	pre := QuickAnalytic()
 	pre.Rhos = []float64{10}
-	if _, err := CostFunctions(pre, 0); err != nil {
+	if _, err := CostFunctions(context.Background(), testEngine(), pre, 0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -133,7 +133,7 @@ func degradationStudy(pre Preset, rho float64, crashRates, lossRates []float64) 
 			}
 		}
 	}
-	return cellStudy[degCell]{cells, func(aggs []degCell) *FigureResult {
+	return cellStudy[degCell]{cells, func(aggs []degCell) (*FigureResult, error) {
 		f := &FigureResult{ID: "degradation",
 			Title:  fmt.Sprintf("Graceful degradation under node crashes and link loss (rho = %g)", rho),
 			Series: map[string][]float64{"crashRates": crashRates, "lossRates": lossRates}}
@@ -170,6 +170,6 @@ func degradationStudy(pre Preset, rho float64, crashRates, lossRates []float64) 
 			fmt.Sprintf("PB probability comes from the calibrated law p* = %.1f/rho", law.C),
 			"replications share seeds across cells (common random numbers) and fault draws are coupled across rates, so the grid is comparable cell to cell",
 			"coverage is cumulative reach: crashed nodes keep their delivered payload, but relay nothing after death")
-		return f
+		return f, nil
 	}}, nil
 }

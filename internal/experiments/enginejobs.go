@@ -33,8 +33,9 @@ import (
 // old entry matches.
 const CacheSalt = "sensornet-exp-v3"
 
-// analyticPointKey fingerprints one analytic surface point: every field
-// of the model config plus the probability and constraint levels.
+// analyticPointKey fingerprints one analytic surface point: every model
+// config field a study sets, plus the probability and constraint
+// levels.
 func analyticPointKey(cfg analytic.Config, p float64, c optimize.Constraints) string {
 	return engine.Fingerprint("analytic-point", CacheSalt,
 		cfg.P, cfg.S, cfg.Rho, cfg.R, cfg.KMode, cfg.BinomialMix,
@@ -42,120 +43,55 @@ func analyticPointKey(cfg analytic.Config, p float64, c optimize.Constraints) st
 		p, c.Latency, c.Reach, c.Budget)
 }
 
-// pointJSON is the NaN-safe serialisation of optimize.Point: the
-// constrained metrics are NaN when infeasible, which encoding/json
-// rejects, so they round-trip as null.
-type pointJSON struct {
-	P             float64  `json:"p"`
-	ReachAtL      *float64 `json:"reachAtL"`
-	Latency       *float64 `json:"latency"`
-	Broadcasts    *float64 `json:"broadcasts"`
-	ReachAtBudget *float64 `json:"reachAtBudget"`
-	SuccessRate   *float64 `json:"successRate"`
-	Final         *float64 `json:"final"`
-}
-
-func toNullable(x float64) (*float64, error) {
-	if math.IsNaN(x) {
-		return nil, nil
-	}
-	if math.IsInf(x, 0) {
-		return nil, fmt.Errorf("experiments: non-cacheable infinite metric")
-	}
-	return &x, nil
-}
-
-func fromNullable(p *float64) float64 {
-	if p == nil {
-		return math.NaN()
-	}
-	return *p
-}
-
 // encodePoints serialises analytic surface points for the disk cache
-// layer.
+// layer, in their one wire shape.
 func encodePoints(v any) ([]byte, error) {
 	pts, ok := v.([]optimize.Point)
 	if !ok {
 		return nil, fmt.Errorf("experiments: expected []optimize.Point, got %T", v)
 	}
-	rows := make([]pointJSON, len(pts))
-	for i, pt := range pts {
-		var err error
-		row := pointJSON{P: pt.P}
-		if row.ReachAtL, err = toNullable(pt.ReachAtL); err != nil {
-			return nil, err
-		}
-		if row.Latency, err = toNullable(pt.Latency); err != nil {
-			return nil, err
-		}
-		if row.Broadcasts, err = toNullable(pt.Broadcasts); err != nil {
-			return nil, err
-		}
-		if row.ReachAtBudget, err = toNullable(pt.ReachAtBudget); err != nil {
-			return nil, err
-		}
-		if row.SuccessRate, err = toNullable(pt.SuccessRate); err != nil {
-			return nil, err
-		}
-		if row.Final, err = toNullable(pt.Final); err != nil {
-			return nil, err
-		}
-		rows[i] = row
-	}
-	return json.Marshal(rows)
+	return json.Marshal(optimize.Wire(pts))
 }
 
 // decodePoints is the inverse of encodePoints.
 func decodePoints(data []byte) (any, error) {
-	var rows []pointJSON
+	var rows []optimize.WirePoint
 	if err := json.Unmarshal(data, &rows); err != nil {
 		return nil, err
 	}
-	pts := make([]optimize.Point, len(rows))
-	for i, row := range rows {
-		pts[i] = optimize.Point{
-			P:             row.P,
-			ReachAtL:      fromNullable(row.ReachAtL),
-			Latency:       fromNullable(row.Latency),
-			Broadcasts:    fromNullable(row.Broadcasts),
-			ReachAtBudget: fromNullable(row.ReachAtBudget),
-			SuccessRate:   fromNullable(row.SuccessRate),
-			Final:         fromNullable(row.Final),
-		}
-	}
-	return pts, nil
+	return optimize.Points(rows), nil
 }
 
-// analyticPointJob builds the cached job computing one analytic surface
-// point (one grid probability at one density). Point-level sharding
-// keeps every worker of a wide pool busy even when the preset sweeps
-// few densities, and lets a warmed cache resume a partially computed
-// row. The job's value is a 1-element []optimize.Point, the payload
-// its cache entries have always held.
-func analyticPointJob(pre Preset, rho, p float64) engine.Job {
-	cfg := pre.AnalyticConfig(rho)
+// analyticPointJob builds the cached job evaluating model cfg at one
+// grid probability. Point-level sharding keeps every worker of a wide
+// pool busy even when a study sweeps few densities, and lets a warmed
+// cache resume a partially computed row. The job's value is a
+// 1-element []optimize.Point, the payload its cache entries have always
+// held.
+func analyticPointJob(cfg analytic.Config, p float64, c optimize.Constraints) engine.Job {
 	return engine.JobFunc{
-		JobName:  fmt.Sprintf("analytic-point(rho=%g,p=%g)", rho, p),
-		Key:      analyticPointKey(cfg, p, pre.Constraints),
+		JobName:  fmt.Sprintf("analytic-point(rho=%g,p=%g)", cfg.Rho, p),
+		Key:      analyticPointKey(cfg, p, c),
 		EncodeFn: encodePoints,
 		DecodeFn: decodePoints,
 		Fn: func(ctx context.Context) (any, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			return optimize.SweepAnalytic(cfg, []float64{p}, pre.Constraints)
+			return optimize.SweepAnalytic(cfg, []float64{p}, c)
 		},
 	}
 }
 
-// analyticPointJobs builds the full point-job batch of a preset's
-// analytic surface, row-major in (Rhos, Grid) order.
-func analyticPointJobs(pre Preset) []engine.Job {
+// analyticPointJobs builds the point-job batch of an analytic surface,
+// row-major in (Rhos, Grid) order: density rho's row evaluates
+// model(rho).
+func analyticPointJobs(pre Preset, model func(rho float64) analytic.Config) []engine.Job {
 	jobs := make([]engine.Job, 0, len(pre.Rhos)*len(pre.Grid))
 	for _, rho := range pre.Rhos {
+		cfg := model(rho)
 		for _, p := range pre.Grid {
-			jobs = append(jobs, analyticPointJob(pre, rho, p))
+			jobs = append(jobs, analyticPointJob(cfg, p, pre.Constraints))
 		}
 	}
 	return jobs

@@ -172,7 +172,7 @@ func TestFig12RatioRoughlyConstant(t *testing.T) {
 }
 
 func TestCFMBaseline(t *testing.T) {
-	f, err := CFMBaseline(QuickAnalytic())
+	f, err := CFMBaseline(context.Background(), testEngine(), QuickAnalytic())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestCarrierSenseAblation(t *testing.T) {
 	pre := QuickAnalytic()
 	pre.Rhos = []float64{40, 100}
 	pre.Grid = pre.Grid[:25] // p <= 0.5 is where the optima live
-	f, err := CarrierSenseAblation(pre)
+	f, err := CarrierSenseAblation(context.Background(), testEngine(), pre)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,5 +385,34 @@ func TestPointCellMajorityRule(t *testing.T) {
 	}
 	if pt := point(); !math.IsNaN(pt.Latency) || !math.IsNaN(pt.Broadcasts) {
 		t.Errorf("no runs: latency %v, broadcasts %v, want NaN", pt.Latency, pt.Broadcasts)
+	}
+}
+
+// TestVariantSurfacesShareFig4Points: cfm's flooding column is fig4's
+// p = 1 column, carrier's plain surface is fig4's surface, and the
+// slots surface at s = 3 is fig4's ρ = 80 row, so a figure list holding
+// them evaluates those points once.
+func TestVariantSurfacesShareFig4Points(t *testing.T) {
+	spec := FigureSpec{Analytic: PaperAnalytic()}
+	fig4 := map[string]bool{}
+	for _, j := range mustJobs(FigureJobs("fig4", spec)) {
+		fig4[j.Fingerprint()] = true
+	}
+	shared := func(id string) (n int) {
+		for _, j := range mustJobs(FigureJobs(id, spec)) {
+			if fig4[j.Fingerprint()] {
+				n++
+			}
+		}
+		return n
+	}
+	if n := shared("cfm"); n != len(spec.Analytic.Rhos) {
+		t.Errorf("cfm shares %d points with fig4, want its p=1 column of %d", n, len(spec.Analytic.Rhos))
+	}
+	if n := shared("carrier"); n != len(fig4) {
+		t.Errorf("carrier shares %d of fig4's %d points", n, len(fig4))
+	}
+	if n := shared("slots"); n != len(spec.Analytic.Grid) {
+		t.Errorf("slots shares %d points with fig4, want its s=3 row of %d", n, len(spec.Analytic.Grid))
 	}
 }

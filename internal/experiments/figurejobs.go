@@ -29,8 +29,7 @@ type FigureSpec struct {
 }
 
 // figureRow is one entry of the figure table: a figure ID and the study
-// that renders it. An analytic-only figure's study has an empty job
-// set.
+// that renders it.
 type figureRow struct {
 	id    string
 	study func(FigureSpec) (study, error)
@@ -49,20 +48,20 @@ var figureTable = []figureRow{
 	{id: "fig11", study: onSurface(true, plain(Fig11))},
 	{id: "fig12", study: onSurface(false, Fig12)},
 	{id: "fig12sim", study: func(s FigureSpec) (study, error) { return newSuccessStudy(s.Sim) }},
-	{id: "cfm", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) { return CFMBaseline(s.Analytic) })},
-	{id: "carrier", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) { return CarrierSenseAblation(s.Analytic) })},
-	{id: "costfn", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) { return CostFunctions(s.Analytic, 5) })},
+	{id: "cfm", study: func(s FigureSpec) (study, error) { return cfmStudy(s.Analytic) }},
+	{id: "carrier", study: func(s FigureSpec) (study, error) { return carrierStudy(s.Analytic) }},
+	{id: "costfn", study: func(s FigureSpec) (study, error) { return costStudy(s.Analytic, 5) }},
 	{id: "percolation", study: func(FigureSpec) (study, error) { return cliPercolation(), nil }},
 	{id: "collisions", study: func(s FigureSpec) (study, error) { return collisionStudy(s.Sim, 100) }},
 	slotsRow(1, 2, 3, 4, 6, 8, 12),
 	fieldRow(3, 5, 8, 12, 16),
 	{id: "schemes", study: func(s FigureSpec) (study, error) { return schemeStudy(s.Sim, []float64{40, 100}) }},
 	{id: "hetero", study: func(s FigureSpec) (study, error) { return heteroStudy(s.Sim, 80) }},
-	{id: "refinedcfm", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) { return RefinedCFM(s.Analytic, 5) })},
+	{id: "refinedcfm", study: func(s FigureSpec) (study, error) { return refinedStudy(s.Analytic, 5) }},
 	{id: "joint", study: func(s FigureSpec) (study, error) {
 		return jointStudy(s.Sim, 100, 15, []int{1, 2, 3, 4, 6, 9})
 	}},
-	{id: "mumode", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) { return MuModeAblation(s.Analytic) })},
+	{id: "mumode", study: func(s FigureSpec) (study, error) { return muModeStudy(s.Analytic) }},
 	{id: "degradation", study: func(s FigureSpec) (study, error) {
 		return degradationStudy(s.Sim, s.DegRho, s.CrashRates, s.LossRates)
 	}},
@@ -83,21 +82,21 @@ var simFigures = []string{"fig8", "fig9", "fig10", "fig11", "fig12sim"}
 
 // slotsRow is the backoff-window sweep over the given slot counts.
 func slotsRow(slots ...int) figureRow {
-	return figureRow{id: "slots", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) {
-		return SlotSweep(80, slots, s.Analytic.Grid, s.Analytic.Constraints)
-	})}
+	return figureRow{id: "slots", study: func(s FigureSpec) (study, error) {
+		return slotStudy(80, slots, s.Analytic.Grid, s.Analytic.Constraints)
+	}}
 }
 
 // fieldRow is the field-radius scaling study over the given radii.
 func fieldRow(fields ...int) figureRow {
-	return figureRow{id: "field", study: analyticOnly(func(s FigureSpec) (*FigureResult, error) {
-		return FieldScaling(80, fields, 0.15, s.Analytic.Constraints)
-	})}
+	return figureRow{id: "field", study: func(s FigureSpec) (study, error) {
+		return fieldStudy(80, fields, 0.15, s.Analytic.Constraints)
+	}}
 }
 
 // onSurface draws a figure from the spec's analytic or simulated
 // surface.
-func onSurface(simulated bool, draw surfaceDraw) func(FigureSpec) (study, error) {
+func onSurface(simulated bool, draw func(*Surface) (*FigureResult, error)) func(FigureSpec) (study, error) {
 	return func(s FigureSpec) (study, error) {
 		pre := s.Analytic
 		if simulated {
@@ -106,30 +105,13 @@ func onSurface(simulated bool, draw surfaceDraw) func(FigureSpec) (study, error)
 				return nil, err
 			}
 		}
-		return surfaceStudy{pre: pre, simulated: simulated, draw: draw}, nil
+		return onSurfaces(simulated, func(s []*Surface) (*FigureResult, error) { return draw(s[0]) }, pre), nil
 	}
 }
 
 // plain lifts a paper figure that cannot fail.
-func plain(fig func(*Surface) *FigureResult) surfaceDraw {
+func plain(fig func(*Surface) *FigureResult) func(*Surface) (*FigureResult, error) {
 	return func(s *Surface) (*FigureResult, error) { return fig(s), nil }
-}
-
-// analyticStudy is an analytic-only figure: its job set is empty, and
-// drawing it evaluates the model directly.
-type analyticStudy func() (*FigureResult, error)
-
-func (analyticStudy) jobs() []engine.Job { return nil }
-
-func (st analyticStudy) figure([]engine.Result) (*FigureResult, error) {
-	return st()
-}
-
-// analyticOnly makes an analytic-only figure a study.
-func analyticOnly(fig func(FigureSpec) (*FigureResult, error)) func(FigureSpec) (study, error) {
-	return func(s FigureSpec) (study, error) {
-		return analyticStudy(func() (*FigureResult, error) { return fig(s) }), nil
-	}
 }
 
 // FigureIDs lists every figure ID FigureJobs and RunFigures accept, in
@@ -205,9 +187,6 @@ func FigureJobs(id string, spec FigureSpec) ([]engine.Job, error) {
 		return nil, err
 	}
 	jobs, _ := unionJobs(studies)
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("figure %q has no cacheable job set to distribute", id)
-	}
 	return jobs, nil
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -282,72 +283,71 @@ func (st successStudy) figure(results []engine.Result) (*FigureResult, error) {
 // CFMBaseline reports the closed-form CFM flooding performance of §4
 // next to the collision-aware analysis, quantifying how misleading CFM
 // is at each density.
-func CFMBaseline(pre Preset) (*FigureResult, error) {
-	f := &FigureResult{ID: "cfm",
-		Title:  "CFM flooding closed forms vs CAM flooding analysis",
-		Series: map[string][]float64{}}
-	t := Table{Title: "flooding under CFM vs CAM"}
-	t.Header = []string{"rho", "CFM reach@5", "CAM reach@5", "CFM broadcasts", "CAM broadcasts to 72%"}
-	var gap []float64
-	for _, rho := range pre.Rhos {
-		cfm := analytic.CFMFlooding(pre.P, rho)
-		cfg := pre.AnalyticConfig(rho)
-		cfg.Prob = 1
-		cam, err := analytic.Run(cfg)
-		if err != nil {
-			return nil, err
+func CFMBaseline(ctx context.Context, eng *engine.Engine, pre Preset) (*FigureResult, error) {
+	return runStudy(ctx, eng)(cfmStudy(pre))
+}
+
+// cfmStudy draws on the flooding column (p = 1) of the preset's
+// analytic surface.
+func cfmStudy(pre Preset) (study, error) {
+	pre.Grid = []float64{1}
+	return onSurfaces(false, func(surfs []*Surface) (*FigureResult, error) {
+		f := &FigureResult{ID: "cfm",
+			Title:  "CFM flooding closed forms vs CAM flooding analysis",
+			Series: map[string][]float64{}}
+		t := Table{Title: "flooding under CFM vs CAM"}
+		t.Header = []string{"rho", "CFM reach@5", "CAM reach@5", "CFM broadcasts", "CAM broadcasts to 72%"}
+		var gap []float64
+		for i, rho := range pre.Rhos {
+			cfm := analytic.CFMFlooding(pre.P, rho)
+			cam := surfs[0].Points[i][0]
+			t.Add(fmt.Sprintf("%g", rho),
+				fmtF(cfm.ReachabilityAtPhase(pre.Constraints.Latency)),
+				fmtF(cam.ReachAtL),
+				fmtF1(cfm.TotalBroadcasts()),
+				fmtF1(cam.Broadcasts))
+			gap = append(gap, 1-cam.ReachAtL)
 		}
-		camReach := cam.Timeline.ReachabilityAtPhase(pre.Constraints.Latency)
-		camB, ok := cam.Timeline.BroadcastsToReach(pre.Constraints.Reach)
-		if !ok {
-			camB = math.NaN()
-		}
-		t.Add(fmt.Sprintf("%g", rho),
-			fmtF(cfm.ReachabilityAtPhase(pre.Constraints.Latency)),
-			fmtF(camReach),
-			fmtF1(cfm.TotalBroadcasts()),
-			fmtF1(camB))
-		gap = append(gap, 1-camReach)
-	}
-	f.Series["collisionLoss"] = gap
-	f.Tables = []Table{t}
-	f.Notes = append(f.Notes,
-		"CFM predicts full coverage in P phases at cost N; CAM exposes the collision collapse that motivates PB_CAM")
-	return f, nil
+		f.Series["collisionLoss"] = gap
+		f.Tables = []Table{t}
+		f.Notes = append(f.Notes,
+			"CFM predicts full coverage in P phases at cost N; CAM exposes the collision collapse that motivates PB_CAM")
+		return f, nil
+	}, pre), nil
 }
 
 // CarrierSenseAblation compares the plain Assumption-6 collision model
 // with the Appendix A carrier-sensing model on the reachability metric.
-func CarrierSenseAblation(pre Preset) (*FigureResult, error) {
-	f := &FigureResult{ID: "carrier",
-		Title:  "Ablation: collision scope (receiver range vs carrier sensing)",
-		Series: map[string][]float64{}}
-	t := Table{Title: "optimal reachability in latency budget, by collision model"}
-	t.Header = []string{"rho", "CAM optimal p", "CAM reach", "CAM+CS optimal p", "CAM+CS reach"}
-	var plainP, csP []float64
-	for _, rho := range pre.Rhos {
-		plainPts, err := optimize.SweepAnalytic(pre.AnalyticConfig(rho), pre.Grid, pre.Constraints)
-		if err != nil {
-			return nil, err
+func CarrierSenseAblation(ctx context.Context, eng *engine.Engine, pre Preset) (*FigureResult, error) {
+	return runStudy(ctx, eng)(carrierStudy(pre))
+}
+
+// carrierStudy draws on the preset's analytic surface and on its
+// carrier-sensing copy.
+func carrierStudy(pre Preset) (study, error) {
+	cs := pre
+	cs.CarrierSense = true
+	return onSurfaces(false, func(surfs []*Surface) (*FigureResult, error) {
+		f := &FigureResult{ID: "carrier",
+			Title:  "Ablation: collision scope (receiver range vs carrier sensing)",
+			Series: map[string][]float64{}}
+		t := Table{Title: "optimal reachability in latency budget, by collision model"}
+		t.Header = []string{"rho", "CAM optimal p", "CAM reach", "CAM+CS optimal p", "CAM+CS reach"}
+		var plainP, csP []float64
+		for i, rho := range pre.Rhos {
+			po, _ := optimize.MaxReachAtLatency(surfs[0].Points[i])
+			co, _ := optimize.MaxReachAtLatency(surfs[1].Points[i])
+			t.Add(fmt.Sprintf("%g", rho),
+				fmt.Sprintf("%.2f", po.P), fmtF(po.Value),
+				fmt.Sprintf("%.2f", co.P), fmtF(co.Value))
+			plainP = append(plainP, po.P)
+			csP = append(csP, co.P)
 		}
-		csCfg := pre.AnalyticConfig(rho)
-		csCfg.CarrierSense = true
-		csPts, err := optimize.SweepAnalytic(csCfg, pre.Grid, pre.Constraints)
-		if err != nil {
-			return nil, err
-		}
-		po, _ := optimize.MaxReachAtLatency(plainPts)
-		co, _ := optimize.MaxReachAtLatency(csPts)
-		t.Add(fmt.Sprintf("%g", rho),
-			fmt.Sprintf("%.2f", po.P), fmtF(po.Value),
-			fmt.Sprintf("%.2f", co.P), fmtF(co.Value))
-		plainP = append(plainP, po.P)
-		csP = append(csP, co.P)
-	}
-	f.Series["optimalP"] = plainP
-	f.Series["optimalPCS"] = csP
-	f.Tables = []Table{t}
-	f.Notes = append(f.Notes,
-		"Appendix A: widening the collision scope shifts the optimum to smaller p but preserves every qualitative trend")
-	return f, nil
+		f.Series["optimalP"] = plainP
+		f.Series["optimalPCS"] = csP
+		f.Tables = []Table{t}
+		f.Notes = append(f.Notes,
+			"Appendix A: widening the collision scope shifts the optimum to smaller p but preserves every qualitative trend")
+		return f, nil
+	}, pre, cs), nil
 }

@@ -60,7 +60,7 @@ func heteroStudy(pre Preset, meanRho float64) (study, error) {
 		}
 		cells = append(cells, cellJob[schemeCell](c))
 	}
-	return cellStudy[schemeCell]{cells, func(aggs []schemeCell) *FigureResult {
+	return cellStudy[schemeCell]{cells, func(aggs []schemeCell) (*FigureResult, error) {
 		t := Table{Title: fmt.Sprintf("hotspot field, mean of %d runs", pre.Runs)}
 		t.Header = []string{"scheme", "final reach", "reach@L", "broadcasts"}
 		var reachAtL []float64
@@ -75,7 +75,7 @@ func heteroStudy(pre Preset, meanRho float64) (study, error) {
 			Tables: []Table{t},
 			Notes: []string{
 				fmt.Sprintf("global PB uses p = %.2f (law-tuned for the mean density); degree-adaptive uses C = %.1f per node", law.P(meanRho), law.C),
-				"per-node adaptation matches the globally tuned probability without ever measuring the field's density — flooding, with the same zero knowledge, collapses"}}
+				"per-node adaptation matches the globally tuned probability without ever measuring the field's density — flooding, with the same zero knowledge, collapses"}}, nil
 	}}, nil
 }
 

@@ -51,7 +51,7 @@ func jointStudy(pre Preset, rho, slotBudget float64, slots []int) (study, error)
 			fmt.Sprintf("joint(s=%d,rho=%g)", s, rho),
 			cfg, pre.Runs, slotBudget/float64(s), pool)))
 	}
-	return cellStudy[schemeCell]{cells, func(aggs []schemeCell) *FigureResult {
+	return cellStudy[schemeCell]{cells, func(aggs []schemeCell) (*FigureResult, error) {
 		t := Table{Title: "analytic optimum per window size, validated by simulation"}
 		t.Header = []string{"s", "best p", "analytic reach", "simulated reach"}
 		var bestPs, anaReach, simReach []float64
@@ -78,6 +78,6 @@ func jointStudy(pre Preset, rho, slotBudget float64, slots []int) (study, error)
 			Tables: []Table{t},
 			Notes: []string{
 				fmt.Sprintf("simulated winner: s = %d with reach %.3f — shorter windows buy more relay rounds per deadline", slots[bestIdx], bestV),
-				"both engines agree on the ordering; the paper's s = 3 is a convention, not an optimum"}}
+				"both engines agree on the ordering; the paper's s = 3 is a convention, not an optimum"}}, nil
 	}}, nil
 }

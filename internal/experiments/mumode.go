@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	"sensornet/internal/analytic"
 	"sensornet/internal/buckets"
+	"sensornet/internal/engine"
 	"sensornet/internal/optimize"
 )
 
@@ -12,56 +15,61 @@ import (
 // sender counts without saying how; this experiment compares the three
 // interpolation modes plus the exact binomial mixture on the Fig. 4
 // optimum at each density.
-func MuModeAblation(pre Preset) (*FigureResult, error) {
-	f := &FigureResult{ID: "mumode",
-		Title:  "Ablation: real-valued mu evaluation mode",
-		Series: map[string][]float64{}}
+func MuModeAblation(ctx context.Context, eng *engine.Engine, pre Preset) (*FigureResult, error) {
+	return runStudy(ctx, eng)(muModeStudy(pre))
+}
 
-	type variant struct {
+// muModeStudy draws on four analytic surfaces of the preset, one per μ
+// evaluation mode.
+func muModeStudy(pre Preset) (study, error) {
+	variants := []struct {
 		name     string
 		mode     buckets.KMode
 		binomial bool
-	}
-	variants := []variant{
+	}{
 		{"linear", buckets.KLinear, false},
 		{"poisson", buckets.KPoisson, false},
 		{"round", buckets.KRound, false},
 		{"binomial", buckets.KLinear, true},
 	}
-
-	t := Table{Title: "Fig. 4 optimum per mode"}
-	t.Header = []string{"rho"}
-	for _, v := range variants {
-		t.Header = append(t.Header, v.name+" p*", v.name+" reach")
-	}
-	for _, v := range variants {
-		f.Series[v.name+"P"] = nil
-		f.Series[v.name+"Reach"] = nil
-	}
-	for _, rho := range pre.Rhos {
-		row := []string{fmt.Sprintf("%g", rho)}
+	st := surfaceStudy{draw: func(surfs []*Surface) (*FigureResult, error) {
+		f := &FigureResult{ID: "mumode",
+			Title:  "Ablation: real-valued mu evaluation mode",
+			Series: map[string][]float64{}}
+		t := Table{Title: "Fig. 4 optimum per mode"}
+		t.Header = []string{"rho"}
 		for _, v := range variants {
-			cfg := pre.AnalyticConfig(rho)
-			cfg.KMode = v.mode
-			cfg.BinomialMix = v.binomial
-			pts, err := optimize.SweepAnalytic(cfg, pre.Grid, pre.Constraints)
-			if err != nil {
-				return nil, err
-			}
-			o, ok := optimize.MaxReachAtLatency(pts)
-			if !ok {
-				row = append(row, "-", "-")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.2f", o.P), fmtF(o.Value))
-			f.Series[v.name+"P"] = append(f.Series[v.name+"P"], o.P)
-			f.Series[v.name+"Reach"] = append(f.Series[v.name+"Reach"], o.Value)
+			t.Header = append(t.Header, v.name+" p*", v.name+" reach")
+			f.Series[v.name+"P"] = nil
+			f.Series[v.name+"Reach"] = nil
 		}
-		t.Add(row...)
+		for i, rho := range pre.Rhos {
+			row := []string{fmt.Sprintf("%g", rho)}
+			for k, v := range variants {
+				o, ok := optimize.MaxReachAtLatency(surfs[k].Points[i])
+				if !ok {
+					row = append(row, "-", "-")
+					continue
+				}
+				row = append(row, fmt.Sprintf("%.2f", o.P), fmtF(o.Value))
+				f.Series[v.name+"P"] = append(f.Series[v.name+"P"], o.P)
+				f.Series[v.name+"Reach"] = append(f.Series[v.name+"Reach"], o.Value)
+			}
+			t.Add(row...)
+		}
+		f.Tables = []Table{t}
+		f.Notes = append(f.Notes,
+			"the evaluation mode shifts the absolute reachability plateau but not its flatness, nor the decreasing shape of the optimal-p curve",
+			"the binomial mixture (exact sender-count law) is the most conservative; linear interpolation is the default")
+		return f, nil
+	}}
+	for _, v := range variants {
+		st.pres = append(st.pres, pre)
+		st.points = append(st.points, analyticPointJobs(pre, func(rho float64) analytic.Config {
+			cfg := pre.AnalyticConfig(rho)
+			cfg.KMode, cfg.BinomialMix = v.mode, v.binomial
+			return cfg
+		})...)
 	}
-	f.Tables = []Table{t}
-	f.Notes = append(f.Notes,
-		"the evaluation mode shifts the absolute reachability plateau but not its flatness, nor the decreasing shape of the optimal-p curve",
-		"the binomial mixture (exact sender-count law) is the most conservative; linear interpolation is the default")
-	return f, nil
+	return st, nil
 }

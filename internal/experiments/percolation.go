@@ -66,7 +66,7 @@ func percolationStudy(p int, grid []float64, runs int, seed int64) study {
 		}
 		cells[i] = cellJob[schemeCell](c)
 	}
-	return cellStudy[schemeCell]{cells, func(aggs []schemeCell) *FigureResult {
+	return cellStudy[schemeCell]{cells, func(aggs []schemeCell) (*FigureResult, error) {
 		f := &FigureResult{ID: "percolation",
 			Title:  "Grid + CFM: the percolation transition of probability-based broadcast",
 			Series: map[string][]float64{"p": grid}}
@@ -90,6 +90,6 @@ func percolationStudy(p int, grid []float64, runs int, seed int64) study {
 			f.Notes = append(f.Notes, "no transition located on this grid")
 		}
 		f.Tables = []Table{t}
-		return f
+		return f, nil
 	}}
 }

@@ -80,8 +80,9 @@ func TestShootoutJobIdentityPinned(t *testing.T) {
 }
 
 // TestCellStudyJobIdentityPinned pins, from birth, the job identity of
-// every study that became a keyed cell-job set, at the paper presets
-// and the CLI's per-figure parameters.
+// every study that became a keyed job set, at the paper presets and the
+// CLI's per-figure parameters: the cell studies, and the analytic
+// studies whose draws swept the model or looped over seeds.
 func TestCellStudyJobIdentityPinned(t *testing.T) {
 	spec := FigureSpec{Analytic: PaperAnalytic(), Sim: PaperSim(), DegRho: 60}
 	for _, tc := range []struct{ figure, want string }{
@@ -90,6 +91,13 @@ func TestCellStudyJobIdentityPinned(t *testing.T) {
 		{"joint", "4623c250b0182c23784051661500636a3e14f1881ed84a484ec2e208d30739a6"},
 		{"collisions", "4473203ddc11c59f060602687d2651c4d1218029073f10494fb794656f9c396d"},
 		{"percolation", "1d25db71c3b9578245dacb2a2393cc58d65f055a47a5f22761b253840afd2c38"},
+		{"cfm", "f58ee285f5e7eb16bbfb6615ab09b8c5d5a77388eed4b03090f7aec9ec501e18"},
+		{"carrier", "bb7774168cd3323ca027e8d2a88b58572af6a5aa52bbc40e221a9afe5b2efca0"},
+		{"costfn", "48648d758e5d05ddbc57b796fb4eef9de213706f884fc37efe801248a2326a01"},
+		{"slots", "ab1c6ad371875c8a26a1a9c6fab03a03784aa0cbc3cf008d53c84a758912a034"},
+		{"field", "564fa28d4859ce0b37744d16e1346ea2eabeef099a28cdd38eb45e00fd4de20b"},
+		{"refinedcfm", "d5e09fafe1514554a38792513e77ee747262b2cf8c6e6c93abc7aa1a61346ec7"},
+		{"mumode", "43e9c68a1f484a97d5373a74dab0c96185ae467349b8881cd1962a50f9838793"},
 	} {
 		got := jobsDigest(mustJobs(FigureJobs(tc.figure, spec)))
 		if got != tc.want {

@@ -134,26 +134,36 @@ func surface(ctx context.Context, eng *engine.Engine, pre Preset, simulated bool
 	return assembleSurface(pre, simulated, results)
 }
 
-// surfaceStudy draws one figure from a preset's analytic or simulated
-// surface: its jobs are the surface's, and its figure assembles the
-// surface and draws on it.
+// surfaceStudy draws one figure from one or more surfaces of one kind:
+// its jobs are each surface's point jobs in turn, and its figure
+// assembles every surface from its share of the results.
 type surfaceStudy struct {
-	pre       Preset
+	pres      []Preset
 	simulated bool
-	draw      surfaceDraw
+	points    []engine.Job
+	draw      func([]*Surface) (*FigureResult, error)
 }
 
-// surfaceDraw draws a figure from a surface.
-type surfaceDraw func(*Surface) (*FigureResult, error)
-
-func (st surfaceStudy) jobs() []engine.Job {
-	return SurfaceJobs(st.pre, st.simulated, 0)
+// onSurfaces is the study drawing on the surfaces of pres.
+func onSurfaces(simulated bool, draw func([]*Surface) (*FigureResult, error), pres ...Preset) surfaceStudy {
+	st := surfaceStudy{pres: pres, simulated: simulated, draw: draw}
+	for _, pre := range pres {
+		st.points = append(st.points, SurfaceJobs(pre, simulated, 0)...)
+	}
+	return st
 }
+
+func (st surfaceStudy) jobs() []engine.Job { return st.points }
 
 func (st surfaceStudy) figure(results []engine.Result) (*FigureResult, error) {
-	surf, err := assembleSurface(st.pre, st.simulated, results)
-	if err != nil {
-		return nil, err
+	surfs := make([]*Surface, len(st.pres))
+	for i, pre := range st.pres {
+		n := min(len(results), len(pre.Rhos)*len(pre.Grid))
+		surf, err := assembleSurface(pre, st.simulated, results[:n])
+		if err != nil {
+			return nil, err
+		}
+		surfs[i], results = surf, results[n:]
 	}
-	return st.draw(surf)
+	return st.draw(surfs)
 }

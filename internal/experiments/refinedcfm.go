@@ -1,13 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"sensornet/internal/analytic"
-	"sensornet/internal/deploy"
 	"sensornet/internal/engine"
 	"sensornet/internal/metrics"
-	"sensornet/internal/reliable"
 )
 
 // RefinedCFM closes the loop the paper's conclusion proposes: measure
@@ -17,72 +16,53 @@ import (
 // predictions of network-wide reliable flooding: the naive CFM (unit
 // costs), the refined CFM (fitted costs), and — as the honest yardstick
 // of how much reliability costs — the measured per-broadcast figures.
-func RefinedCFM(pre Preset, seeds int) (*FigureResult, error) {
-	if seeds < 2 {
-		seeds = 2
-	}
-	f := &FigureResult{ID: "refinedcfm",
-		Title:  "Refined CFM: density-priced collision-free analysis (paper §6)",
-		Series: map[string][]float64{}}
+func RefinedCFM(ctx context.Context, eng *engine.Engine, pre Preset, seeds int) (*FigureResult, error) {
+	return runStudy(ctx, eng)(refinedStudy(pre, seeds))
+}
 
-	// Step 1: measure reliable-broadcast costs per density.
-	var rhos, times, energies []float64
-	for _, rho := range pre.Rhos {
-		var slots, txs []float64
-		for seed := int64(0); seed < int64(seeds); seed++ {
-			// Deployment and ACK streams are derived, not computed: the
-			// former seed*104729+int64(rho) collided whenever two
-			// densities truncated to the same int64 and reused one ACK
-			// stream across every density at a fixed seed.
-			dep, err := deploy.Generate(deploy.Config{P: pre.P, Rho: rho},
-				seededRand(engine.DeriveSeed(seed, "refinedcfm-deploy", rho)))
-			if err != nil {
-				return nil, err
-			}
-			ack, err := reliable.AckBroadcast(dep, 0, reliable.AckConfig{
-				Window: pre.S, Adaptive: true,
-				Seed: engine.DeriveSeed(seed, "refinedcfm-ack", rho),
-			})
-			if err != nil {
-				return nil, err
-			}
-			if ack.Complete {
-				slots = append(slots, float64(ack.Slots))
-				txs = append(txs, float64(ack.Transmissions))
-			}
+// refinedStudy is one ACK cell per density, over at least two
+// deployments.
+func refinedStudy(pre Preset, seeds int) (study, error) {
+	return cellStudy[ackCell]{ackCells("refinedcfm", pre, max(seeds, 2), false), func(aggs []ackCell) (*FigureResult, error) {
+		f := &FigureResult{ID: "refinedcfm",
+			Title:  "Refined CFM: density-priced collision-free analysis (paper §6)",
+			Series: map[string][]float64{}}
+
+		// Step 1: the measured reliable-broadcast costs per density.
+		var times, energies []float64
+		for _, c := range aggs {
+			times = append(times, metrics.Summarize(c.Slots).Mean)
+			energies = append(energies, metrics.Summarize(c.Txs).Mean)
 		}
-		rhos = append(rhos, rho)
-		times = append(times, metrics.Summarize(slots).Mean)
-		energies = append(energies, metrics.Summarize(txs).Mean)
-	}
 
-	// Step 2: fit the cost model.
-	cm, err := analytic.FitCostModel(rhos, times, energies)
-	if err != nil {
-		return nil, err
-	}
+		// Step 2: fit the cost model.
+		cm, err := analytic.FitCostModel(pre.Rhos, times, energies)
+		if err != nil {
+			return nil, err
+		}
 
-	// Step 3: predictions.
-	t := Table{Title: "reliable flooding predictions, naive vs refined CFM"}
-	t.Header = []string{"rho", "naive latency (phases)", "refined latency (phases)",
-		"naive energy (tx)", "refined energy (e_a units)"}
-	var refinedLat []float64
-	for _, rho := range pre.Rhos {
-		naive := analytic.CFMFlooding(pre.P, rho)
-		refined := analytic.CFMFloodingWithCosts(pre.P, pre.S, rho, cm)
-		nl, _ := naive.LatencyToReach(0.99)
-		rl, _ := refined.LatencyToReach(0.99)
-		t.Add(fmt.Sprintf("%g", rho), fmtF1(nl), fmtF1(rl),
-			fmtF1(naive.TotalBroadcasts()), fmtF1(refined.TotalBroadcasts()))
-		refinedLat = append(refinedLat, rl)
-	}
-	f.Series["refinedLatency"] = refinedLat
-	f.Series["fitTimeAt100"] = []float64{cm.Time(100)}
-	f.Series["fitEnergyAt100"] = []float64{cm.Energy(100)}
-	f.Tables = []Table{t}
-	f.Notes = append(f.Notes,
-		fmt.Sprintf("fitted cost functions: t_f(100) = %.0f slots, e_f(100) = %.0f transmissions per reliable broadcast",
-			cm.Time(100), cm.Energy(100)),
-		"the refined CFM keeps collision-free programming semantics while exposing the density pressure the naive CFM hides")
-	return f, nil
+		// Step 3: predictions.
+		t := Table{Title: "reliable flooding predictions, naive vs refined CFM"}
+		t.Header = []string{"rho", "naive latency (phases)", "refined latency (phases)",
+			"naive energy (tx)", "refined energy (e_a units)"}
+		var refinedLat []float64
+		for _, rho := range pre.Rhos {
+			naive := analytic.CFMFlooding(pre.P, rho)
+			refined := analytic.CFMFloodingWithCosts(pre.P, pre.S, rho, cm)
+			nl, _ := naive.LatencyToReach(0.99)
+			rl, _ := refined.LatencyToReach(0.99)
+			t.Add(fmt.Sprintf("%g", rho), fmtF1(nl), fmtF1(rl),
+				fmtF1(naive.TotalBroadcasts()), fmtF1(refined.TotalBroadcasts()))
+			refinedLat = append(refinedLat, rl)
+		}
+		f.Series["refinedLatency"] = refinedLat
+		f.Series["fitTimeAt100"] = []float64{cm.Time(100)}
+		f.Series["fitEnergyAt100"] = []float64{cm.Energy(100)}
+		f.Tables = []Table{t}
+		f.Notes = append(f.Notes,
+			fmt.Sprintf("fitted cost functions: t_f(100) = %.0f slots, e_f(100) = %.0f transmissions per reliable broadcast",
+				cm.Time(100), cm.Energy(100)),
+			"the refined CFM keeps collision-free programming semantics while exposing the density pressure the naive CFM hides")
+		return f, nil
+	}}, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -49,14 +50,14 @@ func TestRefinedCFMRuns(t *testing.T) {
 	pre := QuickAnalytic()
 	pre.Rhos = []float64{20, 40, 60}
 
-	a, err := RefinedCFM(pre, 2)
+	a, err := RefinedCFM(context.Background(), testEngine(), pre, 2)
 	if err != nil {
 		t.Fatalf("RefinedCFM: %v", err)
 	}
 	if got := len(a.Series["refinedLatency"]); got != len(pre.Rhos) {
 		t.Fatalf("refinedLatency has %d samples, want %d", got, len(pre.Rhos))
 	}
-	b, err := RefinedCFM(pre, 2)
+	b, err := RefinedCFM(context.Background(), testEngine(), pre, 2)
 	if err != nil {
 		t.Fatalf("RefinedCFM (repeat): %v", err)
 	}

@@ -48,7 +48,7 @@ func schemeStudy(pre Preset, rhos []float64) (study, error) {
 				cfg, pre.Runs, pre.Constraints.Latency, pool)))
 		}
 	}
-	return cellStudy[schemeCell]{cells, func(aggs []schemeCell) *FigureResult {
+	return cellStudy[schemeCell]{cells, func(aggs []schemeCell) (*FigureResult, error) {
 		f := &FigureResult{ID: "schemes",
 			Title:  "Broadcast scheme comparison under CAM",
 			Series: map[string][]float64{"lawC": {law.C}}}
@@ -66,6 +66,6 @@ func schemeStudy(pre Preset, rhos []float64) (study, error) {
 		f.Notes = append(f.Notes,
 			fmt.Sprintf("PB probability and the degree-adaptive constant come from the calibrated law p* = %.1f/rho", law.C),
 			"the adaptive schemes need no global density knowledge yet track the tuned PB operating point")
-		return f
+		return f, nil
 	}}, nil
 }

@@ -35,7 +35,7 @@ func SurfaceJobs(pre Preset, simulated bool, workers int) []engine.Job {
 	if simulated {
 		return simPointJobs(pre, newPool())
 	}
-	return analyticPointJobs(pre)
+	return analyticPointJobs(pre, pre.AnalyticConfig)
 }
 
 // ShardReport summarises one shard process's pass over a job set.

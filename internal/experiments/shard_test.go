@@ -287,11 +287,11 @@ func TestShardedEngineRefusesSurfaceAssembly(t *testing.T) {
 	}
 }
 
-// TestFigureTableShardMerge: every figure with a job set, "all"
-// included, survives the shard/merge split. Two shard processes fill
-// one cache from FigureJobs, and a cache-only engine then renders the
-// figure byte-identically to a direct run, never missing a job and
-// running none.
+// TestFigureTableShardMerge: every figure, "all" included, survives the
+// shard/merge split. Two shard processes fill one cache from
+// FigureJobs, and a cache-only engine then renders the figure
+// byte-identically to a direct run, never missing a job and running
+// none.
 func TestFigureTableShardMerge(t *testing.T) {
 	pa := experiments.QuickAnalytic()
 	pa.Rhos = []float64{20, 100}
@@ -308,10 +308,10 @@ func TestFigureTableShardMerge(t *testing.T) {
 	for _, id := range experiments.FigureIDs() {
 		jobs, err := experiments.FigureJobs(id, spec)
 		if err != nil {
-			if strings.Contains(err.Error(), "no cacheable job set") {
-				continue // analytic-only: nothing to shard
-			}
 			t.Fatalf("%s: %v", id, err)
+		}
+		if len(jobs) == 0 {
+			t.Fatalf("%s: empty job set", id)
 		}
 		sharded++
 		var direct, merged bytes.Buffer
@@ -335,9 +335,9 @@ func TestFigureTableShardMerge(t *testing.T) {
 			t.Errorf("%s: merge engine ran %d jobs, want 0 (stats %+v)", id, s.Ran, s)
 		}
 	}
-	// Ten surface figures, seven cell studies, and "all".
-	if sharded != 18 {
-		t.Errorf("%d figures have a job set, want 18", sharded)
+	// Every figure table row, and "all".
+	if sharded != 25 {
+		t.Errorf("%d figures have a job set, want 25", sharded)
 	}
 }
 

@@ -1,10 +1,9 @@
-// Package export serialises experiment results to CSV and JSON so the
+// Package export serialises experiment results to CSV so the
 // regenerated figures can be plotted or diffed outside this repository.
 package export
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,36 +13,6 @@ import (
 	"sensornet/internal/experiments"
 	"sensornet/internal/metrics"
 )
-
-// SurfaceCSV writes a (density × probability) metric surface as tidy
-// CSV: one row per (rho, p) pair with all metric columns. NaN values
-// (infeasible constrained metrics) serialise as empty cells.
-func SurfaceCSV(w io.Writer, s *experiments.Surface) error {
-	if s == nil {
-		return errors.New("export: nil surface")
-	}
-	cw := csv.NewWriter(w)
-	header := []string{"rho", "p", "reach_at_latency", "latency",
-		"broadcasts", "reach_at_budget", "success_rate", "final_reach"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for i, rho := range s.Pre.Rhos {
-		for _, pt := range s.Points[i] {
-			row := []string{
-				formatF(rho), formatF(pt.P), formatF(pt.ReachAtL),
-				formatF(pt.Latency), formatF(pt.Broadcasts),
-				formatF(pt.ReachAtBudget), formatF(pt.SuccessRate),
-				formatF(pt.Final),
-			}
-			if err := cw.Write(row); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
 
 // SeriesCSV writes a figure's named series as columns over the preset's
 // density axis: one row per density, one column per series (sorted by
@@ -93,45 +62,6 @@ func TimelineCSV(w io.Writer, tl metrics.Timeline) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// figureJSON is the stable JSON shape of a figure result.
-type figureJSON struct {
-	ID     string               `json:"id"`
-	Title  string               `json:"title"`
-	Series map[string][]float64 `json:"series"`
-	Notes  []string             `json:"notes,omitempty"`
-}
-
-// FigureJSON writes a figure's identity, series and notes as JSON.
-// NaN values serialise as null via a float-to-pointer pass.
-func FigureJSON(w io.Writer, f *experiments.FigureResult) error {
-	if f == nil {
-		return errors.New("export: nil figure")
-	}
-	clean := figureJSON{ID: f.ID, Title: f.Title, Notes: f.Notes,
-		Series: map[string][]float64{}}
-	// JSON cannot carry NaN; replace with -1 sentinels, documented in
-	// the stream itself.
-	hadNaN := false
-	for name, vals := range f.Series {
-		out := make([]float64, len(vals))
-		for i, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				out[i] = -1
-				hadNaN = true
-			} else {
-				out[i] = v
-			}
-		}
-		clean.Series[name] = out
-	}
-	if hadNaN {
-		clean.Notes = append(clean.Notes, "sentinel: -1 marks infeasible (NaN) entries")
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(clean)
 }
 
 func formatF(v float64) string {

@@ -3,58 +3,13 @@ package export
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
 	"sensornet/internal/experiments"
 	"sensornet/internal/metrics"
-	"sensornet/internal/optimize"
 )
-
-func testSurface() *experiments.Surface {
-	pre := experiments.QuickAnalytic()
-	pre.Rhos = []float64{20, 40}
-	pre.Grid = []float64{0.1, 0.5}
-	return &experiments.Surface{
-		Pre: pre,
-		Points: [][]optimize.Point{
-			{{P: 0.1, ReachAtL: 0.5, Latency: math.NaN()}, {P: 0.5, ReachAtL: 0.8, Latency: 4}},
-			{{P: 0.1, ReachAtL: 0.6, Latency: 6}, {P: 0.5, ReachAtL: 0.7, Latency: 5}},
-		},
-	}
-}
-
-func TestSurfaceCSVShape(t *testing.T) {
-	var b bytes.Buffer
-	if err := SurfaceCSV(&b, testSurface()); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&b).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1+4 {
-		t.Fatalf("got %d rows, want 5", len(rows))
-	}
-	if rows[0][0] != "rho" || rows[0][1] != "p" {
-		t.Fatalf("header wrong: %v", rows[0])
-	}
-	// NaN latency serialises as empty.
-	if rows[1][3] != "" {
-		t.Fatalf("NaN cell = %q, want empty", rows[1][3])
-	}
-	if rows[2][3] != "4" {
-		t.Fatalf("latency cell = %q, want 4", rows[2][3])
-	}
-}
-
-func TestSurfaceCSVNil(t *testing.T) {
-	if err := SurfaceCSV(&bytes.Buffer{}, nil); err == nil {
-		t.Fatal("nil surface should error")
-	}
-}
 
 func TestSeriesCSV(t *testing.T) {
 	f := &experiments.FigureResult{
@@ -107,60 +62,5 @@ func TestTimelineCSV(t *testing.T) {
 	}
 	if len(rows) != 3 || rows[2][1] != "0.4" {
 		t.Fatalf("timeline csv wrong: %v", rows)
-	}
-}
-
-func TestFigureJSONRoundTrip(t *testing.T) {
-	f := &experiments.FigureResult{
-		ID:    "fig4",
-		Title: "demo",
-		Series: map[string][]float64{
-			"optimalP": {0.5, math.NaN()},
-		},
-		Notes: []string{"hello"},
-	}
-	var b bytes.Buffer
-	if err := FigureJSON(&b, f); err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		ID     string               `json:"id"`
-		Series map[string][]float64 `json:"series"`
-		Notes  []string             `json:"notes"`
-	}
-	if err := json.Unmarshal(b.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.ID != "fig4" {
-		t.Fatalf("id = %q", decoded.ID)
-	}
-	if decoded.Series["optimalP"][1] != -1 {
-		t.Fatalf("NaN should serialise as -1 sentinel: %v", decoded.Series)
-	}
-	found := false
-	for _, n := range decoded.Notes {
-		if strings.Contains(n, "sentinel") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("sentinel note missing")
-	}
-}
-
-func TestFigureJSONNil(t *testing.T) {
-	if err := FigureJSON(&bytes.Buffer{}, nil); err == nil {
-		t.Fatal("nil figure should error")
-	}
-}
-
-func TestFigureJSONNoNaN(t *testing.T) {
-	f := &experiments.FigureResult{ID: "x", Series: map[string][]float64{"a": {1, 2}}}
-	var b bytes.Buffer
-	if err := FigureJSON(&b, f); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "sentinel") {
-		t.Fatal("sentinel note should only appear when NaNs were replaced")
 	}
 }

@@ -358,46 +358,11 @@ func (s *Server) handleOptimal(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// pointBody is the NaN-safe JSON shape of one surface point:
-// infeasible constrained metrics serialise as null.
-type pointBody struct {
-	P             float64  `json:"p"`
-	ReachAtL      *float64 `json:"reachAtL"`
-	Latency       *float64 `json:"latency"`
-	Broadcasts    *float64 `json:"broadcasts"`
-	ReachAtBudget *float64 `json:"reachAtBudget"`
-	SuccessRate   *float64 `json:"successRate"`
-	Final         *float64 `json:"final"`
-}
-
-func nullable(x float64) *float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return nil
-	}
-	return &x
-}
-
-func pointsBody(pts []optimize.Point) []pointBody {
-	out := make([]pointBody, len(pts))
-	for i, pt := range pts {
-		out[i] = pointBody{
-			P:             pt.P,
-			ReachAtL:      nullable(pt.ReachAtL),
-			Latency:       nullable(pt.Latency),
-			Broadcasts:    nullable(pt.Broadcasts),
-			ReachAtBudget: nullable(pt.ReachAtBudget),
-			SuccessRate:   nullable(pt.SuccessRate),
-			Final:         nullable(pt.Final),
-		}
-	}
-	return out
-}
-
 type surfaceBody struct {
-	Surface string        `json:"surface"`
-	S       int           `json:"s"`
-	Rhos    []float64     `json:"rhos"`
-	Rows    [][]pointBody `json:"rows"`
+	Surface string                 `json:"surface"`
+	S       int                    `json:"s"`
+	Rhos    []float64              `json:"rhos"`
+	Rows    [][]optimize.WirePoint `json:"rows"`
 }
 
 func (s *Server) handleSurface(w http.ResponseWriter, r *http.Request) {

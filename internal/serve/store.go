@@ -121,10 +121,10 @@ func surfaceBodies(name string, surf *experiments.Surface) (*bodies, error) {
 				return nil, err
 			}
 		}
-		pts := pointsBody(row)
+		pts := optimize.Wire(row)
 		full.Rows = append(full.Rows, pts)
 		if err := b.put(key{"surface", "", i}, surfaceBody{
-			Surface: name, S: s, Rhos: []float64{rho}, Rows: [][]pointBody{pts},
+			Surface: name, S: s, Rhos: []float64{rho}, Rows: [][]optimize.WirePoint{pts},
 		}); err != nil {
 			return nil, err
 		}

@@ -24,6 +24,11 @@ import (
 // Callers register every run they will make before making it; the pool
 // keeps a built index only while registered runs still need it, and
 // only within a byte cap. A nil *Pool pools nothing: its Run is Run.
+//
+// A run that brings its own Deployment (the heterogeneity study's
+// hotspot fields, the percolation lattice) bypasses the pool: Config
+// has no lattice or density-profile field, so every deployment the
+// pool builds is a uniform placement on the disc.
 type Pool struct {
 	limit int64
 
@@ -39,7 +44,7 @@ type Pool struct {
 type poolKey struct {
 	P, N              int
 	R, Rho, GainAlpha float64
-	Grid, WithSensing bool
+	WithSensing       bool
 	Seed              int64
 }
 
@@ -81,16 +86,14 @@ func (p *Pool) Stats() PoolStats {
 }
 
 // keyOf returns the pool key of a run with defaults applied, and false
-// when the run cannot share a build: it brings its own deployment, or
-// its deployment config has a Profile, whose sampler has no comparable
-// identity.
+// when the run brings its own deployment, which the pool never builds.
 func keyOf(cfg *Config) (poolKey, bool) {
-	dc := deployConfig(cfg)
-	if cfg.Deployment != nil || dc.Profile != nil {
+	if cfg.Deployment != nil {
 		return poolKey{}, false
 	}
+	dc := deployConfig(cfg)
 	return poolKey{P: dc.P, N: dc.N, R: dc.R, Rho: dc.Rho, GainAlpha: dc.GainAlpha,
-		Grid: dc.Grid, WithSensing: dc.WithSensing, Seed: cfg.Seed}, true
+		WithSensing: dc.WithSensing, Seed: cfg.Seed}, true
 }
 
 // Register announces one run of cfg that will later go through Run. A

@@ -33,10 +33,10 @@ go test -race ./...
 echo "== tier 2: go test -shuffle=on ./..."
 go test -shuffle=on ./...
 
-echo "== tier 2: fuzz the cell codec (fixed short budget)"
-# decodeCell reads disk-cache bytes it cannot trust; the committed
-# corpus under internal/experiments/testdata/fuzz runs in tier 1, this
-# step explores beyond it for a fixed time.
+echo "== tier 2: fuzz the cell and analytic point codecs (fixed short budget)"
+# decodeCell and decodePoints read disk-cache bytes they cannot trust;
+# the committed corpus under internal/experiments/testdata/fuzz runs in
+# tier 1, this step explores beyond it for a fixed time.
 go test -run '^$' -fuzz '^FuzzDecodeCell$' -fuzztime 10s ./internal/experiments
 
 echo "== tier 2: fuzz the deployment build against its reference (fixed short budget)"
@@ -124,9 +124,11 @@ for f in results/*.csv "$tmp"/results/*.csv; do
 done
 
 echo "== tier 2: sharded all smoke (the union of every figure's job set)"
-# "all" shards as one job set: both surfaces, fig12sim's flooding cells
-# and the percolation cells. Two shard processes fill one cache and the
-# merged report must render byte-identically to the direct run.
+# "all" shards as one job set: both surfaces, the analytic variants cfm,
+# carrier, slots and field draw on, fig12sim's flooding cells, costfn's
+# ACK cells and the percolation cells. Two shard processes fill one
+# cache and the merged report must render byte-identically to the
+# direct run.
 "$tmp/experiments" -figure all -quick -out "$tmp/all-direct.txt"
 "$tmp/experiments" -figure all -quick -cache-dir "$tmp/allcache" -shard 0/2 &
 shard0=$!
@@ -134,6 +136,21 @@ shard0=$!
 wait "$shard0"
 "$tmp/experiments" -figure all -quick -cache-dir "$tmp/allcache" -merge 2 -out "$tmp/all-merged.txt"
 cmp "$tmp/all-direct.txt" "$tmp/all-merged.txt"
+
+echo "== tier 2: sharded mumode smoke (four analytic surfaces, one per mu mode)"
+# Of the figures outside "all", mumode and refinedcfm draw on job sets
+# the all smoke does not cover. mumode's four surfaces differ only in
+# the model's mu evaluation mode, which their point fingerprints carry:
+# two shard processes fill one cache, and the merged figure must render
+# byte-identically to the direct run.
+"$tmp/experiments" -figure mumode -quick -out "$tmp/mumode-direct.txt"
+"$tmp/experiments" -figure mumode -quick -cache-dir "$tmp/mumodecache" -shard 0/2 &
+shard0=$!
+"$tmp/experiments" -figure mumode -quick -cache-dir "$tmp/mumodecache" -shard 1/2
+wait "$shard0"
+"$tmp/experiments" -figure mumode -quick -cache-dir "$tmp/mumodecache" -merge 2 \
+    -out "$tmp/mumode-merged.txt"
+cmp "$tmp/mumode-direct.txt" "$tmp/mumode-merged.txt"
 
 echo "== tier 2: sharded shootout slice smoke (one density, CFM/CAM/SINR columns)"
 # A one-density slice of the cross-scheme shootout campaign through the
