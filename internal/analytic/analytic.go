@@ -56,9 +56,6 @@ type Config struct {
 	IntegrationPoints int
 	// MaxPhases caps the tracked execution length (default 64).
 	MaxPhases int
-	// Epsilon terminates the recursion once the expected number of new
-	// receivers in a phase falls below it (default 1e-9).
-	Epsilon float64
 	// TrackSuccessRate additionally accumulates the broadcast success
 	// rate model used by Fig. 12.
 	TrackSuccessRate bool
@@ -69,17 +66,15 @@ type Config struct {
 	// the naive path exists as that reference and for profiling the
 	// table speedup.
 	NaiveIntegrand bool
-	// Profile, when non-nil, makes the field radially heterogeneous:
-	// ring populations are redistributed proportionally to
-	// Profile(r/fieldRadius) (matching deploy.Config.Profile), while
-	// the total node count ρP² is preserved. The within-ring uniform
-	// assumption of the recursion is kept.
-	Profile func(rNorm float64) float64
 }
 
 // defaultMaxPhases is the execution length Run tracks when
 // Config.MaxPhases is unset.
 const defaultMaxPhases = 64
+
+// epsilon terminates the recursion once the expected number of new
+// receivers in a phase falls below it.
+const epsilon = 1e-9
 
 func (c *Config) applyDefaults() {
 	//lint:ignore floateq exact zero is the "unset" sentinel for config fields, not a computed value
@@ -91,10 +86,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxPhases == 0 {
 		c.MaxPhases = defaultMaxPhases
-	}
-	//lint:ignore floateq exact zero is the "unset" sentinel for config fields, not a computed value
-	if c.Epsilon == 0 {
-		c.Epsilon = 1e-9
 	}
 }
 
@@ -126,8 +117,7 @@ type Result struct {
 	// RingReceived[i][j-1] is n_j^{i+1}: expected first-time receivers
 	// in ring j during phase i+1.
 	RingReceived [][]float64
-	// RingNodes[j-1] is the expected node population of ring j (after
-	// any radial profile redistribution).
+	// RingNodes[j-1] is the expected node population of ring j.
 	RingNodes []float64
 	// N is the expected total node count δπ(Pr)² (= ρP²).
 	N float64
@@ -156,9 +146,6 @@ func Run(cfg Config) (*Result, error) {
 	for j := 1; j <= cfg.P; j++ {
 		ringArea[j] = rp.RingArea(j)
 		ringNodes[j] = delta * ringArea[j]
-	}
-	if cfg.Profile != nil {
-		redistributeRings(cfg, rp, n, ringNodes)
 	}
 	// Per-ring density of all nodes, for the success-rate model.
 	deltaRing := make([]float64, cfg.P+1)
@@ -216,7 +203,7 @@ func Run(cfg Config) (*Result, error) {
 			broadcasters += lastNew[j] * cfg.Prob
 		}
 		totalBroadcasts += broadcasters
-		if broadcasters <= cfg.Epsilon {
+		if broadcasters <= epsilon {
 			appendSample(float64(phase), 1+totalRecv, totalBroadcasts)
 			break
 		}
@@ -237,7 +224,7 @@ func Run(cfg Config) (*Result, error) {
 		phaseNew := 0.0
 		for j := 1; j <= cfg.P; j++ {
 			remaining := ringNodes[j] - recv[j]
-			if remaining <= cfg.Epsilon {
+			if remaining <= epsilon {
 				continue
 			}
 			var integral float64
@@ -291,7 +278,7 @@ func Run(cfg Config) (*Result, error) {
 		res.RingReceived = append(res.RingReceived, snapshotRings(lastNew, cfg.P))
 		appendSample(float64(phase), 1+totalRecv, totalBroadcasts)
 
-		if phaseNew <= cfg.Epsilon {
+		if phaseNew <= epsilon {
 			break
 		}
 	}
@@ -358,33 +345,6 @@ func successRateContribution(cfg Config, rp geom.RingPartition, deltaRing []floa
 		opp += 2 * math.Pi * deltaRing[j] * simpson(integrandO, 0, cfg.R, cfg.IntegrationPoints)
 	}
 	return succ, opp
-}
-
-// redistributeRings reweights ring populations by the radial profile,
-// keeping the total at n. Ring j's weight is the profile-weighted area
-// integral over its radial span.
-func redistributeRings(cfg Config, rp geom.RingPartition, n float64, ringNodes []float64) {
-	field := rp.FieldRadius()
-	weights := make([]float64, cfg.P+1)
-	total := 0.0
-	for j := 1; j <= cfg.P; j++ {
-		lo := cfg.R * float64(j-1)
-		hi := cfg.R * float64(j)
-		w := simpson(func(r float64) float64 {
-			return cfg.Profile(r/field) * r
-		}, lo, hi, cfg.IntegrationPoints)
-		if w < 0 {
-			w = 0
-		}
-		weights[j] = w
-		total += w
-	}
-	if total <= 0 {
-		return
-	}
-	for j := 1; j <= cfg.P; j++ {
-		ringNodes[j] = n * weights[j] / total
-	}
 }
 
 func snapshotRings(lastNew []float64, p int) []float64 {

@@ -1,44 +1,15 @@
 package analytic
 
-import (
-	"math"
-
-	"sensornet/internal/metrics"
-)
+import "sensornet/internal/metrics"
 
 // CFMFlooding returns the closed-form performance of simple flooding
 // under the Collision Free Model (§4): every transmission succeeds, so
 // the packet advances one ring per phase, reaches every node, and costs
-// exactly one broadcast per node.
+// exactly one broadcast per node. It is the refined CFM at unit costs
+// with one-slot phases.
 //
 // The returned timeline has the same shape as a CAM evaluation so the
 // two models can be compared through the same metric extraction code.
 func CFMFlooding(p int, rho float64) metrics.Timeline {
-	if p < 1 || rho <= 0 {
-		return metrics.Timeline{}
-	}
-	n := rho * float64(p) * float64(p)
-	tl := metrics.Timeline{N: n}
-	tl.Phases = append(tl.Phases, 0)
-	tl.CumReach = append(tl.CumReach, 1/n)
-	tl.CumBroadcasts = append(tl.CumBroadcasts, 0)
-	reached := 1.0    // the source
-	broadcasts := 0.0 // broadcasts performed so far
-	pending := 1.0    // nodes that received last phase and broadcast next
-	for phase := 1; phase <= p; phase++ {
-		broadcasts += pending
-		// All nodes in ring `phase` receive during this phase.
-		fresh := rho * float64(2*phase-1)
-		reached += fresh
-		pending = fresh
-		tl.Phases = append(tl.Phases, float64(phase))
-		tl.CumReach = append(tl.CumReach, math.Min(1, reached/n))
-		tl.CumBroadcasts = append(tl.CumBroadcasts, broadcasts)
-	}
-	// The outermost ring's nodes still broadcast once after receiving.
-	broadcasts += pending
-	tl.Phases = append(tl.Phases, float64(p+1))
-	tl.CumReach = append(tl.CumReach, math.Min(1, reached/n))
-	tl.CumBroadcasts = append(tl.CumBroadcasts, broadcasts)
-	return tl
+	return CFMFloodingWithCosts(p, 1, rho, UnitCostModel())
 }

@@ -15,17 +15,15 @@ const tableEqualityTol = 1e-12
 // tableEqualityConfigs spans the model variants whose integrands the
 // geometry table must reproduce: the plain Eq. (4) recursion, the
 // Appendix A carrier-sensing variant, the Binomial contention mix, the
-// success-rate tracking of Fig. 12, a radially heterogeneous field,
-// and off-default R / integration grids.
+// success-rate tracking of Fig. 12, and off-default R / integration
+// grids.
 func tableEqualityConfigs() map[string]Config {
-	hotspot := func(r float64) float64 { return 1.5 - r }
 	return map[string]Config{
 		"plain":        {P: 5, S: 3, Rho: 80, Prob: 0.2},
 		"flooding":     {P: 5, S: 3, Rho: 140, Prob: 1},
 		"carrierSense": {P: 5, S: 3, Rho: 80, Prob: 0.15, CarrierSense: true},
 		"binomialMix":  {P: 5, S: 3, Rho: 60, Prob: 0.3, BinomialMix: true},
 		"successRate":  {P: 5, S: 3, Rho: 100, Prob: 1, TrackSuccessRate: true},
-		"profile":      {P: 4, S: 3, Rho: 60, Prob: 0.25, Profile: hotspot},
 		"csSuccess": {P: 5, S: 3, Rho: 80, Prob: 0.4, CarrierSense: true,
 			TrackSuccessRate: true},
 		"oddGrid":  {P: 5, S: 3, Rho: 80, Prob: 0.2, IntegrationPoints: 33},

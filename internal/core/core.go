@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"sensornet/internal/analytic"
 	"sensornet/internal/buckets"
@@ -152,7 +151,8 @@ func (m NetworkModel) SimulateMany(ctx context.Context, p float64, seed int64, r
 	return sim.RunMany(ctx, cfg, runs, 0)
 }
 
-// Objective selects which §4.1 metric OptimalProbability optimises.
+// Objective selects which §4.1 metric OptimalProbability optimises. Its
+// values index optimize.Selectors(), in the registry's order.
 type Objective int
 
 const (
@@ -194,75 +194,19 @@ func (m NetworkModel) OptimalProbability(obj Objective, c Constraints, grid []fl
 	if err := m.Validate(); err != nil {
 		return Optimum{}, err
 	}
-	if grid == nil {
-		grid = defaultGrid()
+	sels := optimize.Selectors()
+	if obj < 0 || int(obj) >= len(sels) {
+		return Optimum{}, fmt.Errorf("core: unknown objective %d", int(obj))
 	}
-	pts, err := optimize.SweepAnalytic(m.analyticConfig(0), grid, c)
+	pts, err := m.Sweep(c, grid)
 	if err != nil {
 		return Optimum{}, err
 	}
-	var o Optimum
-	var ok bool
-	switch obj {
-	case MaxReachability:
-		o, ok = optimize.MaxReachAtLatency(pts)
-	case MinLatency:
-		o, ok = optimize.MinLatency(pts)
-	case MinEnergy:
-		o, ok = optimize.MinBroadcasts(pts)
-	case MaxReachabilityAtBudget:
-		o, ok = optimize.MaxReachAtBudget(pts)
-	default:
-		return Optimum{}, fmt.Errorf("core: unknown objective %d", int(obj))
-	}
+	o, ok := sels[obj].Pick(pts)
 	if !ok {
 		return Optimum{}, fmt.Errorf("core: no feasible probability for %v under %+v", obj, c)
 	}
 	return o, nil
-}
-
-// OptimalProbabilityRefined is OptimalProbability followed by a
-// golden-section refinement over the bracketing grid interval, so a
-// coarse grid still yields a sharp optimum. maxEvals bounds the extra
-// model evaluations (default 24 when <= 0).
-func (m NetworkModel) OptimalProbabilityRefined(obj Objective, c Constraints, grid []float64, maxEvals int) (Optimum, error) {
-	if grid == nil {
-		grid = defaultGrid()
-	}
-	if maxEvals <= 0 {
-		maxEvals = 24
-	}
-	coarse, err := m.OptimalProbability(obj, c, grid)
-	if err != nil {
-		return Optimum{}, err
-	}
-	pts, err := optimize.SweepAnalytic(m.analyticConfig(0), grid, c)
-	if err != nil {
-		return Optimum{}, err
-	}
-	eval := func(p float64) float64 {
-		res, err := analytic.Run(m.analyticConfig(p))
-		if err != nil {
-			return math.NaN()
-		}
-		switch obj {
-		case MaxReachability:
-			return res.Timeline.ReachabilityAtPhase(c.Latency)
-		case MinLatency:
-			if l, ok := res.Timeline.LatencyToReach(c.Reach); ok {
-				return l
-			}
-		case MinEnergy:
-			if b, ok := res.Timeline.BroadcastsToReach(c.Reach); ok {
-				return b
-			}
-		case MaxReachabilityAtBudget:
-			return res.Timeline.ReachabilityAtBudget(c.Budget)
-		}
-		return math.NaN()
-	}
-	maximise := obj == MaxReachability || obj == MaxReachabilityAtBudget
-	return optimize.RefineOptimum(pts, coarse, eval, maximise, maxEvals), nil
 }
 
 // Sweep exposes the raw analytic metric sweep for custom analyses.

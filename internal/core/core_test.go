@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"sensornet/internal/optimize"
 	"sensornet/internal/protocol"
 )
 
@@ -237,18 +238,23 @@ func TestFloodingSuccessRate(t *testing.T) {
 }
 
 func TestObjectiveStrings(t *testing.T) {
+	sels := optimize.Selectors()
 	for _, c := range []struct {
-		o    Objective
-		want string
+		o        Objective
+		want     string
+		selector string // the optimize.Selectors() entry the value indexes
 	}{
-		{MaxReachability, "max-reachability@latency"},
-		{MinLatency, "min-latency@reachability"},
-		{MinEnergy, "min-energy@reachability"},
-		{MaxReachabilityAtBudget, "max-reachability@budget"},
-		{Objective(42), "unknown"},
+		{MaxReachability, "max-reachability@latency", "reach"},
+		{MinLatency, "min-latency@reachability", "latency"},
+		{MinEnergy, "min-energy@reachability", "energy"},
+		{MaxReachabilityAtBudget, "max-reachability@budget", "budget"},
+		{Objective(42), "unknown", ""},
 	} {
 		if got := c.o.String(); got != c.want {
 			t.Errorf("String(%d) = %q, want %q", int(c.o), got, c.want)
+		}
+		if c.selector != "" && sels[c.o].Name != c.selector {
+			t.Errorf("Objective %v indexes selector %q, want %q", c.o, sels[c.o].Name, c.selector)
 		}
 	}
 }
@@ -347,55 +353,5 @@ func TestSimulateTracedFacade(t *testing.T) {
 	}
 	if col.CollisionRate() < 0 || col.CollisionRate() > 1 {
 		t.Fatalf("collision rate %v", col.CollisionRate())
-	}
-}
-
-func TestOptimalProbabilityRefinedSharpensCoarseGrid(t *testing.T) {
-	m := DefaultModel()
-	m.Rho = 100
-	c := Constraints{Latency: 5, Reach: 0.72, Budget: 35}
-	coarse := []float64{0.05, 0.15, 0.3, 0.6, 1}
-	grid, err := m.OptimalProbability(MaxReachability, c, coarse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refined, err := m.OptimalProbabilityRefined(MaxReachability, c, coarse, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refined.Value < grid.Value {
-		t.Fatalf("refinement regressed: %v < %v", refined.Value, grid.Value)
-	}
-	// The fine-grid optimum sits near 0.13; the refined coarse result
-	// must land close.
-	if math.Abs(refined.P-0.13) > 0.05 {
-		t.Fatalf("refined p = %v, want near 0.13", refined.P)
-	}
-}
-
-func TestOptimalProbabilityRefinedMinObjective(t *testing.T) {
-	m := DefaultModel()
-	m.Rho = 60
-	c := Constraints{Latency: 5, Reach: 0.72, Budget: 35}
-	coarse := []float64{0.02, 0.1, 0.3, 1}
-	grid, err := m.OptimalProbability(MinEnergy, c, coarse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refined, err := m.OptimalProbabilityRefined(MinEnergy, c, coarse, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refined.Value > grid.Value {
-		t.Fatalf("energy refinement regressed: %v > %v", refined.Value, grid.Value)
-	}
-}
-
-func TestOptimalProbabilityRefinedPropagatesInfeasible(t *testing.T) {
-	m := DefaultModel()
-	m.Rho = 20
-	c := Constraints{Latency: 5, Reach: 0.72, Budget: 35}
-	if _, err := m.OptimalProbabilityRefined(MinLatency, c, []float64{0.01}, 8); err == nil {
-		t.Fatal("infeasible constraint should error")
 	}
 }

@@ -62,6 +62,38 @@ func decodePoints(data []byte) (any, error) {
 	return optimize.Points(rows), nil
 }
 
+// paperModel is the analytic model of the paper's preset, less its
+// density: a point job's name spells out each field that differs from
+// it.
+var paperModel = PaperAnalytic().AnalyticConfig(0)
+
+// analyticPointName names the point of model cfg at probability p by
+// its density and probability, plus every study-set field that differs
+// from paperModel, so the points of variant surfaces never share a name
+// while the plain points keep theirs.
+func analyticPointName(cfg analytic.Config, p float64) string {
+	var variant string
+	if cfg.S != paperModel.S {
+		variant += fmt.Sprintf(",s=%d", cfg.S)
+	}
+	if cfg.P != paperModel.P {
+		variant += fmt.Sprintf(",P=%d", cfg.P)
+	}
+	if cfg.MaxPhases != paperModel.MaxPhases {
+		variant += fmt.Sprintf(",maxPhases=%d", cfg.MaxPhases)
+	}
+	if cfg.CarrierSense != paperModel.CarrierSense {
+		variant += fmt.Sprintf(",carrierSense=%t", cfg.CarrierSense)
+	}
+	if cfg.KMode != paperModel.KMode {
+		variant += ",mu=" + cfg.KMode.String()
+	}
+	if cfg.BinomialMix != paperModel.BinomialMix {
+		variant += fmt.Sprintf(",binomial=%t", cfg.BinomialMix)
+	}
+	return fmt.Sprintf("analytic-point(rho=%g,p=%g%s)", cfg.Rho, p, variant)
+}
+
 // analyticPointJob builds the cached job evaluating model cfg at one
 // grid probability. Point-level sharding keeps every worker of a wide
 // pool busy even when a study sweeps few densities, and lets a warmed
@@ -70,7 +102,7 @@ func decodePoints(data []byte) (any, error) {
 // held.
 func analyticPointJob(cfg analytic.Config, p float64, c optimize.Constraints) engine.Job {
 	return engine.JobFunc{
-		JobName:  fmt.Sprintf("analytic-point(rho=%g,p=%g)", cfg.Rho, p),
+		JobName:  analyticPointName(cfg, p),
 		Key:      analyticPointKey(cfg, p, c),
 		EncodeFn: encodePoints,
 		DecodeFn: decodePoints,

@@ -416,3 +416,39 @@ func TestVariantSurfacesShareFig4Points(t *testing.T) {
 		t.Errorf("slots shares %d points with fig4, want its s=3 row of %d", n, len(spec.Analytic.Grid))
 	}
 }
+
+// TestFigureJobNamesIdentifyOneFingerprint: within one figure's job set
+// a job name stands for one job, so the missing-job lists of -merge and
+// the coordinator never show two jobs under one name. Variant analytic
+// surfaces (carrier sensing, s, P, the phase cap, μ mode) name the
+// fields they change.
+func TestFigureJobNamesIdentifyOneFingerprint(t *testing.T) {
+	for _, spec := range []struct {
+		name string
+		spec FigureSpec
+	}{
+		{"quick", FigureSpec{Analytic: QuickAnalytic(), Sim: QuickSim(), DegRho: 60}},
+		{"paper", FigureSpec{Analytic: PaperAnalytic(), Sim: PaperSim(), DegRho: 60}},
+	} {
+		for _, id := range FigureIDs() {
+			keys := map[string]map[string]bool{}
+			for _, j := range mustJobs(FigureJobs(id, spec.spec)) {
+				if keys[j.Name()] == nil {
+					keys[j.Name()] = map[string]bool{}
+				}
+				keys[j.Name()][j.Fingerprint()] = true
+			}
+			shared, example := 0, ""
+			for name, fps := range keys {
+				if len(fps) > 1 {
+					shared++
+					example = name
+				}
+			}
+			if shared > 0 {
+				t.Errorf("%s presets, figure %s: %d job names carry several fingerprints (e.g. %s)",
+					spec.name, id, shared, example)
+			}
+		}
+	}
+}

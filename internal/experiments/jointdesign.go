@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"math"
 
-	"sensornet/internal/design"
+	"sensornet/internal/analytic"
 	"sensornet/internal/engine"
+	"sensornet/internal/optimize"
 	"sensornet/internal/protocol"
 )
 
@@ -26,37 +27,41 @@ func JointDesign(ctx context.Context, eng *engine.Engine, pre Preset, rho float6
 }
 
 // jointStudy tunes p analytically per window size s, then validates
-// each optimum in one cell, reading reachability at the window's
-// deadline of slotBudget/s phases. Every window sees the same
-// replication seeds.
+// each optimum in one cell. Both read reachability at the window's
+// deadline of slotBudget/s phases, so every window gets the same
+// latency in slots. Every window sees the same replication seeds.
 func jointStudy(pre Preset, rho, slotBudget float64, slots []int) (study, error) {
 	if err := checkRuns("joint", pre.Runs); err != nil {
 		return nil, err
 	}
-	const refSlots = 3
-	var best []*design.Result
+	var best []optimize.Optimum
 	pool := newPool()
 	var cells []engine.Job
 	for _, s := range slots {
-		alg := design.PBCAMJoint(pre.P, rho, pre.Grid, []float64{float64(s)}, refSlots)
-		res, err := design.Tune(alg, design.MaxReachabilityAt(slotBudget/refSlots))
+		deadline := slotBudget / float64(s)
+		pts, err := optimize.SweepAnalytic(analytic.Config{P: pre.P, S: s, Rho: rho},
+			pre.Grid, optimize.Constraints{Latency: deadline})
 		if err != nil {
 			return nil, err
 		}
-		best = append(best, res)
+		o, ok := optimize.MaxReachAtLatency(pts)
+		if !ok {
+			return nil, fmt.Errorf("experiments: no joint optimum for s=%d", s)
+		}
+		best = append(best, o)
 		cfg := pre.SimConfig(rho)
 		cfg.S = s
-		cfg.Protocol = protocol.Probability{P: res.Values[0]}
+		cfg.Protocol = protocol.Probability{P: o.P}
 		cells = append(cells, cellJob[schemeCell](keyedCell("joint-cell",
 			fmt.Sprintf("joint(s=%d,rho=%g)", s, rho),
-			cfg, pre.Runs, slotBudget/float64(s), pool)))
+			cfg, pre.Runs, deadline, pool)))
 	}
 	return cellStudy[schemeCell]{cells, func(aggs []schemeCell) (*FigureResult, error) {
 		t := Table{Title: "analytic optimum per window size, validated by simulation"}
 		t.Header = []string{"s", "best p", "analytic reach", "simulated reach"}
 		var bestPs, anaReach, simReach []float64
 		for i, s := range slots {
-			bestP, reach := best[i].Values[0], aggs[i].ReachAtL
+			bestP, reach := best[i].P, aggs[i].ReachAtL
 			t.Add(fmt.Sprintf("%d", s), fmt.Sprintf("%.2f", bestP),
 				fmtF(best[i].Value), fmtF(reach))
 			bestPs = append(bestPs, bestP)

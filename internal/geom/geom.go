@@ -37,15 +37,6 @@ func DiskArea(r float64) float64 {
 	return math.Pi * r * r
 }
 
-// AnnulusArea returns the area of the annulus with inner radius r1 and
-// outer radius r2 (0 when r2 <= r1).
-func AnnulusArea(r1, r2 float64) float64 {
-	if r2 <= r1 {
-		return 0
-	}
-	return DiskArea(r2) - DiskArea(r1)
-}
-
 // LensArea returns the intersection area of a circle of radius r1
 // centred at the origin and a circle of radius r2 whose centre lies at
 // distance d. Degenerate configurations (containment, disjoint circles,

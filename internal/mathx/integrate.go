@@ -1,13 +1,6 @@
 package mathx
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrBadInterval is returned when an integration interval is invalid
-// (NaN endpoints or non-positive subdivision counts).
-var ErrBadInterval = errors.New("mathx: invalid integration interval")
+import "math"
 
 // Func is a scalar function of one real variable.
 type Func func(x float64) float64
@@ -41,54 +34,4 @@ func SimpsonN(f Func, a, b float64, n int) float64 {
 		}
 	}
 	return sum * h / 3
-}
-
-// Trapezoid integrates f over [a, b] with the composite trapezoid rule
-// using n subintervals. It is used as an independent cross-check of
-// SimpsonN in tests and for integrands with limited smoothness.
-func Trapezoid(f Func, a, b float64, n int) float64 {
-	if a == b {
-		return 0
-	}
-	if n < 1 {
-		n = 1
-	}
-	h := (b - a) / float64(n)
-	sum := (f(a) + f(b)) / 2
-	for i := 1; i < n; i++ {
-		sum += f(a + float64(i)*h)
-	}
-	return sum * h
-}
-
-// AdaptiveSimpson integrates f over [a, b] to the requested absolute
-// tolerance using recursive Simpson subdivision with Richardson
-// acceleration. maxDepth bounds the recursion; 20 is ample for the smooth
-// integrands in this repository.
-func AdaptiveSimpson(f Func, a, b, tol float64, maxDepth int) float64 {
-	if a == b {
-		return 0
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	fa, fb := f(a), f(b)
-	m := (a + b) / 2
-	fm := f(m)
-	whole := (b - a) / 6 * (fa + 4*fm + fb)
-	return adaptiveSimpsonAux(f, a, b, fa, fb, fm, whole, tol, maxDepth)
-}
-
-func adaptiveSimpsonAux(f Func, a, b, fa, fb, fm, whole, tol float64, depth int) float64 {
-	m := (a + b) / 2
-	lm := (a + m) / 2
-	rm := (m + b) / 2
-	flm, frm := f(lm), f(rm)
-	left := (m - a) / 6 * (fa + 4*flm + fm)
-	right := (b - m) / 6 * (fm + 4*frm + fb)
-	if depth <= 0 || math.Abs(left+right-whole) <= 15*tol {
-		return left + right + (left+right-whole)/15
-	}
-	return adaptiveSimpsonAux(f, a, m, fa, fm, flm, left, tol/2, depth-1) +
-		adaptiveSimpsonAux(f, m, b, fm, fb, frm, right, tol/2, depth-1)
 }

@@ -54,65 +54,9 @@ func TestSimpsonNNaNEndpoint(t *testing.T) {
 	}
 }
 
-func TestTrapezoidConvergesToSimpson(t *testing.T) {
-	f := func(x float64) float64 { return math.Exp(-x * x) }
-	s := SimpsonN(f, 0, 2, 2000)
-	tr := Trapezoid(f, 0, 2, 200000)
-	if !almostEqual(s, tr, 1e-7) {
-		t.Fatalf("Simpson %v vs trapezoid %v disagree", s, tr)
-	}
-}
-
-func TestTrapezoidSmallN(t *testing.T) {
-	got := Trapezoid(func(x float64) float64 { return x }, 0, 1, 0)
-	if !almostEqual(got, 0.5, 1e-12) {
-		t.Fatalf("trapezoid with n<1 = %v, want 0.5", got)
-	}
-}
-
-func TestAdaptiveSimpsonAgainstKnownIntegrals(t *testing.T) {
-	cases := []struct {
-		name string
-		f    Func
-		a, b float64
-		want float64
-	}{
-		{"sin", math.Sin, 0, math.Pi, 2},
-		{"exp", math.Exp, 0, 1, math.E - 1},
-		{"recip", func(x float64) float64 { return 1 / x }, 1, math.E, 1},
-		{"sqrt", math.Sqrt, 0, 4, 16.0 / 3.0},
-	}
-	for _, c := range cases {
-		got := AdaptiveSimpson(c.f, c.a, c.b, 1e-10, 30)
-		if !almostEqual(got, c.want, 1e-7) {
-			t.Errorf("%s: adaptive = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestAdaptiveSimpsonDefaultTolerance(t *testing.T) {
-	got := AdaptiveSimpson(math.Sin, 0, math.Pi, 0, 20)
-	if !almostEqual(got, 2, 1e-6) {
-		t.Fatalf("adaptive with tol<=0 = %v, want 2", got)
-	}
-}
-
-func TestAdaptiveSimpsonEmptyInterval(t *testing.T) {
-	if got := AdaptiveSimpson(math.Exp, 2, 2, 1e-9, 20); got != 0 {
-		t.Fatalf("empty interval = %v, want 0", got)
-	}
-}
-
 func BenchmarkSimpsonN200(b *testing.B) {
 	f := func(x float64) float64 { return math.Exp(-x*x) * math.Cos(3*x) }
 	for i := 0; i < b.N; i++ {
 		SimpsonN(f, 0, 3, 200)
-	}
-}
-
-func BenchmarkAdaptiveSimpson(b *testing.B) {
-	f := func(x float64) float64 { return math.Exp(-x*x) * math.Cos(3*x) }
-	for i := 0; i < b.N; i++ {
-		AdaptiveSimpson(f, 0, 3, 1e-9, 25)
 	}
 }

@@ -89,8 +89,7 @@ type Optimum struct {
 	P     float64
 	Value float64
 	// Index is the sweep position the optimum was located at: pts[Index]
-	// is its grid point (for a refined optimum, the grid point it
-	// refines).
+	// is its grid point.
 	Index int
 }
 

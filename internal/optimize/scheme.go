@@ -58,16 +58,6 @@ func SchemeSelectors() []SchemeSelector {
 	}
 }
 
-// SchemeSelectorByName resolves an objective name against the registry.
-func SchemeSelectorByName(name string) (SchemeSelector, bool) {
-	for _, s := range SchemeSelectors() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return SchemeSelector{}, false
-}
-
 // BestScheme returns the index of the winning entry under the
 // selector, first-wins on ties. It returns -1 for an empty slice.
 func BestScheme(sel SchemeSelector, ms []SchemeMetrics) int {

@@ -15,12 +15,6 @@ func TestSchemeSelectorsRegistry(t *testing.T) {
 		if sels[i].Name != want || sels[i].Description == "" || sels[i].Better == nil {
 			t.Fatalf("selector %d = %+v, want name %q with description and Better", i, sels[i].Name, want)
 		}
-		if s, ok := SchemeSelectorByName(want); !ok || s.Name != want {
-			t.Fatalf("SchemeSelectorByName(%q) = %v, %v", want, s.Name, ok)
-		}
-	}
-	if _, ok := SchemeSelectorByName("nope"); ok {
-		t.Error("SchemeSelectorByName accepted an unknown name")
 	}
 }
 
@@ -30,7 +24,8 @@ func TestBestSchemeObjectives(t *testing.T) {
 		{Coverage: 0.8, ReachAtL: 0.7, Broadcasts: 20, SuccessRate: 0.6},  // tuned
 		{Coverage: 0.8, ReachAtL: 0.7, Broadcasts: 30, SuccessRate: 0.5},  // tied on reach
 	}
-	for _, tc := range []struct {
+	sels := SchemeSelectors()
+	for i, tc := range []struct {
 		objective string
 		want      int
 	}{
@@ -39,9 +34,9 @@ func TestBestSchemeObjectives(t *testing.T) {
 		{"energy", 1},
 		{"efficiency", 1}, // 0.8/20 beats 0.9/100 and 0.8/30
 	} {
-		sel, ok := SchemeSelectorByName(tc.objective)
-		if !ok {
-			t.Fatalf("missing selector %q", tc.objective)
+		sel := sels[i]
+		if sel.Name != tc.objective {
+			t.Fatalf("selector %d is %q, want %q", i, sel.Name, tc.objective)
 		}
 		if got := BestScheme(sel, ms); got != tc.want {
 			t.Errorf("BestScheme(%s) = %d, want %d", tc.objective, got, tc.want)

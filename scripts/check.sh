@@ -207,15 +207,24 @@ cmp "$tmp/deg-direct.txt" "$tmp/deg-merged.txt"
 
 echo "== tier 2: merge -json missing-shard smoke"
 # An empty cache must fail the merge with exit 3 and emit the missing
-# shard set machine-readably on stdout.
+# shard set machine-readably on stdout. field's five points are one
+# per field radius P, so the report must list them under five names.
 set +e
 "$tmp/experiments" -figure fig4 -quick -cache-dir "$tmp/empty" -merge 2 -json \
     >"$tmp/missing.json" 2>/dev/null
 json_rc=$?
+"$tmp/experiments" -figure field -quick -cache-dir "$tmp/empty" -merge 2 -json \
+    >"$tmp/missing-field.json" 2>/dev/null
+field_rc=$?
 set -e
 [ "$json_rc" -eq 3 ] || { echo "merge -json on empty cache exited $json_rc, want 3" >&2; exit 1; }
 grep -q '"missingShards"' "$tmp/missing.json"
 grep -q '"fingerprint"' "$tmp/missing.json"
+[ "$field_rc" -eq 3 ] || { echo "field merge -json on empty cache exited $field_rc, want 3" >&2; exit 1; }
+field_jobs="$(grep -c '"fingerprint"' "$tmp/missing-field.json")"
+field_names="$(grep -o '"name": *"[^"]*"' "$tmp/missing-field.json" | sort -u | wc -l)"
+[ "$field_jobs" -eq 5 ] && [ "$field_names" -eq 5 ] || {
+    echo "field merge -json lists $field_jobs missing jobs under $field_names names, want 5 and 5" >&2; exit 1; }
 
 echo "== tier 2: coordinator + 2-worker distributed smoke (fig4, one worker dies mid-run)"
 # A coordinator leases the fig4 job set to two workers. One worker is
