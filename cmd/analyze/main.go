@@ -18,6 +18,7 @@ import (
 	"sensornet/internal/core"
 	"sensornet/internal/export"
 	"sensornet/internal/mathx"
+	"sensornet/internal/optimize"
 )
 
 func main() {
@@ -113,10 +114,13 @@ func runSweep(m core.NetworkModel, c core.Constraints, step float64) error {
 	}
 	tw.Flush()
 	fmt.Println()
+	// core.Objective values index the selector registry, so the four
+	// optima are picked from the one sweep above.
+	sels := optimize.Selectors()
 	for _, obj := range []core.Objective{core.MaxReachability, core.MinLatency,
 		core.MinEnergy, core.MaxReachabilityAtBudget} {
-		o, err := m.OptimalProbability(obj, c, grid)
-		if err != nil {
+		o, ok := sels[obj].Pick(pts)
+		if !ok {
 			fmt.Printf("%-28v infeasible\n", obj)
 			continue
 		}

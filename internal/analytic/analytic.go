@@ -60,11 +60,11 @@ type Config struct {
 	// rate model used by Fig. 12.
 	TrackSuccessRate bool
 	// NaiveIntegrand evaluates the Eq. (4) integrand directly at every
-	// Simpson node of every phase instead of precomputing the
-	// phase-invariant geometry lattice once per Run. The two paths are
-	// bit-identical (the equality regression tests pin them together);
-	// the naive path exists as that reference and for profiling the
-	// table speedup.
+	// Simpson node of every phase instead of reading the phase-invariant
+	// geometry lattice, which is built once per geometry. The two paths
+	// are bit-identical (the equality regression tests pin them
+	// together); the naive path exists as that reference and for
+	// profiling the table speedup.
 	NaiveIntegrand bool
 }
 
@@ -185,12 +185,13 @@ func Run(cfg Config) (*Result, error) {
 
 	var succWeighted, oppWeighted float64
 
-	// The phase-invariant geometry lattice (see tables.go), plus the
-	// per-phase scratch hoisted out of the loop so the recursion's
-	// steady state allocates nothing per phase beyond its result rows.
+	// The phase-invariant geometry lattice, shared by every Run of the
+	// same geometry (see tables.go), plus the per-phase scratch hoisted
+	// out of the loop so the recursion's steady state allocates nothing
+	// per phase beyond its result rows.
 	var tab *geomTable
 	if !cfg.NaiveIntegrand {
-		tab = newGeomTable(cfg, rp)
+		tab = sharedGeomTable(cfg, rp)
 	}
 	freshDensity := make([]float64, cfg.P+2)
 	newRecv := make([]float64, cfg.P+1)

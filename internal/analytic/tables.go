@@ -2,20 +2,22 @@ package analytic
 
 import (
 	"math"
+	"sync"
 
 	"sensornet/internal/buckets"
 	"sensornet/internal/geom"
 )
 
-// geomTable caches the phase-invariant geometry of one Run. The Eq. (4)
+// geomTable caches the phase-invariant geometry of a Run. The Eq. (4)
 // integrand evaluates rp.TransmissionAreas (and, under carrier sensing,
 // rp.CarrierSenseAreas) at every Simpson node of every ring in every
 // phase, yet those area splits depend only on (ring, node offset) — the
-// lens-intersection trigonometry is identical across phases. The table
-// evaluates the whole (ring j, Simpson node x_i) lattice once per Run;
-// each phase's integral then reduces to a dot product of the cached
-// area vectors with the fresh-receiver densities plus one μ evaluation
-// per node.
+// lens-intersection trigonometry is identical across phases, and across
+// runs that differ only in ρ, p, s or the μ mode. The table evaluates
+// the whole (ring j, Simpson node x_i) lattice once per geometry (see
+// sharedGeomTable); each phase's integral then reduces to a dot product
+// of the cached area vectors with the fresh-receiver densities plus one
+// μ evaluation per node. A table is never written after it is built.
 //
 // Summation follows mathx.SimpsonN exactly — same nodes (x_0 = 0,
 // x_n = R exactly, interior x_i = i·h), same weight application order —
@@ -76,6 +78,58 @@ func newGeomTable(cfg Config, rp geom.RingPartition) *geomTable {
 		if cs != nil {
 			t.cs[j-1] = cs
 		}
+	}
+	return t
+}
+
+// geomKey is every input newGeomTable reads.
+type geomKey struct {
+	r            uint64 // math.Float64bits(cfg.R)
+	p            int
+	n            int // simpsonIntervals(cfg.IntegrationPoints)
+	carrierSense bool
+}
+
+func geomKeyOf(cfg Config) geomKey {
+	return geomKey{r: math.Float64bits(cfg.R), p: cfg.P,
+		n: simpsonIntervals(cfg.IntegrationPoints), carrierSense: cfg.CarrierSense}
+}
+
+// geomMemoNodes bounds the process-wide geometry memo by lattice nodes,
+// one per ring and Simpson node. A node holds at most 72 bytes (its
+// radial factor and 3 + 5 areas), so the memo holds at most 2.25 MiB of
+// lattice data. The paper geometry (P = 5, 64 intervals) is 325 nodes.
+const geomMemoNodes = 1 << 15
+
+// geomMemo holds the geometry tables of this process, keyed by every
+// input they depend on. It keeps the tables it meets first until they
+// fill geomMemoNodes; a geometry past that is built per Run.
+var geomMemo = struct {
+	sync.Mutex
+	tables map[geomKey]*geomTable
+	nodes  int
+}{tables: make(map[geomKey]*geomTable)}
+
+// sharedGeomTable returns the geometry table of cfg (defaults applied),
+// building it on first use.
+func sharedGeomTable(cfg Config, rp geom.RingPartition) *geomTable {
+	key := geomKeyOf(cfg)
+	geomMemo.Lock()
+	t := geomMemo.tables[key]
+	geomMemo.Unlock()
+	if t != nil {
+		return t
+	}
+	t = newGeomTable(cfg, rp)
+	nodes := cfg.P * (t.n + 1)
+	geomMemo.Lock()
+	defer geomMemo.Unlock()
+	if old := geomMemo.tables[key]; old != nil {
+		return old
+	}
+	if geomMemo.nodes+nodes <= geomMemoNodes {
+		geomMemo.tables[key] = t
+		geomMemo.nodes += nodes
 	}
 	return t
 }

@@ -1,8 +1,12 @@
 package analytic
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
+
+	"sensornet/internal/geom"
 )
 
 // tableEqualityTol is the pinned bound between the table-driven and
@@ -116,6 +120,139 @@ func TestGeomTableBitIdentical(t *testing.T) {
 				t.Fatalf("CumReach[%d]: table %x, naive %x", i,
 					table.Timeline.CumReach[i], naive.Timeline.CumReach[i])
 			}
+		}
+	}
+}
+
+// requireBitEqual fails unless two runs agree bit for bit on every
+// timeline and ring-recursion value.
+func requireBitEqual(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if got.Phases != want.Phases {
+		t.Fatalf("%s: %d phases, naive %d", label, got.Phases, want.Phases)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := range want.Timeline.Phases {
+		if !same(got.Timeline.CumReach[i], want.Timeline.CumReach[i]) ||
+			!same(got.Timeline.CumBroadcasts[i], want.Timeline.CumBroadcasts[i]) {
+			t.Fatalf("%s: phase %d reads (%v, %v), naive (%v, %v)", label, i,
+				got.Timeline.CumReach[i], got.Timeline.CumBroadcasts[i],
+				want.Timeline.CumReach[i], want.Timeline.CumBroadcasts[i])
+		}
+	}
+	for i := range want.RingReceived {
+		for j := range want.RingReceived[i] {
+			if !same(got.RingReceived[i][j], want.RingReceived[i][j]) {
+				t.Fatalf("%s: RingReceived[%d][%d] = %v, naive %v", label, i, j,
+					got.RingReceived[i][j], want.RingReceived[i][j])
+			}
+		}
+	}
+}
+
+func mustRunNaive(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	cfg.NaiveIntegrand = true
+	return mustRun(t, cfg)
+}
+
+// TestSharedGeomTableKeysEveryInput alternates pairs of configurations
+// that differ in one geometry input each, and checks every run against
+// its naive integrand. The first of a pair always runs first, so a memo
+// key missing that input hands the second run the first one's table and
+// fails here whatever else the process has memoised. The second run has
+// the larger P: a table built for more rings serves a smaller P's rings
+// unchanged, so only the other order would go unnoticed.
+func TestSharedGeomTableKeysEveryInput(t *testing.T) {
+	base := Config{P: 4, S: 3, Rho: 70, Prob: 0.25, R: 1.75, IntegrationPoints: 40}
+	vary := map[string]func(*Config){
+		"R":                 func(c *Config) { c.R = 2.25 },
+		"IntegrationPoints": func(c *Config) { c.IntegrationPoints = 24 },
+		"P":                 func(c *Config) { c.P = 5 },
+		"CarrierSense":      func(c *Config) { c.CarrierSense = true },
+	}
+	for name, change := range vary {
+		t.Run(name, func(t *testing.T) {
+			other := base
+			change(&other)
+			pair := []Config{base, other}
+			naive := []*Result{mustRunNaive(t, base), mustRunNaive(t, other)}
+			for round := 0; round < 4; round++ {
+				i := round % 2
+				requireBitEqual(t, fmt.Sprintf("%s config %d, round %d", name, i, round),
+					mustRun(t, pair[i]), naive[i])
+			}
+			for _, cfg := range pair {
+				cfg.applyDefaults()
+				geomMemo.Lock()
+				held := geomMemo.tables[geomKeyOf(cfg)] != nil
+				geomMemo.Unlock()
+				if !held {
+					t.Fatalf("memo did not keep the table of %+v; the test checks nothing", cfg)
+				}
+			}
+		})
+	}
+}
+
+// TestSharedGeomTableNormalisesIntervals checks that interval counts
+// SimpsonN rounds to the same even count share one table.
+func TestSharedGeomTableNormalisesIntervals(t *testing.T) {
+	odd := Config{P: 3, S: 3, Rho: 50, Prob: 0.3, R: 1.25, IntegrationPoints: 27}
+	even := odd
+	even.IntegrationPoints = 28
+	odd.applyDefaults()
+	even.applyDefaults()
+	rp := geom.RingPartition{R: odd.R, P: odd.P}
+	if sharedGeomTable(odd, rp) != sharedGeomTable(even, rp) {
+		t.Fatal("27 and 28 intervals are both 28 Simpson intervals, yet got two tables")
+	}
+}
+
+// TestSharedGeomTableBound runs a geometry larger than the whole memo
+// budget: it is built for the run, and the memo neither keeps it nor
+// counts it.
+func TestSharedGeomTableBound(t *testing.T) {
+	cfg := Config{P: 1, S: 3, Rho: 20, Prob: 0.5, IntegrationPoints: geomMemoNodes}
+	requireBitEqual(t, "oversized geometry", mustRun(t, cfg), mustRunNaive(t, cfg))
+	cfg.applyDefaults()
+	geomMemo.Lock()
+	defer geomMemo.Unlock()
+	if geomMemo.tables[geomKeyOf(cfg)] != nil {
+		t.Fatal("memo kept a table larger than its budget")
+	}
+	if geomMemo.nodes > geomMemoNodes {
+		t.Fatalf("memo holds %d nodes, budget %d", geomMemo.nodes, geomMemoNodes)
+	}
+}
+
+// TestSharedGeomTableConcurrentFirstUse runs one new geometry from
+// several goroutines at once; under -race this checks the memo's
+// locking, and every run must match the naive integrand.
+func TestSharedGeomTableConcurrentFirstUse(t *testing.T) {
+	cfg := Config{P: 5, S: 3, Rho: 90, Prob: 0.2, R: 3.5, CarrierSense: true}
+	want := mustRunNaive(t, cfg)
+	start := make(chan struct{})
+	results := make([]*Result, 6)
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			res, err := Run(cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[g] = res
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g, res := range results {
+		if res != nil {
+			requireBitEqual(t, fmt.Sprintf("goroutine %d", g), res, want)
 		}
 	}
 }

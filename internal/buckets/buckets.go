@@ -10,7 +10,9 @@
 // The package exposes the paper's recursive definition (Eq. 2 and
 // Eq. A.1) as a reference oracle, and an exact O(s) inclusion–exclusion
 // closed form used in hot loops, together with several real-valued
-// extensions for non-integer expected sender counts.
+// extensions for non-integer expected sender counts. The closed form's
+// values at small integer arguments are memoised per process (see
+// lattice.go), so the hot loops look them up.
 package buckets
 
 import (
@@ -21,44 +23,17 @@ import (
 
 // Mu returns μ(K, s): the probability that, when K identical items are
 // dropped independently and uniformly into s buckets, at least one
-// bucket holds exactly one item. It is computed with the exact
-// inclusion–exclusion identity
+// bucket holds exactly one item. It is the exact inclusion–exclusion
+// identity
 //
 //	μ(K, s) = Σ_{t=1}^{min(K,s)} (-1)^{t+1} C(s,t) · K!/(K-t)! · (s-t)^{K-t} / s^K,
 //
 // summing over the number t of buckets simultaneously forced to hold
-// exactly one item. Degenerate arguments (K <= 0 or s <= 0) yield 0.
+// exactly one item: MuCS(K, 0, s), bit for bit. Values for K < 1024 and
+// s <= 32 are computed once per process and then looked up. Degenerate
+// arguments (K <= 0 or s <= 0) yield 0.
 func Mu(k, s int) float64 {
-	if k <= 0 || s <= 0 {
-		return 0
-	}
-	if k == 1 {
-		return 1
-	}
-	logS := math.Log(float64(s))
-	tMax := min(k, s)
-	sum := 0.0
-	for t := 1; t <= tMax; t++ {
-		var logTerm float64
-		if s == t {
-			// (s-t)^(K-t) is 0^(K-t): nonzero only when K == t.
-			if k != t {
-				continue
-			}
-			logTerm = mathx.LogBinomial(s, t) + mathx.LogFallingFactorial(k, t) -
-				float64(k)*logS
-		} else {
-			logTerm = mathx.LogBinomial(s, t) + mathx.LogFallingFactorial(k, t) +
-				float64(k-t)*math.Log(float64(s-t)) - float64(k)*logS
-		}
-		term := math.Exp(logTerm)
-		if t%2 == 1 {
-			sum += term
-		} else {
-			sum -= term
-		}
-	}
-	return mathx.Clamp(sum, 0, 1)
+	return muLattice.at(k, 0, s)
 }
 
 // MuRecursive evaluates μ(K, s) with the paper's recursion (Eq. 2),
@@ -204,11 +179,4 @@ func ExpectedSingletons(k float64, s int) float64 {
 		return 0
 	}
 	return k * math.Pow(float64(s-1)/float64(s), k-1)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -10,40 +10,14 @@ import (
 // K1 type-A items (in-range senders) and K2 type-B items (senders in the
 // carrier-sensing annulus) are dropped independently and uniformly into
 // s buckets, at least one bucket holds exactly one type-A item and no
-// type-B item. Computed with the exact inclusion–exclusion identity
+// type-B item. It is the exact inclusion–exclusion identity
 //
 //	μ'(K1,K2,s) = Σ_{t=1}^{min(K1,s)} (-1)^{t+1} C(s,t) · K1!/(K1-t)! · (s-t)^{K1+K2-t} / s^{K1+K2}.
+//
+// Values for K1 < 128, K2 < 256 and s <= 16 are computed once per
+// process and then looked up.
 func MuCS(k1, k2, s int) float64 {
-	if k1 <= 0 || k2 < 0 || s <= 0 {
-		return 0
-	}
-	if k1 == 1 && k2 == 0 {
-		return 1
-	}
-	logS := math.Log(float64(s))
-	total := k1 + k2
-	tMax := min(k1, s)
-	sum := 0.0
-	for t := 1; t <= tMax; t++ {
-		var logTerm float64
-		if s == t {
-			if total != t { // 0^(K1+K2-t) vanishes unless exponent is 0
-				continue
-			}
-			logTerm = mathx.LogBinomial(s, t) + mathx.LogFallingFactorial(k1, t) -
-				float64(total)*logS
-		} else {
-			logTerm = mathx.LogBinomial(s, t) + mathx.LogFallingFactorial(k1, t) +
-				float64(total-t)*math.Log(float64(s-t)) - float64(total)*logS
-		}
-		term := math.Exp(logTerm)
-		if t%2 == 1 {
-			sum += term
-		} else {
-			sum -= term
-		}
-	}
-	return mathx.Clamp(sum, 0, 1)
+	return csLattice.at(k1, k2, s)
 }
 
 // MuCSRecursive evaluates μ'(K1, K2, s) with the Appendix A recursion
