@@ -85,7 +85,6 @@ func main() {
 		workerURL = flag.String("worker", "", "pull job leases from the coordinator at this URL and execute them locally; run with the same -figure/-quick flags as the coordinator")
 		workerID  = flag.String("worker-id", "", "worker identity reported to the coordinator (default host:pid)")
 		leaseTTL  = flag.Duration("lease-ttl", 30*time.Second, "coordinator lease time-to-live; an un-heartbeated lease fails over after this long")
-		distShard = flag.Int("dist-shards", 2, "coordinator queue partitions (nominally the planned worker count)")
 		failAfter = flag.Int("worker-fail-after", 0, "fault injection: worker exits (code 7) holding a lease after completing this many jobs")
 		addrFile  = flag.String("dist-addr-file", "", "coordinator writes its actual listen address here once bound (for :0 listeners in scripts)")
 
@@ -230,7 +229,7 @@ func main() {
 		err = runServe(ctx, *serveAddr, *addrFile, eng, spec)
 	case *shard != "" || *coordAddr != "" || *workerURL != "":
 		// The figure's job set is the unit every split agrees on.
-		dc := distConfig{shards: *distShard, ttl: *leaseTTL,
+		dc := distConfig{ttl: *leaseTTL,
 			failAfter: *failAfter, chaosProf: chaosProf, chaosSeed: *chaosSeed}
 		if dc.jobs, err = experiments.FigureJobs(*figure, spec); err != nil {
 			break
@@ -331,7 +330,6 @@ func runShard(ctx context.Context, eng *engine.Engine, jobs []engine.Job, w io.W
 // roles build it from the same flags) and each role's own knobs.
 type distConfig struct {
 	jobs      []engine.Job
-	shards    int
 	ttl       time.Duration
 	failAfter int
 	chaosProf *chaos.Profile
@@ -346,7 +344,6 @@ func runCoordinator(ctx context.Context, addr, addrFile string, cache *engine.Ca
 	cfg distConfig, w io.Writer) error {
 	coord, err := dist.NewCoordinator(dist.Config{
 		Sink:     cache,
-		Shards:   cfg.shards,
 		LeaseTTL: cfg.ttl,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
@@ -375,8 +372,8 @@ func runCoordinator(ctx context.Context, addr, addrFile string, cache *engine.Ca
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "experiments: coordinating %d job(s) on %s (%d shard queues, %s lease TTL)\n",
-		len(cfg.jobs), ln.Addr(), cfg.shards, cfg.ttl)
+	fmt.Fprintf(os.Stderr, "experiments: coordinating %d job(s) on %s (%s lease TTL)\n",
+		len(cfg.jobs), ln.Addr(), cfg.ttl)
 
 	select {
 	case err := <-errCh:
@@ -419,8 +416,8 @@ func runCoordinator(ctx context.Context, addr, addrFile string, cache *engine.Ca
 	}
 
 	s := coord.Stats()
-	fmt.Fprintf(w, "coordinator: %d/%d jobs completed (%d cached at start), %d failed, %d steals, %d leases expired, %d workers, %d ingested, %d duplicates, %d backpressured, %d dup-ingests\n",
-		s.Completed, s.Jobs, s.CachedAtStart, s.Failed, s.Steals, s.Expired, len(s.Workers),
+	fmt.Fprintf(w, "coordinator: %d/%d jobs completed (%d cached at start), %d failed, %d leases expired, %d workers, %d ingested, %d duplicates, %d backpressured, %d dup-ingests\n",
+		s.Completed, s.Jobs, s.CachedAtStart, s.Failed, s.Expired, len(s.Workers),
 		s.Ingested, s.Duplicates, s.Backpressured, cache.Stats().IngestDupes)
 	if ctx.Err() != nil {
 		return context.Canceled

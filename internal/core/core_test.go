@@ -267,91 +267,3 @@ func TestCostsOrdering(t *testing.T) {
 		t.Fatal("e_a should not exceed e_f")
 	}
 }
-
-func TestDeployFacade(t *testing.T) {
-	m := DefaultModel()
-	m.Rho = 30
-	dep, err := m.Deploy(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.N() != 750 {
-		t.Fatalf("deployed N = %d, want 750", dep.N())
-	}
-	if dep.Sensing != nil {
-		t.Fatal("plain CAM should not build sensing lists")
-	}
-	m.Comm = CAMCarrierSense
-	dep, err = m.Deploy(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.Sensing == nil {
-		t.Fatal("carrier-sense model should build sensing lists")
-	}
-}
-
-func TestGatherFacadeCFMvsCAM(t *testing.T) {
-	m := DefaultModel()
-	m.Rho = 25
-	m.Comm = CFM
-	cfm, err := m.Gather(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Comm = CAM
-	cam, err := m.Gather(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfm.Coverage != 1 {
-		t.Fatalf("CFM gather coverage %v, want 1", cfm.Coverage)
-	}
-	if cam.Slots <= cfm.Slots {
-		t.Fatalf("CAM gather %d slots should exceed CFM %d", cam.Slots, cfm.Slots)
-	}
-}
-
-func TestReliableBroadcastCostFacade(t *testing.T) {
-	m := DefaultModel()
-	m.Rho = 30
-	res, err := m.ReliableBroadcastCost(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Complete {
-		t.Fatalf("reliable broadcast incomplete: %+v", res)
-	}
-	if res.Transmissions <= res.Neighbors {
-		t.Fatalf("reliable broadcast too cheap: %+v", res)
-	}
-}
-
-func TestTDMACostFacade(t *testing.T) {
-	m := DefaultModel()
-	m.Rho = 20
-	frame, err := m.TDMACost(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The two-hop conflict neighbourhood has ~4rho nodes; greedy
-	// colouring needs at least the max clique, which is > rho.
-	if frame < 10 || frame > 500 {
-		t.Fatalf("TDMA frame %d implausible for rho=20", frame)
-	}
-}
-
-func TestSimulateTracedFacade(t *testing.T) {
-	m := DefaultModel()
-	m.Rho = 40
-	res, col, err := m.SimulateTraced(0.3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col.Totals().Transmissions != res.Broadcasts {
-		t.Fatalf("trace tx %d != result %d", col.Totals().Transmissions, res.Broadcasts)
-	}
-	if col.CollisionRate() < 0 || col.CollisionRate() > 1 {
-		t.Fatalf("collision rate %v", col.CollisionRate())
-	}
-}

@@ -22,10 +22,9 @@ type Config struct {
 	// for are completed at construction time (a resumed campaign).
 	// Required. engine.Cache implements it.
 	Sink engine.ResultSink
-	// Shards is the number of queue partitions — nominally the planned
-	// worker count. Jobs are assigned by engine.ShardOf(fingerprint),
-	// the same content-hash split the coordinator-free -shard mode uses.
-	// <= 1 means one queue (stealing never triggers).
+	// Deprecated: Shards is ignored. The coordinator leases every job
+	// from one queue: which worker computes a content-addressed job
+	// never changes its result, so there is nothing to partition.
 	Shards int
 	// LeaseTTL bounds how long a lease lives without a heartbeat before
 	// its job fails over; defaults to 30s.
@@ -48,7 +47,7 @@ type Config struct {
 	// inject a fake to drive lease expiry deterministically.
 	Now func() time.Time
 	// Logf, when non-nil, receives protocol-level diagnostics (lease
-	// expiries, steals, ingest failures).
+	// expiries, job failures, ingest failures).
 	Logf func(format string, args ...any)
 }
 
@@ -64,7 +63,6 @@ const (
 
 type distJob struct {
 	spec     JobSpec
-	shard    int
 	state    jobState
 	failures int
 	leaseID  string // active lease, when stateLeased
@@ -75,13 +73,9 @@ type leaseInfo struct {
 	fp       string
 	worker   string
 	deadline time.Time
-	started  time.Time
-	stolen   bool
 }
 
 type workerInfo struct {
-	id       string
-	shard    int
 	lastSeen time.Time
 	stats    WorkerStats
 }
@@ -95,30 +89,23 @@ type Coordinator struct {
 	cfg Config
 	mux *http.ServeMux
 
-	mu        sync.Mutex
-	jobs      map[string]*distJob // by fingerprint
-	queues    [][]string          // pending fingerprints per shard
-	leases    map[string]*leaseInfo
-	workers   map[string]*workerInfo
-	order     []string // fingerprints in submission order, for reporting
-	nextShard int
-	leaseSeq  int
+	mu   sync.Mutex
+	jobs map[string]*distJob // by fingerprint
+	// queue holds the pending fingerprints, front first. An entry whose
+	// job has since left statePending is stale and dropped when popped.
+	queue    []string
+	leases   map[string]*leaseInfo
+	workers  map[string]*workerInfo
+	order    []string // fingerprints in submission order, for reporting
+	leaseSeq int
 
 	total, cached, completed, failed      int
-	steals, expired, requeued, duplicates int
+	expired, requeued, duplicates         int
 	ingestErrors, ingested, backpressured int
 
 	// ingestTimes is the sliding backpressure window: admission times of
 	// the most recent ingests, pruned to IngestWindow on every check.
 	ingestTimes []time.Time
-
-	// shardMean tracks an exponential moving average of observed job
-	// runtime per shard (seconds, from lease grant to accepted result),
-	// and shardObs how many samples each mean has absorbed. Stealing
-	// weighs queues by len × mean runtime, so the victim is the shard
-	// with the most outstanding *work*, not merely the most entries.
-	shardMean []float64
-	shardObs  []int
 
 	draining    bool
 	drained     chan struct{}
@@ -129,16 +116,13 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds a coordinator over the campaign's cacheable
-// jobs. Jobs already present in the sink complete immediately (resume);
-// duplicate fingerprints collapse to one queue entry; a job with no
-// fingerprint is an error — a result that cannot be content-addressed
-// cannot travel the wire.
+// jobs, queued in submission order. Jobs already present in the sink
+// complete immediately (resume); duplicate fingerprints collapse to one
+// queue entry; a job with no fingerprint is an error — a result that
+// cannot be content-addressed cannot travel the wire.
 func NewCoordinator(cfg Config, jobs []engine.Job) (*Coordinator, error) {
 	if cfg.Sink == nil {
 		return nil, errors.New("dist: coordinator needs a result sink (engine.Cache)")
-	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
@@ -156,15 +140,12 @@ func NewCoordinator(cfg Config, jobs []engine.Job) (*Coordinator, error) {
 		cfg.IngestWindow = time.Second
 	}
 	c := &Coordinator{
-		cfg:       cfg,
-		jobs:      map[string]*distJob{},
-		queues:    make([][]string, cfg.Shards),
-		leases:    map[string]*leaseInfo{},
-		workers:   map[string]*workerInfo{},
-		shardMean: make([]float64, cfg.Shards),
-		shardObs:  make([]int, cfg.Shards),
-		done:      make(chan struct{}),
-		drained:   make(chan struct{}),
+		cfg:     cfg,
+		jobs:    map[string]*distJob{},
+		leases:  map[string]*leaseInfo{},
+		workers: map[string]*workerInfo{},
+		done:    make(chan struct{}),
+		drained: make(chan struct{}),
 	}
 	for _, j := range jobs {
 		fp := j.Fingerprint()
@@ -174,10 +155,7 @@ func NewCoordinator(cfg Config, jobs []engine.Job) (*Coordinator, error) {
 		if _, dup := c.jobs[fp]; dup {
 			continue
 		}
-		dj := &distJob{
-			spec:  JobSpec{Name: j.Name(), Fingerprint: fp},
-			shard: engine.ShardOf(fp, cfg.Shards),
-		}
+		dj := &distJob{spec: JobSpec{Name: j.Name(), Fingerprint: fp}}
 		c.jobs[fp] = dj
 		c.order = append(c.order, fp)
 		c.total++
@@ -186,7 +164,7 @@ func NewCoordinator(cfg Config, jobs []engine.Job) (*Coordinator, error) {
 			c.cached++
 			c.completed++
 		} else {
-			c.queues[dj.shard] = append(c.queues[dj.shard], fp)
+			c.queue = append(c.queue, fp)
 		}
 	}
 	if c.completed == c.total {
@@ -254,14 +232,18 @@ func (c *Coordinator) statsLocked() Stats {
 	s := Stats{
 		Jobs: c.total, CachedAtStart: c.cached,
 		Completed: c.completed, Failed: c.failed,
-		Leased: len(c.leases),
-		Steals: c.steals, Expired: c.expired, Requeued: c.requeued,
+		Leased:  len(c.leases),
+		Expired: c.expired, Requeued: c.requeued,
 		Duplicates: c.duplicates, IngestErrors: c.ingestErrors,
 		Ingested: c.ingested, Backpressured: c.backpressured,
 		Draining: c.draining,
 	}
-	for _, q := range c.queues {
-		s.Pending += len(q)
+	// Count by state, not queue length: the queue may still hold an
+	// entry for a job a late result completed.
+	for _, j := range c.jobs {
+		if j.state == statePending {
+			s.Pending++
+		}
 	}
 	for _, w := range c.workers {
 		ws := w.stats
@@ -291,8 +273,8 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// sweepLocked re-enqueues every expired lease at the front of its
-// shard's queue, so failed-over work is picked up before fresh work.
+// sweepLocked re-enqueues every expired lease at the front of the
+// queue, so failed-over work is picked up before fresh work.
 func (c *Coordinator) sweepLocked(now time.Time) {
 	for id, l := range c.leases {
 		if now.Before(l.deadline) {
@@ -306,116 +288,36 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		}
 		j.state = statePending
 		j.leaseID = ""
-		c.queues[j.shard] = append([]string{l.fp}, c.queues[j.shard]...)
-		c.logf("dist: lease %s (%s) on worker %s expired; job re-enqueued on shard %d",
-			id, j.spec.Name, l.worker, j.shard)
+		c.queue = append([]string{l.fp}, c.queue...)
+		c.logf("dist: lease %s (%s) on worker %s expired; job re-enqueued",
+			id, j.spec.Name, l.worker)
 	}
 	// A drain waits only for leases; expiry resolves them too.
 	c.checkDrainedLocked()
 }
 
-// touchWorkerLocked registers a worker on first contact (assigning it
-// the next shard queue round-robin) and refreshes its liveness.
+// touchWorkerLocked registers a worker on first contact and refreshes
+// its liveness.
 func (c *Coordinator) touchWorkerLocked(id string, now time.Time) *workerInfo {
 	w, ok := c.workers[id]
 	if !ok {
-		w = &workerInfo{id: id, shard: c.nextShard % c.cfg.Shards}
-		w.stats = WorkerStats{ID: id, Shard: w.shard}
-		c.nextShard++
+		w = &workerInfo{stats: WorkerStats{ID: id}}
 		c.workers[id] = w
 	}
 	w.lastSeen = now
 	return w
 }
 
-// popLocked takes the next leasable fingerprint for a worker on shard:
-// the front of its own queue, else the tail of the queue holding the
-// most outstanding *work* (a steal). Stale queue entries — jobs already
-// terminal or re-leased — are dropped lazily.
-func (c *Coordinator) popLocked(shard int) (fp string, stolen, ok bool) {
-	if fp, ok := c.popQueueLocked(shard, false); ok {
-		return fp, false, true
-	}
-	// Steal from the victim queue's tail: the victim keeps draining its
-	// front, the thief eats the slack from the other end. The victim is
-	// the shard whose remaining work — queue length weighted by observed
-	// per-job runtime — is largest, so a short queue of slow jobs
-	// outranks a long queue of fast ones. With no runtime samples yet
-	// every shard weighs 1.0 per entry and this degrades to
-	// longest-queue, the pre-deadline-aware policy.
-	for {
-		victim, best := -1, 0.0
-		for i, q := range c.queues {
-			if i == shard || len(q) == 0 {
-				continue
-			}
-			est := float64(len(q)) * c.meanRuntimeLocked(i)
-			if victim < 0 || est > best {
-				victim, best = i, est
-			}
-		}
-		if victim < 0 {
-			return "", false, false
-		}
-		if fp, ok := c.popQueueLocked(victim, true); ok {
-			return fp, true, true
-		}
-	}
-}
-
-// meanRuntimeLocked estimates one job's runtime on a shard, in
-// seconds: the shard's own EWMA when it has samples, else the mean
-// over shards that do, else 1.0 (any constant works — with no samples
-// anywhere the weights cancel and victim selection is queue length).
-func (c *Coordinator) meanRuntimeLocked(shard int) float64 {
-	if c.shardObs[shard] > 0 {
-		return c.shardMean[shard]
-	}
-	sum, n := 0.0, 0
-	for i, obs := range c.shardObs {
-		if obs > 0 {
-			sum += c.shardMean[i]
-			n++
-		}
-	}
-	if n > 0 {
-		return sum / float64(n)
-	}
-	return 1.0
-}
-
-// observeRuntimeLocked folds one completed lease's wall time into its
-// shard's runtime EWMA (α = 0.3: recent jobs dominate, one outlier
-// does not).
-func (c *Coordinator) observeRuntimeLocked(shard int, d time.Duration) {
-	if d < 0 {
-		return
-	}
-	sec := d.Seconds()
-	if c.shardObs[shard] == 0 {
-		c.shardMean[shard] = sec
-	} else {
-		const alpha = 0.3
-		c.shardMean[shard] = alpha*sec + (1-alpha)*c.shardMean[shard]
-	}
-	c.shardObs[shard]++
-}
-
-func (c *Coordinator) popQueueLocked(shard int, fromTail bool) (string, bool) {
-	q := c.queues[shard]
-	for len(q) > 0 {
-		var fp string
-		if fromTail {
-			fp, q = q[len(q)-1], q[:len(q)-1]
-		} else {
-			fp, q = q[0], q[1:]
-		}
+// popLocked takes the front leasable fingerprint. Stale queue entries —
+// jobs already terminal or re-leased — are dropped on the way.
+func (c *Coordinator) popLocked() (string, bool) {
+	for len(c.queue) > 0 {
+		fp := c.queue[0]
+		c.queue = c.queue[1:]
 		if j := c.jobs[fp]; j != nil && j.state == statePending {
-			c.queues[shard] = q
 			return fp, true
 		}
 	}
-	c.queues[shard] = q
 	return "", false
 }
 
@@ -527,7 +429,7 @@ func (c *Coordinator) lease(req LeaseRequest) LeaseResponse {
 	c.sweepLocked(now)
 	wi := c.touchWorkerLocked(req.Worker, now)
 
-	resp := LeaseResponse{Shard: wi.shard}
+	var resp LeaseResponse
 	if c.completed+c.failed == c.total {
 		resp.Done = true
 		return resp
@@ -539,7 +441,7 @@ func (c *Coordinator) lease(req LeaseRequest) LeaseResponse {
 		resp.Draining = true
 		return resp
 	}
-	fp, stolen, ok := c.popLocked(wi.shard)
+	fp, ok := c.popLocked()
 	if !ok {
 		// Everything outstanding is leased elsewhere; it may fail over,
 		// so the worker should poll again when that could next happen:
@@ -556,23 +458,14 @@ func (c *Coordinator) lease(req LeaseRequest) LeaseResponse {
 		fp:       fp,
 		worker:   req.Worker,
 		deadline: now.Add(c.cfg.LeaseTTL),
-		started:  now,
-		stolen:   stolen,
 	}
 	c.leases[l.id] = l
 	j.state = stateLeased
 	j.leaseID = l.id
 	wi.stats.Leased++
-	if stolen {
-		c.steals++
-		wi.stats.Stolen++
-		c.logf("dist: worker %s (shard %d) stole %s from shard %d's tail",
-			req.Worker, wi.shard, j.spec.Name, j.shard)
-	}
 	resp.Job = &j.spec
 	resp.LeaseID = l.id
 	resp.TTLMillis = c.cfg.LeaseTTL.Milliseconds()
-	resp.Stolen = stolen
 	return resp
 }
 
@@ -671,7 +564,7 @@ func (c *Coordinator) result(req ResultRequest) (int, any, time.Duration) {
 		// Requeue at the tail: a failing job must not starve the healthy
 		// front of the queue.
 		j.state = statePending
-		c.queues[j.shard] = append(c.queues[j.shard], req.Fingerprint)
+		c.queue = append(c.queue, req.Fingerprint)
 		c.requeued++
 		c.logf("dist: job %s failed on worker %s (%s); re-enqueued (%d/%d failures)",
 			j.spec.Name, req.Worker, req.Error, j.failures, c.cfg.MaxJobFailures)
@@ -704,9 +597,6 @@ func (c *Coordinator) result(req ResultRequest) (int, any, time.Duration) {
 		return http.StatusInternalServerError, map[string]string{"error": err.Error()}, 0
 	}
 	c.ingested++
-	if l != nil {
-		c.observeRuntimeLocked(j.shard, now.Sub(l.started))
-	}
 	releaseLease()
 	c.checkDrainedLocked()
 	if j.state == stateFailed {

@@ -81,24 +81,6 @@ func jobsFor(fps ...string) []engine.Job {
 	return out
 }
 
-// fpsOnShard generates n distinct fingerprints that all hash to the
-// given shard under shards partitions, so queue placement in tests is
-// deterministic by construction rather than by luck.
-func fpsOnShard(t *testing.T, shard, shards, n int) []string {
-	t.Helper()
-	var out []string
-	for i := 0; len(out) < n && i < 100000; i++ {
-		fp := fmt.Sprintf("job-%d", i)
-		if engine.ShardOf(fp, shards) == shard {
-			out = append(out, fp)
-		}
-	}
-	if len(out) < n {
-		t.Fatalf("could not find %d fingerprints on shard %d/%d", n, shard, shards)
-	}
-	return out
-}
-
 // call POSTs (or GETs, for status) one protocol message through the
 // coordinator's public handler and decodes the response.
 func call(t *testing.T, c *Coordinator, method, path string, req, resp any) int {
@@ -148,7 +130,7 @@ func isDone(c *Coordinator) bool {
 func TestLeaseLifecycle(t *testing.T) {
 	clock := newFakeClock()
 	sink := newFakeSink()
-	c, err := NewCoordinator(Config{Sink: sink, Shards: 1, LeaseTTL: 10 * time.Second, Now: clock.Now},
+	c, err := NewCoordinator(Config{Sink: sink, LeaseTTL: 10 * time.Second, Now: clock.Now},
 		jobsFor("a", "b"))
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +181,7 @@ func TestLeaseLifecycle(t *testing.T) {
 // of the queue, and another worker picks it up.
 func TestLeaseExpiryRequeues(t *testing.T) {
 	clock := newFakeClock()
-	c, err := NewCoordinator(Config{Sink: newFakeSink(), Shards: 1, LeaseTTL: time.Second, Now: clock.Now},
+	c, err := NewCoordinator(Config{Sink: newFakeSink(), LeaseTTL: time.Second, Now: clock.Now},
 		jobsFor("a", "b"))
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +233,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 // its original deadline; without them it would have failed over.
 func TestHeartbeatExtendsLease(t *testing.T) {
 	clock := newFakeClock()
-	c, err := NewCoordinator(Config{Sink: newFakeSink(), Shards: 1, LeaseTTL: time.Second, Now: clock.Now},
+	c, err := NewCoordinator(Config{Sink: newFakeSink(), LeaseTTL: time.Second, Now: clock.Now},
 		jobsFor("a"))
 	if err != nil {
 		t.Fatal(err)
@@ -285,47 +267,57 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 	}
 }
 
-// TestWorkStealing pins the rebalancing path: a worker whose own queue
-// is empty serves from the tail of the longest other queue, flagged as
-// stolen on both the wire and the stats.
-func TestWorkStealing(t *testing.T) {
+// TestOneLeaseQueue pins the coordinator's one queue. Config.Shards
+// is ignored: two workers take jobs in submission order, an expired
+// lease's job is re-leased before any fresh job, and a failed job is
+// leased after every other pending job.
+func TestOneLeaseQueue(t *testing.T) {
 	clock := newFakeClock()
-	fps := fpsOnShard(t, 0, 2, 3) // all jobs on shard 0
-	c, err := NewCoordinator(Config{Sink: newFakeSink(), Shards: 2, LeaseTTL: 10 * time.Second, Now: clock.Now},
-		jobsFor(fps...))
+	c, err := NewCoordinator(Config{Sink: newFakeSink(), Shards: 2, LeaseTTL: 10 * time.Second,
+		MaxJobFailures: 2, Now: clock.Now}, jobsFor("a", "b", "c", "d", "e"))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// First contact assigns shards round-robin: w0 → shard 0, w1 → shard 1.
-	l0 := lease(t, c, "w0")
-	if l0.Shard != 0 || l0.Stolen || l0.Job == nil || l0.Job.Fingerprint != fps[0] {
-		t.Fatalf("w0 lease = %+v, want own-queue front %s", l0, fps[0])
+	// take leases the next job as worker and checks that it is want.
+	take := func(worker, want string) LeaseResponse {
+		t.Helper()
+		l := lease(t, c, worker)
+		if l.Job == nil || l.Job.Fingerprint != want {
+			t.Fatalf("%s leased %+v, want %s", worker, l, want)
+		}
+		return l
 	}
-	// w1's own queue is empty: it steals the *tail* of shard 0's queue.
-	l1 := lease(t, c, "w1")
-	if l1.Shard != 1 || !l1.Stolen || l1.Job == nil || l1.Job.Fingerprint != fps[2] {
-		t.Fatalf("w1 lease = %+v, want stolen tail %s", l1, fps[2])
-	}
-
-	s := c.Stats()
-	if s.Steals != 1 {
-		t.Fatalf("Steals = %d, want 1", s.Steals)
-	}
-	var w1Stats WorkerStats
-	for _, ws := range s.Workers {
-		if ws.ID == "w1" {
-			w1Stats = ws
+	// finish takes the next job as worker and posts its result.
+	finish := func(worker, want string) {
+		t.Helper()
+		l := take(worker, want)
+		if r, code := postResult(t, c, ResultRequest{Worker: worker, LeaseID: l.LeaseID,
+			Fingerprint: want, Payload: []byte(`1`)}); code != http.StatusOK || !r.Accepted {
+			t.Fatalf("posting %s: code %d resp %+v", want, code, r)
 		}
 	}
-	if w1Stats.Stolen != 1 || w1Stats.Leased != 1 {
-		t.Fatalf("w1 stats = %+v", w1Stats)
-	}
 
-	// The victim keeps draining its front, unaware of the theft.
-	l0b := lease(t, c, "w0")
-	if l0b.Stolen || l0b.Job == nil || l0b.Job.Fingerprint != fps[1] {
-		t.Fatalf("w0 second lease = %+v, want %s", l0b, fps[1])
+	take("w0", "a")
+	finish("w1", "b")
+	finish("w0", "c")
+
+	// a's holder goes quiet: past the TTL its job is leased again
+	// before the fresh d and e.
+	clock.Advance(11 * time.Second)
+	a := take("w1", "a")
+
+	// a fails: it goes behind d and e.
+	if r, _ := postResult(t, c, ResultRequest{Worker: "w1", LeaseID: a.LeaseID,
+		Fingerprint: "a", Error: "boom"}); !r.Accepted || r.Retired {
+		t.Fatalf("failure ack = %+v", r)
+	}
+	finish("w0", "d")
+	finish("w1", "e")
+	finish("w0", "a")
+
+	s := c.Stats()
+	if !s.Done() || s.Expired != 1 || s.Requeued != 1 || s.Steals != 0 || s.Pending != 0 {
+		t.Fatalf("stats = %+v", s)
 	}
 }
 
@@ -335,7 +327,7 @@ func TestWorkStealing(t *testing.T) {
 func TestFailureRetirementAndRecovery(t *testing.T) {
 	clock := newFakeClock()
 	c, err := NewCoordinator(Config{
-		Sink: newFakeSink(), Shards: 1, LeaseTTL: 10 * time.Second,
+		Sink: newFakeSink(), LeaseTTL: 10 * time.Second,
 		MaxJobFailures: 2, Now: clock.Now,
 	}, jobsFor("poison", "healthy"))
 	if err != nil {

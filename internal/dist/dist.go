@@ -19,18 +19,19 @@
 // byte-identical to one computed in a single process; that property is
 // the package's acceptance test.
 //
+// Pending jobs wait in one queue in submission order, and every lease
+// takes its front. Because a job's result depends only on its
+// fingerprint, which worker computes it never matters, so no worker
+// owns a slice of the campaign and an idle worker simply takes the next
+// job.
+//
 // Failover is lease-based: each lease carries a deadline, workers
 // heartbeat to extend it, and an expired lease re-enqueues its job at
-// the front of its shard queue, so a killed worker's work fails over
-// to the survivors automatically. Because results are content
-// addressed, a slow worker whose lease expired may still post its
-// result late — the coordinator accepts it idempotently (a duplicate
-// of a byte-identical payload is harmless), so no fencing is needed.
-//
-// Work is partitioned into shard queues by engine.ShardOf so each
-// worker drains an affine slice of the campaign, and an idle worker
-// steals from the tail of the longest remaining queue — measurably
-// rebalancing the uneven splits content hashing produces.
+// the front of the queue, so a killed worker's work fails over to the
+// survivors automatically. Because results are content addressed, a
+// slow worker whose lease expired may still post its result late — the
+// coordinator accepts it idempotently (a duplicate of a byte-identical
+// payload is harmless), so no fencing is needed.
 package dist
 
 import "encoding/json"
@@ -68,8 +69,8 @@ type JobSpec struct {
 
 // LeaseRequest asks the coordinator for one job lease.
 type LeaseRequest struct {
-	// Worker identifies the requesting worker; the coordinator assigns
-	// each new worker a shard queue on first contact.
+	// Worker identifies the requesting worker in the coordinator's
+	// per-worker stats.
 	Worker string `json:"worker"`
 }
 
@@ -85,8 +86,6 @@ type LeaseResponse struct {
 	Job         *JobSpec `json:"job,omitempty"`
 	LeaseID     string   `json:"leaseId,omitempty"`
 	TTLMillis   int64    `json:"ttlMillis,omitempty"`
-	Shard       int      `json:"shard"`
-	Stolen      bool     `json:"stolen,omitempty"`
 	RetryMillis int64    `json:"retryMillis,omitempty"`
 }
 
@@ -161,11 +160,12 @@ type Stats struct {
 	Failed        int `json:"failed"`
 	Pending       int `json:"pending"`
 	Leased        int `json:"leased"`
-	// Steals counts leases served from another shard's queue tail;
-	// Expired the leases whose deadline passed and whose jobs were
-	// re-enqueued; Requeued the failure-triggered re-enqueues;
+	// Deprecated: Steals is always 0. The coordinator has one queue, so
+	// no lease is taken from another worker's share.
+	Steals int `json:"steals"`
+	// Expired counts the leases whose deadline passed and whose jobs
+	// were re-enqueued; Requeued the failure-triggered re-enqueues;
 	// Duplicates the idempotently absorbed late results.
-	Steals       int `json:"steals"`
 	Expired      int `json:"expired"`
 	Requeued     int `json:"requeued"`
 	Duplicates   int `json:"duplicates"`
@@ -188,13 +188,10 @@ type Stats struct {
 // WorkerStats is one worker's liveness and throughput as the
 // coordinator sees it.
 type WorkerStats struct {
-	ID    string `json:"id"`
-	Shard int    `json:"shard"`
-	// Leased counts leases granted; Stolen the subset served from other
-	// shards' queues; Completed the results accepted; Failures the
-	// failure reports.
+	ID string `json:"id"`
+	// Leased counts leases granted; Completed the results accepted;
+	// Failures the failure reports.
 	Leased    int `json:"leased"`
-	Stolen    int `json:"stolen"`
 	Completed int `json:"completed"`
 	Failures  int `json:"failures"`
 	// LastSeenAgoMillis is the time since the worker's last request,

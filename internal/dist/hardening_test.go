@@ -17,7 +17,7 @@ import (
 func TestLateResultAfterReLeaseExactlyOnce(t *testing.T) {
 	clock := newFakeClock()
 	sink := newFakeSink()
-	c, err := NewCoordinator(Config{Sink: sink, Shards: 1, LeaseTTL: time.Second, Now: clock.Now},
+	c, err := NewCoordinator(Config{Sink: sink, LeaseTTL: time.Second, Now: clock.Now},
 		jobsFor("a"))
 	if err != nil {
 		t.Fatal(err)
@@ -52,6 +52,32 @@ func TestLateResultAfterReLeaseExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestLateResultLeavesNothingPending: a job whose lease expired is
+// re-enqueued, and when its late holder then completes it, the status
+// counts it completed and no longer pending, though its queue entry is
+// dropped only when a lease reaches it.
+func TestLateResultLeavesNothingPending(t *testing.T) {
+	clock := newFakeClock()
+	c, err := NewCoordinator(Config{Sink: newFakeSink(), LeaseTTL: time.Second, Now: clock.Now},
+		jobsFor("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := lease(t, c, "w1")
+	clock.Advance(2 * time.Second)
+	var s Stats
+	if code := call(t, c, http.MethodGet, PathStatus, nil, &s); code != http.StatusOK || s.Pending != 1 {
+		t.Fatalf("status after expiry: code %d, %+v", code, s)
+	}
+	postResult(t, c, ResultRequest{Worker: "w1", LeaseID: l.LeaseID, Fingerprint: "a", Payload: []byte(`1`)})
+	if !isDone(c) {
+		t.Fatal("coordinator not done after the late result")
+	}
+	if s := c.Stats(); s.Completed != 1 || s.Pending != 0 || s.Leased != 0 {
+		t.Fatalf("stats = %+v, want 1 completed and nothing pending", s)
+	}
+}
+
 // TestBackpressure429 pins the ingest-budget contract: once the
 // sliding window fills, a fresh result post is deferred with 429 +
 // Retry-After while the worker keeps its lease, and a replay after the
@@ -61,7 +87,7 @@ func TestBackpressure429(t *testing.T) {
 	clock := newFakeClock()
 	sink := newFakeSink()
 	c, err := NewCoordinator(Config{
-		Sink: sink, Shards: 1, LeaseTTL: time.Minute, Now: clock.Now,
+		Sink: sink, LeaseTTL: time.Minute, Now: clock.Now,
 		IngestBurst: 2, IngestWindow: time.Second,
 	}, jobsFor("a", "b", "c"))
 	if err != nil {
@@ -149,7 +175,7 @@ func isDrained(c *Coordinator) bool {
 // results still land, and Drained closes once the last lease resolves.
 func TestDrain(t *testing.T) {
 	clock := newFakeClock()
-	c, err := NewCoordinator(Config{Sink: newFakeSink(), Shards: 1, LeaseTTL: time.Minute, Now: clock.Now},
+	c, err := NewCoordinator(Config{Sink: newFakeSink(), LeaseTTL: time.Minute, Now: clock.Now},
 		jobsFor("a", "b"))
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +231,7 @@ func TestDrain(t *testing.T) {
 // worker — the lease's own TTL resolves it.
 func TestDrainResolvesByExpiry(t *testing.T) {
 	clock := newFakeClock()
-	c, err := NewCoordinator(Config{Sink: newFakeSink(), Shards: 1, LeaseTTL: time.Second, Now: clock.Now},
+	c, err := NewCoordinator(Config{Sink: newFakeSink(), LeaseTTL: time.Second, Now: clock.Now},
 		jobsFor("a"))
 	if err != nil {
 		t.Fatal(err)
@@ -240,56 +266,12 @@ func TestDrainWithNoLeases(t *testing.T) {
 	}
 }
 
-// TestDeadlineAwareStealing pins the victim-selection upgrade: the
-// thief steals from the shard with the most outstanding *work* (queue
-// length × observed runtime), not the longest queue. Shard 0 holds two
-// slow jobs, shard 1 four fast ones; with runtime samples in place the
-// two slow jobs outweigh the four fast ones.
-func TestDeadlineAwareStealing(t *testing.T) {
-	clock := newFakeClock()
-	slow := fpsOnShard(t, 0, 3, 3)
-	fast := fpsOnShard(t, 1, 3, 5)
-	c, err := NewCoordinator(Config{Sink: newFakeSink(), Shards: 3, LeaseTTL: time.Hour, Now: clock.Now},
-		jobsFor(append(append([]string{}, slow...), fast...)...))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Round-robin shard assignment on first contact: w0→0, w1→1, w2→2.
-	// w0 runs one slow job (10s observed), w1 one fast job (1s).
-	l0 := lease(t, c, "w0")
-	if l0.Shard != 0 || l0.Stolen {
-		t.Fatalf("w0 lease = %+v", l0)
-	}
-	clock.Advance(10 * time.Second)
-	postResult(t, c, ResultRequest{Worker: "w0", LeaseID: l0.LeaseID,
-		Fingerprint: l0.Job.Fingerprint, Payload: []byte(`1`)})
-	l1 := lease(t, c, "w1")
-	if l1.Shard != 1 || l1.Stolen {
-		t.Fatalf("w1 lease = %+v", l1)
-	}
-	clock.Advance(time.Second)
-	postResult(t, c, ResultRequest{Worker: "w1", LeaseID: l1.LeaseID,
-		Fingerprint: l1.Job.Fingerprint, Payload: []byte(`1`)})
-
-	// Shard 0: 2 × 10s = 20s of work. Shard 1: 4 × 1s = 4s. A naive
-	// longest-queue thief would raid shard 1; the runtime-weighted one
-	// must raid shard 0's tail.
-	l2 := lease(t, c, "w2")
-	if l2.Shard != 2 || !l2.Stolen || l2.Job == nil {
-		t.Fatalf("w2 lease = %+v, want a steal", l2)
-	}
-	if l2.Job.Fingerprint != slow[2] {
-		t.Fatalf("stole %s, want shard 0's tail %s", l2.Job.Fingerprint, slow[2])
-	}
-}
-
 // TestRetryHintTracksLeaseAge: the nothing-leasable retry hint follows
 // the soonest outstanding lease deadline, clamped to [50ms, TTL/4] —
 // an idle worker probes right when failover could free work.
 func TestRetryHintTracksLeaseAge(t *testing.T) {
 	clock := newFakeClock()
-	c, err := NewCoordinator(Config{Sink: newFakeSink(), Shards: 1, LeaseTTL: 10 * time.Second, Now: clock.Now},
+	c, err := NewCoordinator(Config{Sink: newFakeSink(), LeaseTTL: 10 * time.Second, Now: clock.Now},
 		jobsFor("a"))
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +299,7 @@ func TestRetryHintTracksLeaseAge(t *testing.T) {
 // with 400 before any state changes, one that matches is processed,
 // and every response carries a sum matching its own body.
 func TestRequestChecksumVerified(t *testing.T) {
-	c, err := NewCoordinator(Config{Sink: newFakeSink(), Shards: 1}, jobsFor("a"))
+	c, err := NewCoordinator(Config{Sink: newFakeSink()}, jobsFor("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +349,7 @@ func TestRequestChecksumVerified(t *testing.T) {
 // is acknowledged with Done — the poster exits on the spot instead of
 // racing the coordinator's shutdown with one more lease poll.
 func TestResultAckCarriesDone(t *testing.T) {
-	c, err := NewCoordinator(Config{Sink: newFakeSink(), Shards: 1}, jobsFor("a", "b"))
+	c, err := NewCoordinator(Config{Sink: newFakeSink()}, jobsFor("a", "b"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,10 @@ package dist_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -84,6 +84,16 @@ func sameRecords(t *testing.T, localDir, distDir string) {
 	}
 }
 
+// sameSurface fails unless two surfaces hold the same values. Analytic
+// points carry NaN metrics, which reflect.DeepEqual never matches; %v
+// prints every float exactly, and NaN as NaN.
+func sameSurface(t *testing.T, local, dist *experiments.Surface) {
+	t.Helper()
+	if fmt.Sprint(local) != fmt.Sprint(dist) {
+		t.Fatal("merged surface differs from the local run's")
+	}
+}
+
 // runDistributed drives a full campaign through a coordinator and the
 // given worker configs, returning the coordinator (for stats) and each
 // worker's (report, error) in order.
@@ -91,7 +101,6 @@ func runDistributed(t *testing.T, cache *engine.Cache, jobs []engine.Job, worker
 	t.Helper()
 	coord, err := dist.NewCoordinator(dist.Config{
 		Sink:     cache,
-		Shards:   len(workerCfgs),
 		LeaseTTL: 300 * time.Millisecond,
 		Logf:     t.Logf,
 	}, jobs)
@@ -150,8 +159,8 @@ func TestDistributedMergesByteIdentical(t *testing.T) {
 	coord, reports, errs := runDistributed(t,
 		engine.NewCache(distDir, experiments.CacheSalt), jobs,
 		[]dist.WorkerConfig{
-			{ID: "w-dying", Engine: workerEngine(), Jobs: jobs, FailAfter: 1, Poll: 20 * time.Millisecond},
-			{ID: "w-survivor", Engine: workerEngine(), Jobs: jobs, Poll: 20 * time.Millisecond},
+			{ID: "w-dying", Engine: workerEngine(), Jobs: jobs, FailAfter: 1},
+			{ID: "w-survivor", Engine: workerEngine(), Jobs: jobs},
 		})
 
 	if !errors.Is(errs[0], dist.ErrFailInjected) {
@@ -192,9 +201,7 @@ func TestDistributedMergesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(localSurf, distSurf) {
-		t.Fatal("merged surface differs from the local run's")
-	}
+	sameSurface(t, localSurf, distSurf)
 }
 
 // TestDistributedResume: a second coordinator over the same cache dir
@@ -215,7 +222,7 @@ func TestDistributedResume(t *testing.T) {
 	}
 
 	resumed, err := dist.NewCoordinator(dist.Config{
-		Sink: engine.NewCache(dir, experiments.CacheSalt), Shards: 2,
+		Sink: engine.NewCache(dir, experiments.CacheSalt),
 	}, jobs)
 	if err != nil {
 		t.Fatal(err)

@@ -42,10 +42,6 @@ type WorkerConfig struct {
 	// Client performs the HTTP requests; defaults to a client with a
 	// 30s request timeout.
 	Client *http.Client
-	// Poll is the idle wait between lease attempts when the coordinator
-	// has nothing leasable; the coordinator's RetryMillis hint, when
-	// present, takes precedence. Defaults to 250ms.
-	Poll time.Duration
 	// PostAttempts bounds the retry loop around each protocol request;
 	// defaults to 10. Every failure is retried — transport errors,
 	// checksum mismatches, and error statuses alike — because under a
@@ -67,10 +63,10 @@ type WorkerConfig struct {
 
 // WorkerReport summarises one worker's pass over a campaign.
 type WorkerReport struct {
-	// Leased counts leases obtained; Stolen the subset taken from other
-	// shards' queues; Completed the results posted; Failed the jobs
-	// whose execution or encoding failed (reported to the coordinator).
-	Leased, Stolen, Completed, Failed int
+	// Leased counts leases obtained; Completed the results posted;
+	// Failed the jobs whose execution or encoding failed (reported to
+	// the coordinator).
+	Leased, Completed, Failed int
 	// FromCache counts completed leases answered from the worker's own
 	// engine cache without recomputing — the idempotent re-lease path: a
 	// job this worker already ran (under a lease that later expired and
@@ -79,15 +75,13 @@ type WorkerReport struct {
 	// Drained reports the coordinator told this worker it was draining;
 	// the worker finished its in-flight job and exited cleanly.
 	Drained bool
-	// Shard is the queue the coordinator assigned this worker.
-	Shard int
 }
 
 // String renders the report as the one-line summary the -worker CLI
 // prints.
 func (r WorkerReport) String() string {
-	s := fmt.Sprintf("worker shard %d: %d leased (%d stolen), %d completed (%d from cache), %d failed",
-		r.Shard, r.Leased, r.Stolen, r.Completed, r.FromCache, r.Failed)
+	s := fmt.Sprintf("worker: %d leased, %d completed (%d from cache), %d failed",
+		r.Leased, r.Completed, r.FromCache, r.Failed)
 	if r.Drained {
 		s += " [drained]"
 	}
@@ -121,9 +115,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 250 * time.Millisecond
 	}
 	if cfg.PostAttempts <= 0 {
 		cfg.PostAttempts = 10
@@ -237,31 +228,27 @@ func (w *Worker) post(ctx context.Context, path string, req, resp any) error {
 // is positive, else the Retry-After header's delay-seconds form (for a
 // coordinator that sends only the header), else 0 (HTTP-date form is
 // not worth supporting for a header we mint ourselves). A hint is
-// clamped into the coordinator's own hint range, [50ms, TTL/4]: it
-// crosses an untrusted (and, under internal/chaos, actively corrupted)
-// transport, so a flipped digit must not stall a worker for hours
-// ("9999999") or turn the backoff into a hot spin ("0", "-3").
+// clamped by clampHint.
 func (w *Worker) retryAfter(res *http.Response, body []byte) time.Duration {
-	var d time.Duration
 	var hint BackpressureResponse
 	if json.Unmarshal(body, &hint) == nil && hint.RetryMillis > 0 {
-		d = time.Duration(hint.RetryMillis) * time.Millisecond
-	} else if secs, err := strconv.Atoi(res.Header.Get("Retry-After")); err == nil {
-		d = time.Duration(secs) * time.Second
-	} else {
-		return 0
+		return w.clampHint(time.Duration(hint.RetryMillis) * time.Millisecond)
 	}
-	lo, hi := 50*time.Millisecond, w.ttl()/4
-	if hi < lo {
-		hi = lo
+	if secs, err := strconv.Atoi(res.Header.Get("Retry-After")); err == nil {
+		return w.clampHint(time.Duration(secs) * time.Second)
 	}
-	if d < lo {
-		return lo
-	}
-	if d > hi {
-		return hi
-	}
-	return d
+	return 0
+}
+
+// clampHint forces a coordinator's retry hint — a 429's, or an empty
+// lease's RetryMillis — into the coordinator's own hint range,
+// [50ms, TTL/4]: it crosses an untrusted (and, under internal/chaos,
+// actively corrupted) transport, so a flipped digit must not stall a
+// worker for hours ("9999999") or turn a wait into a hot spin ("0",
+// "-3").
+func (w *Worker) clampHint(d time.Duration) time.Duration {
+	lo := 50 * time.Millisecond
+	return min(max(d, lo), max(w.ttl()/4, lo))
 }
 
 // ttl is the lease TTL the coordinator last granted, defaulting to the
@@ -291,7 +278,6 @@ func (w *Worker) Run(ctx context.Context) (*WorkerReport, error) {
 		if err := w.post(ctx, PathLease, LeaseRequest{Worker: w.cfg.ID}, &lease); err != nil {
 			return rep, err
 		}
-		rep.Shard = lease.Shard
 		if lease.TTLMillis > 0 {
 			w.ttlMillis.Store(lease.TTLMillis)
 		}
@@ -307,11 +293,7 @@ func (w *Worker) Run(ctx context.Context) (*WorkerReport, error) {
 			return rep, nil
 		}
 		if lease.Job == nil {
-			wait := w.cfg.Poll
-			if lease.RetryMillis > 0 {
-				wait = time.Duration(lease.RetryMillis) * time.Millisecond
-			}
-			poll.Reset(wait)
+			poll.Reset(w.clampHint(time.Duration(lease.RetryMillis) * time.Millisecond))
 			select {
 			case <-poll.C:
 			case <-ctx.Done():
@@ -321,9 +303,6 @@ func (w *Worker) Run(ctx context.Context) (*WorkerReport, error) {
 			continue
 		}
 		rep.Leased++
-		if lease.Stolen {
-			rep.Stolen++
-		}
 		if w.cfg.FailAfter > 0 && rep.Completed >= w.cfg.FailAfter {
 			// Die holding the lease: the coordinator's expiry sweep must
 			// fail this job over to another worker.

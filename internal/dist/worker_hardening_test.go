@@ -40,7 +40,6 @@ func testWorker(t *testing.T, url string, mutate func(*WorkerConfig)) *Worker {
 			Fn:       func(ctx context.Context) (any, error) { return 1.5, nil },
 			EncodeFn: encode, DecodeFn: decode,
 		}},
-		Poll:        5 * time.Millisecond,
 		PostBackoff: engine.BackoffPolicy{Base: time.Millisecond, Max: 2 * time.Millisecond},
 	}
 	if mutate != nil {
@@ -143,7 +142,7 @@ func TestWorkerPostHonorsRetryAfter(t *testing.T) {
 // 429 body's millisecond hint, well under the whole-second Retry-After
 // header the coordinator also sends.
 func TestWorkerPostSubSecondRetryHint(t *testing.T) {
-	c, err := NewCoordinator(Config{Sink: newFakeSink(), Shards: 1, LeaseTTL: time.Minute,
+	c, err := NewCoordinator(Config{Sink: newFakeSink(), LeaseTTL: time.Minute,
 		IngestBurst: 1, IngestWindow: 100 * time.Millisecond}, jobsFor("a", "b"))
 	if err != nil {
 		t.Fatal(err)
@@ -193,14 +192,14 @@ func TestWorkerPostGivesUpAfterAttempts(t *testing.T) {
 // exit cleanly with the drain recorded, not treat it as done or error.
 func TestWorkerDrainingExit(t *testing.T) {
 	url := scriptedServer(t, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, LeaseResponse{Draining: true, Shard: 2})
+		writeJSON(w, http.StatusOK, LeaseResponse{Draining: true})
 	})
 	w := testWorker(t, url, nil)
 	rep, err := w.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Drained || rep.Shard != 2 || rep.Leased != 0 {
+	if !rep.Drained || rep.Leased != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
 	if s := rep.String(); !strings.Contains(s, "[drained]") {
@@ -355,6 +354,33 @@ func TestRetryAfterClamped(t *testing.T) {
 	}
 	if got := w.retryAfter(resp("2"), nil); got != 50*time.Millisecond {
 		t.Errorf("in-range value above the tightened ceiling = %v, want 50ms", got)
+	}
+}
+
+// TestWorkerIdleWaitClamped: an empty lease's RetryMillis goes through
+// the same [50ms, TTL/4] clamp as a 429's hint, so an absurd hint
+// (here after a lease response carrying a 200ms TTL) costs one short
+// wait, not hours.
+func TestWorkerIdleWaitClamped(t *testing.T) {
+	var polls atomic.Int64
+	url := scriptedServer(t, func(w http.ResponseWriter, r *http.Request) {
+		if polls.Add(1) == 1 {
+			writeJSON(w, http.StatusOK, LeaseResponse{TTLMillis: 200, RetryMillis: 99999999})
+			return
+		}
+		writeJSON(w, http.StatusOK, LeaseResponse{Done: true})
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if _, err := testWorker(t, url, nil).Run(ctx); err != nil {
+		t.Fatalf("worker run: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("run took %v: the idle wait was not clamped to TTL/4", elapsed)
+	}
+	if polls.Load() != 2 {
+		t.Fatalf("%d lease polls, want 2", polls.Load())
 	}
 }
 

@@ -30,14 +30,16 @@ import (
 // The simulated surface's move from per-density rows on a derived
 // deployment stream to pooled per-point cells changed its values
 // without a bump: its jobs took a new key kind, sim-point, which no
-// old entry matches.
+// old entry matches. Likewise analytic points took the kind
+// analytic-point-v2 when their untracked success rate became NaN
+// instead of 0.
 const CacheSalt = "sensornet-exp-v3"
 
 // analyticPointKey fingerprints one analytic surface point: every model
 // config field a study sets, plus the probability and constraint
 // levels.
 func analyticPointKey(cfg analytic.Config, p float64, c optimize.Constraints) string {
-	return engine.Fingerprint("analytic-point", CacheSalt,
+	return engine.Fingerprint("analytic-point-v2", CacheSalt,
 		cfg.P, cfg.S, cfg.Rho, cfg.R, cfg.KMode, cfg.BinomialMix,
 		cfg.CarrierSense, cfg.IntegrationPoints, cfg.MaxPhases,
 		p, c.Latency, c.Reach, c.Budget)

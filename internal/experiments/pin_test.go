@@ -44,7 +44,7 @@ func TestExistingJobIdentityPinned(t *testing.T) {
 	}{
 		{"analytic-surface",
 			jobsDigest(SurfaceJobs(pa, false, 1)),
-			"b6afe5f5e02ac10dc4803a8c46fa42c13766f6382feb611a7c0e9107713fc97b"},
+			"9ae72cc1a999da5bd6a415cfd46f5ffbf444f7071c86e5d91a4db78cf208768b"},
 		{"sim-surface",
 			jobsDigest(SurfaceJobs(ps, true, 1)),
 			"2816d87cbfc213d1376b15eb799c34a0ff7e056fd1faa5b05eb3cecf561172df"},
@@ -91,13 +91,13 @@ func TestCellStudyJobIdentityPinned(t *testing.T) {
 		{"joint", "4623c250b0182c23784051661500636a3e14f1881ed84a484ec2e208d30739a6"},
 		{"collisions", "4473203ddc11c59f060602687d2651c4d1218029073f10494fb794656f9c396d"},
 		{"percolation", "1d25db71c3b9578245dacb2a2393cc58d65f055a47a5f22761b253840afd2c38"},
-		{"cfm", "f58ee285f5e7eb16bbfb6615ab09b8c5d5a77388eed4b03090f7aec9ec501e18"},
-		{"carrier", "bb7774168cd3323ca027e8d2a88b58572af6a5aa52bbc40e221a9afe5b2efca0"},
+		{"cfm", "d47339120f5de37be70b931c90e9c27421e02c20e6eba612f285c2f173f021c3"},
+		{"carrier", "cb137c95a466cf6d12d67c57d7282911be78ed8c32ee465e0faad854d0de5187"},
 		{"costfn", "48648d758e5d05ddbc57b796fb4eef9de213706f884fc37efe801248a2326a01"},
-		{"slots", "ab1c6ad371875c8a26a1a9c6fab03a03784aa0cbc3cf008d53c84a758912a034"},
-		{"field", "564fa28d4859ce0b37744d16e1346ea2eabeef099a28cdd38eb45e00fd4de20b"},
+		{"slots", "3ff3ad2736f0c28d9051381ad41524d4ff4e8cf0757b1430edd9622ae035d7e8"},
+		{"field", "ebcecbb1c25b72c498332fae2efc0953ace4b961e23986acf33d3daff6cf1928"},
 		{"refinedcfm", "d5e09fafe1514554a38792513e77ee747262b2cf8c6e6c93abc7aa1a61346ec7"},
-		{"mumode", "43e9c68a1f484a97d5373a74dab0c96185ae467349b8881cd1962a50f9838793"},
+		{"mumode", "2f28492bfd65d7110c1aa10d18605f3ffbda4a5656fd8fd12e3355c322e21709"},
 	} {
 		got := jobsDigest(mustJobs(FigureJobs(tc.figure, spec)))
 		if got != tc.want {

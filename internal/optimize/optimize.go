@@ -41,8 +41,11 @@ type Point struct {
 	Latency       float64 // metric 3: phases to reach Reach
 	Broadcasts    float64 // metric 4: broadcasts to reach Reach
 	ReachAtBudget float64 // metric 5: reachability within Budget broadcasts
-	SuccessRate   float64 // measured/modelled broadcast success rate
-	Final         float64 // terminal reachability
+	// SuccessRate is the measured or modelled broadcast success rate;
+	// NaN where nothing measured it (an analytic sweep whose base config
+	// leaves TrackSuccessRate unset).
+	SuccessRate float64
+	Final       float64 // terminal reachability
 }
 
 func pointFromTimeline(p float64, tl metrics.Timeline, c Constraints) Point {
@@ -64,7 +67,9 @@ func pointFromTimeline(p float64, tl metrics.Timeline, c Constraints) Point {
 }
 
 // SweepAnalytic evaluates the analytical model over the probability
-// grid. base.Prob is overridden per grid point.
+// grid. base.Prob is overridden per grid point. A point's SuccessRate
+// is the model's only when base.TrackSuccessRate is set, and NaN
+// otherwise.
 func SweepAnalytic(base analytic.Config, grid []float64, c Constraints) ([]Point, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("optimize: empty probability grid")
@@ -78,7 +83,10 @@ func SweepAnalytic(base analytic.Config, grid []float64, c Constraints) ([]Point
 			return nil, err
 		}
 		pt := pointFromTimeline(p, res.Timeline, c)
-		pt.SuccessRate = res.SuccessRate
+		pt.SuccessRate = math.NaN()
+		if base.TrackSuccessRate {
+			pt.SuccessRate = res.SuccessRate
+		}
 		out = append(out, pt)
 	}
 	return out, nil

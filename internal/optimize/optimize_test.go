@@ -146,6 +146,27 @@ func TestInfeasiblePointsAreNaN(t *testing.T) {
 	}
 }
 
+// TestSweepAnalyticSuccessRateTracked: a sweep reports the model's
+// success rate only when the base config tracks it; otherwise the rate
+// is NaN, not a 0 that reads as "every broadcast failed".
+func TestSweepAnalyticSuccessRateTracked(t *testing.T) {
+	base := analyticBase(60)
+	pts, err := SweepAnalytic(base, []float64{0.3}, paperConstraints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(pts[0].SuccessRate) {
+		t.Fatalf("untracked SuccessRate = %v, want NaN", pts[0].SuccessRate)
+	}
+	base.TrackSuccessRate = true
+	if pts, err = SweepAnalytic(base, []float64{0.3}, paperConstraints()); err != nil {
+		t.Fatal(err)
+	}
+	if r := pts[0].SuccessRate; !(r > 0 && r <= 1) {
+		t.Fatalf("tracked SuccessRate = %v, want in (0, 1]", r)
+	}
+}
+
 func TestPickSkipsNaN(t *testing.T) {
 	pts := []Point{
 		{P: 0.1, Latency: math.NaN()},

@@ -51,6 +51,13 @@ echo "== tier 2: fuzz the cache's disk-entry read path (fixed short budget)"
 # committed corpus under internal/engine/testdata/fuzz runs in tier 1.
 go test -run '^$' -fuzz '^FuzzCacheDiskEntry$' -fuzztime 10s ./internal/engine
 
+echo "== tier 2: fuzz the coordinator's request handling (fixed short budget)"
+# Leases, heartbeats, result posts, status reads, clock advances and
+# raw bodies in any order must keep every job in one state, ingest each
+# result once, and answer only known statuses with checksummed bodies.
+# The committed corpus under internal/dist/testdata/fuzz runs in tier 1.
+go test -run '^$' -fuzz '^FuzzCoordinatorRequest$' -fuzztime 10s ./internal/dist
+
 echo "== tier 2: go run ./cmd/sensorlint ./... (ratchet + findings artifact)"
 # The committed baseline is empty on main (TestDriverRepoIsClean
 # asserts it); passing it anyway keeps this the one canonical
@@ -232,7 +239,7 @@ echo "== tier 2: coordinator + 2-worker distributed smoke (fig4, one worker dies
 # the lease expires, fails over to the survivor, and the merged figure
 # must still be byte-identical to the direct single-process run.
 "$tmp/experiments" -figure fig4 -quick -cache-dir "$tmp/dcache" \
-    -coordinator 127.0.0.1:0 -dist-shards 2 -lease-ttl 2s \
+    -coordinator 127.0.0.1:0 -lease-ttl 2s \
     -dist-addr-file "$tmp/addr" &
 coord=$!
 i=0
@@ -260,7 +267,7 @@ echo "== tier 2: chaos-transport distributed smoke (fig4, hostile faults, one wo
 # delivery absorbed at the protocol layer), and the merge must stay
 # byte-identical to the direct run.
 "$tmp/experiments" -figure fig4 -quick -cache-dir "$tmp/ccache" \
-    -coordinator 127.0.0.1:0 -dist-shards 2 -lease-ttl 2s \
+    -coordinator 127.0.0.1:0 -lease-ttl 2s \
     -dist-addr-file "$tmp/caddr" -out "$tmp/coord-report.txt" &
 coord=$!
 i=0
