@@ -189,22 +189,12 @@ func (c *Cache) Get(fingerprint string, decode func([]byte) (any, error)) (any, 
 // the new ones. A lookup that finds nothing reports the record for k,
 // if any, at which a segment's scan stopped: a torn append.
 func (c *Cache) diskFind(k key, fingerprint string, accept func([]byte) error) bool {
-	for pass := 0; pass < 2; pass++ {
-		if pass > 0 {
-			c.refresh()
-		}
-		c.mu.Lock()
-		recs := c.index[k]
-		c.mu.Unlock()
-		for _, r := range recs {
-			err := c.readRecord(r, fingerprint, accept)
-			if err == nil {
-				return true
-			}
-			if c.drop(k, r) {
-				c.reportCorrupt(k, fingerprint, err)
-			}
-		}
+	if c.findIndexed(k, fingerprint, accept) {
+		return true
+	}
+	c.refresh()
+	if c.findIndexed(k, fingerprint, accept) {
+		return true
 	}
 	c.scanMu.Lock()
 	torn := 0
@@ -217,6 +207,24 @@ func (c *Cache) diskFind(k key, fingerprint string, accept func([]byte) error) b
 	c.scanMu.Unlock()
 	for i := 0; i < torn; i++ {
 		c.reportCorrupt(k, fingerprint, errors.New("torn or misframed record ends a segment"))
+	}
+	return false
+}
+
+// findIndexed is diskFind over the records already indexed, without a
+// refresh.
+func (c *Cache) findIndexed(k key, fingerprint string, accept func([]byte) error) bool {
+	c.mu.Lock()
+	recs := c.index[k]
+	c.mu.Unlock()
+	for _, r := range recs {
+		err := c.readRecord(r, fingerprint, accept)
+		if err == nil {
+			return true
+		}
+		if c.drop(k, r) {
+			c.reportCorrupt(k, fingerprint, err)
+		}
 	}
 	return false
 }
@@ -452,8 +460,11 @@ func (c *Cache) ownSegment() (*os.File, error) {
 // CacheStats reports cache effectiveness counters. Corrupt counts disk
 // records that could not be read back (torn appends, stale formats,
 // identity mismatches) and were dropped as misses. IngestDupes counts
-// IngestResult calls for fingerprints that already had a valid stored
-// result — duplicate wire deliveries absorbed without storing again.
+// IngestResult calls for fingerprints already live in memory or valid
+// among the indexed disk records — duplicate wire deliveries absorbed
+// without storing again. A record another process appended since the
+// index's last refresh is not seen, so its duplicate is stored, not
+// counted.
 type CacheStats struct {
 	Hits, Misses, Stores int
 	Corrupt              int

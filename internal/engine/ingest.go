@@ -30,11 +30,16 @@ func (c *Cache) HasResult(fingerprint string) bool {
 		return false
 	}
 	k := c.key(fingerprint)
+	return c.inMemory(k) || (c.dir != "" && c.diskFind(k, fingerprint, nil))
+}
+
+// inMemory reports whether k is live in memory, decoded or raw.
+func (c *Cache) inMemory(k key) bool {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	_, inMem := c.mem[k]
 	_, inRaw := c.raw[k]
-	c.mu.Unlock()
-	return inMem || inRaw || (c.dir != "" && c.diskFind(k, fingerprint, nil))
+	return inMem || inRaw
 }
 
 // IngestResult implements ResultSink. The payload is kept in the raw
@@ -43,10 +48,16 @@ func (c *Cache) HasResult(fingerprint string) bool {
 // record path Put uses — so remotely computed entries are
 // byte-identical to local ones.
 //
-// Ingest is idempotent by content addressing: a fingerprint that
-// already has a valid stored result is not stored again — the
-// duplicate is counted (CacheStats.IngestDupes) and dropped, which
-// keeps a replayed or duplicated wire delivery from appending a second
+// Ingest is idempotent by content addressing: a fingerprint that is
+// live in memory, or has a valid record among those already indexed,
+// is not stored again — the duplicate is counted
+// (CacheStats.IngestDupes) and dropped, which keeps a replayed or
+// duplicated wire delivery from appending a second record. The indexed
+// records are read and validated, so a corrupt one is dropped and the
+// payload stored in its place, but the index is not refreshed: an
+// ingest costs no directory listing. A record another process appended
+// since the last refresh can therefore be stored a second time, which
+// content addressing makes harmless — readers take the first usable
 // record. Distributed callers dedupe by job state before ingesting, so
 // a nonzero IngestDupes count means a duplicate slipped past the
 // protocol layer.
@@ -60,13 +71,13 @@ func (c *Cache) IngestResult(fingerprint string, payload []byte) error {
 	if !json.Valid(payload) {
 		return fmt.Errorf("engine: ingest %q: payload is not valid JSON", fingerprint)
 	}
-	if c.HasResult(fingerprint) {
+	k := c.key(fingerprint)
+	if c.inMemory(k) || (c.dir != "" && c.findIndexed(k, fingerprint, nil)) {
 		c.mu.Lock()
 		c.ingestDupes++
 		c.mu.Unlock()
 		return nil
 	}
-	k := c.key(fingerprint)
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
 	c.mu.Lock()

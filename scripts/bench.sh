@@ -22,9 +22,11 @@
 # ResolveSlotSINR), one analytic μ/ring-recursion point (RunRho60), its
 # Appendix A carrier-sensing counterpart on the μ' path
 # (RunRho140CarrierSense), the optimal-probability law calibration
-# behind the law-tuned schemes (CalibrateLaw), and the engine cache's
+# behind the law-tuned schemes (CalibrateLaw), the engine cache's
 # disk layer at a distributed analytic campaign's 700 entries: stores
-# through Put and IngestResult, and a cold read-back (CacheDisk).
+# through Put and IngestResult, and a cold read-back (CacheDisk), and
+# the dist layer's per-job cost: a loopback coordinator and one worker
+# leasing, running, posting and ingesting trivial jobs (DistRoundTrip).
 #
 # The latency tier then boots a real `experiments -serve` over a
 # warmed quick cache, drives it with cmd/loadgen (closed loop, mixed
@@ -41,12 +43,19 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH.json}"
 benchtime="${2:-1x}"
 
-pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkEngineOverhead$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$|BenchmarkGenerateRho60$|BenchmarkGenerateRho140Sensing$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkRunSyncRho60$|BenchmarkRunAsyncRho60$|BenchmarkResolveSlotDense$|BenchmarkResolveSlotSINR$|BenchmarkRunRho60$|BenchmarkRunRho140CarrierSense$|BenchmarkCalibrateLaw$|BenchmarkCacheDisk$'
+pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkEngineOverhead$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$|BenchmarkGenerateRho60$|BenchmarkGenerateRho140Sensing$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkRunSyncRho60$|BenchmarkRunAsyncRho60$|BenchmarkResolveSlotDense$|BenchmarkResolveSlotSINR$|BenchmarkRunRho60$|BenchmarkRunRho140CarrierSense$|BenchmarkCalibrateLaw$|BenchmarkCacheDisk$|BenchmarkDistRoundTrip$'
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"; [ -z "${serve_pid:-}" ] || kill "$serve_pid" 2>/dev/null || true' EXIT
 
 echo "== bench: $pattern (benchtime=$benchtime)" >&2
-go test -run=NONE -bench="$pattern" -benchtime="$benchtime" -benchmem . ./internal/serve/ ./internal/deploy/ ./internal/channel/ ./internal/sim/ ./internal/analytic/ ./internal/engine/ |
-	tee /dev/stderr |
-	awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
+go test -run=NONE -bench="$pattern" -benchtime="$benchtime" -benchmem . ./internal/serve/ ./internal/deploy/ ./internal/channel/ ./internal/sim/ ./internal/analytic/ ./internal/engine/ ./internal/dist/ \
+	> "$tmp/bench.txt"
+# Copy the raw run to stderr through the open descriptor: reopening
+# /dev/stderr (tee does) truncates the log when stderr is a regular
+# file, as in `scripts/check.sh > check.log 2>&1`.
+cat "$tmp/bench.txt" >&2
+awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 		/^Benchmark/ && NF >= 7 {
 			name = $1
 			sub(/-[0-9]+$/, "", name)
@@ -61,11 +70,9 @@ go test -run=NONE -bench="$pattern" -benchtime="$benchtime" -benchmem . ./intern
 			for (i = 1; i <= n; i++) printf "%s%s\n", benches[i], (i < n ? "," : "")
 			printf "  ]\n}\n"
 		}
-	' > "$out"
+	' "$tmp/bench.txt" > "$out"
 
 echo "== latency tier: loadgen against a warmed -serve instance" >&2
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"; [ -z "${serve_pid:-}" ] || kill "$serve_pid" 2>/dev/null || true' EXIT
 go build -o "$tmp/experiments" ./cmd/experiments
 go build -o "$tmp/loadgen" ./cmd/loadgen
 "$tmp/experiments" -figure fig4 -quick -cache-dir "$tmp/cache" >/dev/null
