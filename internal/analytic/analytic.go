@@ -193,6 +193,17 @@ func Run(cfg Config) (*Result, error) {
 	if !cfg.NaiveIntegrand {
 		tab = sharedGeomTable(cfg, rp)
 	}
+	// The table path's node values. The default 64 Simpson intervals
+	// have 65 nodes, which fit on the stack.
+	var nodeBuf [65]float64
+	succ := nodeBuf[:]
+	if tab != nil && tab.n+1 > len(succ) {
+		succ = make([]float64, tab.n+1)
+	}
+	var binom binomialMemo
+	if cfg.BinomialMix {
+		binom = binomialMemo{}
+	}
 	freshDensity := make([]float64, cfg.P+2)
 	newRecv := make([]float64, cfg.P+1)
 
@@ -230,7 +241,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			var integral float64
 			if tab != nil {
-				integral = tab.phaseIntegral(&cfg, freshDensity, j)
+				integral = tab.phaseIntegral(&cfg, freshDensity, j, succ, binom)
 			} else {
 				integrand := func(x float64) float64 {
 					radial := cfg.R*float64(j-1) + x

@@ -30,7 +30,7 @@ type geomTable struct {
 
 	// Per ring j (row j-1), per node i in 0..n:
 	radial [][]float64    // cfg.R·(j-1) + x_i, the integrand's radial factor
-	tx     [][][3]float64 // rp.TransmissionAreas(j, x_i)
+	tx     [][][3]float64 // rp.TransmissionAreas(j, x_i), 0 for rings 0 and P+1
 	cs     [][][5]float64 // rp.CarrierSenseAreas(j, x_i); nil unless carrier sensing
 }
 
@@ -69,6 +69,14 @@ func newGeomTable(cfg Config, rp geom.RingPartition) *geomTable {
 			x := t.node(i, cfg.R)
 			radial[i] = cfg.R*float64(j-1) + x
 			tx[i] = rp.TransmissionAreas(j, x)
+			// Rings 0 and P+1 lie outside the field. Zero areas there let
+			// fillLinear sum all three neighbours without a bounds test.
+			if j == 1 {
+				tx[i][0] = 0
+			}
+			if j == cfg.P {
+				tx[i][2] = 0
+			}
 			if cs != nil {
 				cs[i] = rp.CarrierSenseAreas(j, x)
 			}
@@ -177,28 +185,52 @@ func (t *geomTable) freshAnnulusAt(p int, fresh []float64, j, i int) float64 {
 }
 
 // successAt evaluates the Eq. (4) success probability at lattice node
-// (j, i) for the current phase's fresh densities.
-func (t *geomTable) successAt(cfg *Config, fresh []float64, j, i int) float64 {
+// (j, i) for the current phase's fresh densities. binom memoises the
+// binomial mix for the Run; it is only read under BinomialMix.
+func (t *geomTable) successAt(cfg *Config, fresh []float64, j, i int, binom binomialMemo) float64 {
 	g := t.freshAt(cfg.P, fresh, j, i)
 	switch {
 	case cfg.CarrierSense:
 		h := t.freshAnnulusAt(cfg.P, fresh, j, i)
 		return buckets.MuCSReal(g*cfg.Prob, h*cfg.Prob, cfg.S, cfg.KMode)
 	case cfg.BinomialMix:
-		return buckets.MuBinomial(int(math.Round(g)), cfg.Prob, cfg.S)
+		return binom.at(int(math.Round(g)), cfg.Prob, cfg.S)
 	default:
 		return buckets.MuReal(g*cfg.Prob, cfg.S, cfg.KMode)
 	}
 }
 
+// binomialMemo holds buckets.MuBinomial(n, p, s) by n for one Run. p and
+// s are fixed for a Run, and n = round(g(x)) repeats across its nodes
+// and phases, while each MuBinomial call builds an n-term PMF.
+type binomialMemo map[int]float64
+
+func (m binomialMemo) at(n int, p float64, s int) float64 {
+	v, ok := m[n]
+	if !ok {
+		v = buckets.MuBinomial(n, p, s)
+		m[n] = v
+	}
+	return v
+}
+
 // phaseIntegral evaluates ring j's Eq. (4) integral for one phase from
-// the cached lattice, with SimpsonN's exact accumulation order.
-func (t *geomTable) phaseIntegral(cfg *Config, fresh []float64, j int) float64 {
+// the cached lattice in two stages: it fills succ with the success
+// probability at each of the ring's n+1 nodes, then runs SimpsonN's
+// exact accumulation over them. succ holds at least n+1 values.
+func (t *geomTable) phaseIntegral(cfg *Config, fresh []float64, j int, succ []float64, binom binomialMemo) float64 {
+	succ = succ[:t.n+1]
+	if cfg.KMode == buckets.KLinear && !cfg.CarrierSense && !cfg.BinomialMix {
+		t.fillLinear(cfg, fresh, j, succ)
+	} else {
+		for i := range succ {
+			succ[i] = t.successAt(cfg, fresh, j, i, binom)
+		}
+	}
 	radial := t.radial[j-1]
-	sum := radial[0]*t.successAt(cfg, fresh, j, 0) +
-		radial[t.n]*t.successAt(cfg, fresh, j, t.n)
+	sum := radial[0]*succ[0] + radial[t.n]*succ[t.n]
 	for i := 1; i < t.n; i++ {
-		v := radial[i] * t.successAt(cfg, fresh, j, i)
+		v := radial[i] * succ[i]
 		if i%2 == 1 {
 			sum += 4 * v
 		} else {
@@ -206,6 +238,27 @@ func (t *geomTable) phaseIntegral(cfg *Config, fresh []float64, j int) float64 {
 		}
 	}
 	return sum * t.h / 3
+}
+
+// fillLinear is successAt's default mode (KLinear, no carrier sensing,
+// no binomial mix) in one loop without calls. g(x_i) sums all three
+// neighbouring rings: outside the field both the density and the area
+// are 0, so each term freshAt skips adds +0 to a non-negative sum and
+// leaves its bits. μ(g·p, s) then interpolates in the slot count's
+// dense row; a miss past the row takes MuReal's path.
+func (t *geomTable) fillLinear(cfg *Config, fresh []float64, j int, succ []float64) {
+	row, p := buckets.MuRow(cfg.S), cfg.Prob
+	f0, f1, f2 := fresh[j-1], fresh[j], fresh[j+1]
+	tx := t.tx[j-1][:len(succ)]
+	for i := range succ {
+		a := &tx[i]
+		k := (f0*a[0] + f1*a[1] + f2*a[2]) * p
+		v, ok := buckets.LerpRow(row, k)
+		if !ok {
+			v = buckets.MuReal(k, cfg.S, buckets.KLinear)
+		}
+		succ[i] = v
+	}
 }
 
 // successRate accumulates one phase of the Fig. 12 success-rate model

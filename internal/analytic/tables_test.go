@@ -125,13 +125,23 @@ func TestGeomTableBitIdentical(t *testing.T) {
 }
 
 // requireBitEqual fails unless two runs agree bit for bit on every
-// timeline and ring-recursion value.
+// timeline, ring-recursion and success-rate value.
 func requireBitEqual(t *testing.T, label string, got, want *Result) {
 	t.Helper()
-	if got.Phases != want.Phases {
-		t.Fatalf("%s: %d phases, naive %d", label, got.Phases, want.Phases)
+	if got.Phases != want.Phases || len(got.RingNodes) != len(want.RingNodes) {
+		t.Fatalf("%s: %d phases and %d rings, naive %d and %d", label, got.Phases,
+			len(got.RingNodes), want.Phases, len(want.RingNodes))
 	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(got.N, want.N) || !same(got.SuccessRate, want.SuccessRate) {
+		t.Fatalf("%s: N %v and success rate %v, naive %v and %v", label, got.N,
+			got.SuccessRate, want.N, want.SuccessRate)
+	}
+	for j := range want.RingNodes {
+		if !same(got.RingNodes[j], want.RingNodes[j]) {
+			t.Fatalf("%s: RingNodes[%d] = %v, naive %v", label, j, got.RingNodes[j], want.RingNodes[j])
+		}
+	}
 	for i := range want.Timeline.Phases {
 		if !same(got.Timeline.CumReach[i], want.Timeline.CumReach[i]) ||
 			!same(got.Timeline.CumBroadcasts[i], want.Timeline.CumBroadcasts[i]) {

@@ -30,10 +30,13 @@ import (
 //
 // summing over the number t of buckets simultaneously forced to hold
 // exactly one item: MuCS(K, 0, s), bit for bit. Values for K < 1024 and
-// s <= 32 are computed once per process and then looked up. Degenerate
-// arguments (K <= 0 or s <= 0) yield 0.
+// s <= 32 are read from the slot count's dense row (see MuRow), filled
+// once per process. Degenerate arguments (K <= 0 or s <= 0) yield 0.
 func Mu(k, s int) float64 {
-	return muLattice.at(k, 0, s)
+	if row := MuRow(s); k >= 0 && k < len(row) {
+		return row[k]
+	}
+	return muExact(k, 0, s)
 }
 
 // MuRecursive evaluates μ(K, s) with the paper's recursion (Eq. 2),
@@ -121,6 +124,9 @@ func MuReal(k float64, s int, mode KMode) float64 {
 	case KRound:
 		return Mu(int(math.Round(k)), s)
 	default:
+		if v, ok := LerpRow(MuRow(s), k); ok {
+			return v
+		}
 		lo := int(math.Floor(k))
 		hi := lo + 1
 		t := k - float64(lo)

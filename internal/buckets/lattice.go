@@ -43,6 +43,64 @@ func muExact(k1, k2, s int) float64 {
 	return mathx.Clamp(sum, 0, 1)
 }
 
+// muRowLen is the length of a dense μ row: μ(K, s) for 0 <= K < 1024.
+const muRowLen = 1024
+
+// muRows holds μ(K, s) for 0 <= K < muRowLen and 1 <= s < len(muRows),
+// one dense row per slot count (index 0 unused). A row is filled with
+// muExact's bits the first time its slot count is looked up and
+// published whole: goroutines that meet an empty slot at once each
+// fill a row, and the first compare-and-swap wins. So a published row
+// is complete, never written again, and bit-identical to the exact
+// kernel.
+type muRows [33]atomic.Pointer[[muRowLen]float64]
+
+// row returns the μ row of slot count s, or nil when s has none.
+func (r *muRows) row(s int) []float64 {
+	if s < 1 || s >= len(r) {
+		return nil
+	}
+	if p := r[s].Load(); p != nil {
+		return p[:]
+	}
+	return r.fill(s)
+}
+
+// fill computes slot count s's row and publishes it unless another
+// goroutine got there first.
+func (r *muRows) fill(s int) []float64 {
+	row := new([muRowLen]float64)
+	for k := range row {
+		row[k] = muExact(k, 0, s)
+	}
+	r[s].CompareAndSwap(nil, row)
+	return r[s].Load()[:]
+}
+
+// MuRow returns the dense row μ(0..1023, s) when s <= 32, and nil
+// otherwise. The row is shared and must not be written.
+func MuRow(s int) []float64 {
+	return muRowTable.row(s)
+}
+
+// LerpRow evaluates μ at a real-valued item count k by linear
+// interpolation in row, a MuRow result: it is MuReal(k, s, KLinear) for
+// the row's s wherever it reports ok. k <= 0 yields 0; 0 < k < len-1
+// interpolates between the entries at ⌊k⌋ and ⌊k⌋+1; any other k
+// (past the row, or NaN) is a miss, which MuReal computes. An integer k
+// reads its entry exactly: the interpolant adds (b-a)·0 = ±0 to it, and
+// no entry is -0.
+func LerpRow(row []float64, k float64) (float64, bool) {
+	if k <= 0 {
+		return 0, true
+	}
+	if k < float64(len(row)-1) {
+		lo := int(k)
+		return mathx.Lerp(row[lo], row[lo+1], k-float64(lo)), true
+	}
+	return 0, false
+}
+
 // lattice memoises muExact on the integer box 0 <= k1 < n1,
 // 0 <= k2 < n2, 1 <= s < len(slabs); arguments outside it are computed
 // by muExact on every call. A slot count's slab of n1·n2 words is
@@ -84,15 +142,19 @@ func (l *lattice) at(k1, k2, s int) float64 {
 	return v
 }
 
-// The process-wide lattices behind Mu and MuCS. Their bounds cover the
+// The process-wide tables behind Mu and MuCS. Their bounds cover the
 // paper's regime with room to spare: at paper presets (ρ <= 140,
 // s <= 12) the analytic figures evaluate μ at K <= 114, and μ' at
 // K1 <= 55, K2 <= 99 (at s = 3, the only slot count run with carrier
 // sensing).
 var (
-	// muLattice holds μ(K, s) for K < 1024 and s <= 32: at most 256 KiB.
-	muLattice = newLattice(1024, 1, 32)
+	// muRowTable holds μ(K, s) for K < 1024 and s <= 32: 8 KiB per
+	// slot count in use, at most 256 KiB. A row takes 0.1 ms to fill at
+	// s = 3 and 1.6 ms at s = 32 on a 2-vCPU Xeon, once per process.
+	muRowTable muRows
 	// csLattice holds μ'(K1, K2, s) for K1 < 128, K2 < 256 and s <= 16:
-	// 256 KiB per slot count in use, at most 4 MiB.
+	// 256 KiB per slot count in use, at most 4 MiB. Its entries fill one
+	// at a time: a full slab costs 32K exact sums, and a carrier-sensing
+	// run reads a few hundred of them.
 	csLattice = newLattice(128, 256, 16)
 )

@@ -33,7 +33,7 @@ func BenchmarkDistRoundTrip(b *testing.B) {
 		return jobs
 	}
 	coordinator := func(jobs []engine.Job) *Coordinator {
-		c, err := NewCoordinator(Config{Sink: engine.NewCache(b.TempDir(), "bench"), IngestBurst: len(jobs) + 1}, jobs)
+		c, err := NewCoordinator(Config{Sink: engine.NewCache(b.TempDir(), "bench")}, jobs)
 		if err != nil {
 			b.Fatal(err)
 		}

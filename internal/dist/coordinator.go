@@ -34,15 +34,16 @@ type Config struct {
 	// failures, so a poison job cannot wedge the campaign; defaults
 	// to 3.
 	MaxJobFailures int
-	// IngestBurst bounds how many result payloads the coordinator admits
-	// per IngestWindow before answering 429 + Retry-After; the deferred
-	// worker keeps its lease and retries. Defaults to 256 per second —
-	// far above steady-state for real campaigns, low enough that a
-	// thundering herd of re-posted duplicates cannot monopolise the
-	// coordinator lock.
+	// IngestBurst, when positive, bounds how many fresh result payloads
+	// the coordinator admits per IngestWindow before answering 429 +
+	// Retry-After; the deferred worker keeps its lease and retries. Zero,
+	// the default, admits every fresh result: each job ingests at most
+	// once, and duplicates and failure reports never reach the sink, so
+	// a campaign's ingests are bounded by its job count and a cap could
+	// only slow it down.
 	IngestBurst int
-	// IngestWindow is the sliding window IngestBurst is measured over;
-	// defaults to 1s.
+	// IngestWindow is the sliding window a positive IngestBurst is
+	// measured over; defaults to 1s.
 	IngestWindow time.Duration
 	// Now is the coordinator's clock; defaults to time.Now. Tests
 	// inject a fake to drive lease expiry deterministically.
@@ -150,9 +151,6 @@ func NewCoordinator(cfg Config, jobs []engine.Job) (*Coordinator, error) {
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.IngestBurst <= 0 {
-		cfg.IngestBurst = 256
 	}
 	if cfg.IngestWindow <= 0 {
 		cfg.IngestWindow = time.Second
@@ -751,9 +749,13 @@ func (c *Coordinator) result(req ResultRequest) (int, any, time.Duration) {
 }
 
 // admitIngestLocked charges one ingest against the sliding-window
-// budget. When the window is full it reports how long until its oldest
-// admission ages out — the Retry-After the deferred worker is told.
+// budget, when one is set. When the window is full it reports how long
+// until its oldest admission ages out — the Retry-After the deferred
+// worker is told.
 func (c *Coordinator) admitIngestLocked(now time.Time) (time.Duration, bool) {
+	if c.cfg.IngestBurst <= 0 {
+		return 0, true
+	}
 	cutoff := now.Add(-c.cfg.IngestWindow)
 	keep := c.ingestTimes[:0]
 	for _, t := range c.ingestTimes {

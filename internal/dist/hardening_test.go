@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -158,6 +159,50 @@ func TestBackpressure429(t *testing.T) {
 	}
 	if s := c.Stats(); s.Ingested != 3 {
 		t.Fatalf("Ingested = %d, want 3", s.Ingested)
+	}
+}
+
+// TestDefaultConfigAdmitsEveryIngest: with no IngestBurst set, a
+// coordinator admits every fresh result, here 700 posted on a clock
+// that never leaves one window. Each job ingests at most once, so the
+// job count bounds the ingests and no result is deferred.
+func TestDefaultConfigAdmitsEveryIngest(t *testing.T) {
+	const n = 700
+	fps := make([]string, n)
+	for i := range fps {
+		fps[i] = fmt.Sprintf("job-%03d", i)
+	}
+	sink := newFakeSink()
+	c, err := NewCoordinator(Config{Sink: sink, LeaseTTL: time.Minute, Now: newFakeClock().Now},
+		jobsFor(fps...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	posted := 0
+	for posted < n {
+		l := batchLease(t, c, "w1", n)
+		if len(l.Jobs) == 0 {
+			t.Fatalf("lease after %d results granted nothing: %+v", posted, l)
+		}
+		for _, j := range l.Jobs {
+			r, code := postResult(t, c, ResultRequest{Worker: "w1", LeaseID: l.LeaseID,
+				Fingerprint: j.Fingerprint, Payload: []byte(`1`)})
+			if code != http.StatusOK || !r.Accepted || r.Duplicate {
+				t.Fatalf("result %d (%s): code %d resp %+v", posted+1, j.Fingerprint, code, r)
+			}
+			posted++
+		}
+	}
+	if !isDone(c) {
+		t.Fatal("campaign not done after every result")
+	}
+	if s := c.Stats(); s.Ingested != n || s.Backpressured != 0 {
+		t.Fatalf("stats = %+v, want %d ingested and none backpressured", s, n)
+	}
+	for _, fp := range fps {
+		if sink.ingests(fp) != 1 {
+			t.Fatalf("%s ingested %d times, want 1", fp, sink.ingests(fp))
+		}
 	}
 }
 

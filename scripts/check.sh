@@ -45,6 +45,13 @@ echo "== tier 2: fuzz the deployment build against its reference (fixed short bu
 # internal/deploy/testdata/fuzz runs in tier 1.
 go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 10s ./internal/deploy
 
+echo "== tier 2: fuzz the analytic kernel against its naive integrand (fixed short budget)"
+# Run's geometry-table path must equal the naive integrand's bit for
+# bit in every model mode, also where g(x)·p runs past the dense μ rows;
+# the committed corpus under internal/analytic/testdata/fuzz runs in
+# tier 1.
+go test -run '^$' -fuzz '^FuzzAnalyticRun$' -fuzztime 10s ./internal/analytic
+
 echo "== tier 2: fuzz the cache's disk-entry read path (fixed short budget)"
 # HasResult and Get read disk entries a killed process may have torn;
 # an unusable entry must degrade to a counted, self-healing miss. The
