@@ -3,6 +3,7 @@ package analytic
 import (
 	"errors"
 	"math"
+	"sync"
 )
 
 // OptimalProbabilityLaw captures an empirical regularity of the
@@ -22,10 +23,39 @@ type OptimalProbabilityLaw struct {
 	Latency float64
 }
 
+// lawKey identifies one calibration; floats are keyed by their bits,
+// so every distinct argument, NaN payloads and -0 included, keys its
+// own law.
+type lawKey struct {
+	p, s                  int
+	refRho, latency, step uint64
+}
+
+// laws memoises CalibrateLaw per argument tuple. A process calibrates
+// a handful of presets, so the map stays small; failures are never
+// stored.
+var laws sync.Map // lawKey -> OptimalProbabilityLaw
+
 // CalibrateLaw sweeps the broadcast probability at the reference
 // density refRho and returns the law fitted through the located
-// optimum. The sweep uses the given grid resolution (e.g. 0.01).
+// optimum. The sweep uses the given grid resolution (e.g. 0.01). The
+// sweep is deterministic, so its law is kept per argument tuple for
+// the life of the process, and later calls return it without sweeping.
 func CalibrateLaw(p, s int, refRho, latency, step float64) (OptimalProbabilityLaw, error) {
+	k := lawKey{p, s, math.Float64bits(refRho), math.Float64bits(latency), math.Float64bits(step)}
+	if law, ok := laws.Load(k); ok {
+		return law.(OptimalProbabilityLaw), nil
+	}
+	law, err := calibrateLaw(p, s, refRho, latency, step)
+	if err != nil {
+		return OptimalProbabilityLaw{}, err
+	}
+	stored, _ := laws.LoadOrStore(k, law)
+	return stored.(OptimalProbabilityLaw), nil
+}
+
+// calibrateLaw is CalibrateLaw's sweep, unmemoised.
+func calibrateLaw(p, s int, refRho, latency, step float64) (OptimalProbabilityLaw, error) {
 	if step <= 0 || step > 0.5 {
 		return OptimalProbabilityLaw{}, errors.New("analytic: bad calibration step")
 	}

@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -64,11 +65,84 @@ func TestLawClamping(t *testing.T) {
 }
 
 func TestCalibrateLawBadStep(t *testing.T) {
-	if _, err := CalibrateLaw(5, 3, 60, 5, 0); err == nil {
-		t.Fatal("zero step should error")
+	// Failures are not memoised: a bad step fails on every call.
+	for i := 0; i < 3; i++ {
+		if _, err := CalibrateLaw(5, 3, 60, 5, 0); err == nil {
+			t.Fatalf("call %d: zero step should error", i)
+		}
+		if _, err := CalibrateLaw(5, 3, 60, 5, 0.9); err == nil {
+			t.Fatalf("call %d: oversized step should error", i)
+		}
 	}
-	if _, err := CalibrateLaw(5, 3, 60, 5, 0.9); err == nil {
-		t.Fatal("oversized step should error")
+}
+
+// sameLaw compares two laws bit for bit.
+func sameLaw(a, b OptimalProbabilityLaw) bool {
+	return math.Float64bits(a.C) == math.Float64bits(b.C) && a.S == b.S &&
+		math.Float64bits(a.Latency) == math.Float64bits(b.Latency)
+}
+
+// TestCalibrateLawMemoMatchesSweep: the memoised law of each argument
+// tuple is the fresh sweep's, bit for bit, on the call that fills the
+// memo and on the hits after it.
+func TestCalibrateLawMemoMatchesSweep(t *testing.T) {
+	for _, c := range []struct {
+		p, s          int
+		latency, step float64
+	}{
+		{5, 3, 5, 0.02}, {3, 1, 2, 0.05}, {5, 5, 7, 0.1}, {4, 2, 4.5, 0.04},
+	} {
+		want, err := calibrateLaw(c.p, c.s, 60, c.latency, c.step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			got, err := CalibrateLaw(c.p, c.s, 60, c.latency, c.step)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameLaw(got, want) {
+				t.Fatalf("%+v call %d: law %+v, fresh sweep %+v", c, i, got, want)
+			}
+		}
+		k := lawKey{c.p, c.s, math.Float64bits(60), math.Float64bits(c.latency), math.Float64bits(c.step)}
+		if _, ok := laws.Load(k); !ok {
+			t.Fatalf("%+v: no memoised law after three calls", c)
+		}
+	}
+}
+
+// TestCalibrateLawConcurrentFirstCalls: goroutines racing the first
+// calibration of one tuple all get the one law the sweep fits.
+func TestCalibrateLawConcurrentFirstCalls(t *testing.T) {
+	const p, s, refRho, latency, step = 4, 2, 61.5, 3, 0.05
+	laws.Delete(lawKey{p, s, math.Float64bits(refRho), math.Float64bits(latency), math.Float64bits(step)})
+	want, err := calibrateLaw(p, s, refRho, latency, step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	got := make([]OptimalProbabilityLaw, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = CalibrateLaw(p, s, refRho, latency, step)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if !sameLaw(got[i], want) {
+			t.Fatalf("caller %d: law %+v, fresh sweep %+v", i, got[i], want)
+		}
 	}
 }
 
@@ -110,11 +184,12 @@ func TestCalibrateLawMatchesFullHorizon(t *testing.T) {
 }
 
 // BenchmarkCalibrateLaw times the shootout's PB-law calibration: the
-// paper geometry at the reference density, latency 5, step 0.02.
+// paper geometry at the reference density, latency 5, step 0.02. It
+// calls the unmemoised sweep, so it times the kernel, not a memo hit.
 func BenchmarkCalibrateLaw(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := CalibrateLaw(5, 3, 60, 5, 0.02); err != nil {
+		if _, err := calibrateLaw(5, 3, 60, 5, 0.02); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 )
 
 // splitmix64 is the finaliser of the SplitMix64 generator: a cheap,
@@ -48,7 +49,29 @@ func Fingerprint(parts ...any) string {
 		if i > 0 {
 			out = append(out, '\x1f')
 		}
-		out = fmt.Appendf(out, "%v", p)
+		out = appendPart(out, p)
 	}
 	return string(out)
+}
+
+// appendPart appends p formatted as fmt's %v. Keys are built from
+// strings, ints, int64s, float64s and bools, and those take strconv's
+// path, which writes the same bytes without fmt's reflection: %v of a
+// float64 is strconv's 'g' at precision -1, specials included. Any
+// other type, a named type with a String method among them, goes
+// through fmt.
+func appendPart(out []byte, p any) []byte {
+	switch v := p.(type) {
+	case string:
+		return append(out, v...)
+	case int:
+		return strconv.AppendInt(out, int64(v), 10)
+	case int64:
+		return strconv.AppendInt(out, v, 10)
+	case float64:
+		return strconv.AppendFloat(out, v, 'g', -1, 64)
+	case bool:
+		return strconv.AppendBool(out, v)
+	}
+	return fmt.Appendf(out, "%v", p)
 }

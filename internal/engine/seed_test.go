@@ -1,6 +1,11 @@
 package engine
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
 
 func TestDeriveSeedDeterministic(t *testing.T) {
 	a := DeriveSeed(7, "costfn", 40.0)
@@ -56,5 +61,48 @@ func TestFingerprintSeparatesFields(t *testing.T) {
 	}
 	if Fingerprint([]float64{1, 2}) == Fingerprint([]float64{1, 2, 3}) {
 		t.Fatal("slice contents not captured")
+	}
+}
+
+// level is a named int with a String method: Fingerprint must format
+// it through that method, as fmt's %v does.
+type level int
+
+func (l level) String() string { return fmt.Sprintf("level-%d", int(l)) }
+
+// TestFingerprintFastPathMatchesFmt holds Fingerprint's strconv path to
+// fmt's %v, part by part, on random values and the specials of every
+// fast-path type.
+func TestFingerprintFastPathMatchesFmt(t *testing.T) {
+	parts := []any{
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0.0,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, 1e20, 1e21, 1e-4, 1e-5, 0.1, 0.15, 60.0,
+		int64(math.MinInt64), int64(math.MaxInt64), int64(0), int64(-1),
+		math.MinInt, math.MaxInt, 0, -7,
+		true, false,
+		"", "analytic-point-v2", "ρ=60 · p=0.15", "日本語", "\x1f\x00", "\xff\xfe",
+	}
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 20000; i++ {
+		runes := make([]rune, rng.Intn(8))
+		for j := range runes {
+			runes[j] = rune(rng.Intn(0x3000))
+		}
+		parts = append(parts,
+			math.Float64frombits(rng.Uint64()),
+			rng.NormFloat64()*math.Pow(10, float64(rng.Intn(40)-20)),
+			float64(rng.Intn(2000))/100,
+			int64(rng.Uint64()), int(rng.Uint64()),
+			rng.Intn(2) == 0,
+			string(runes))
+	}
+	for _, p := range parts {
+		if got, want := Fingerprint(p), fmt.Sprintf("%v", p); got != want {
+			t.Fatalf("Fingerprint(%T %v) = %q, fmt's %%v = %q", p, p, got, want)
+		}
+	}
+	if got, want := Fingerprint("a", level(3), 2.5), "a\x1flevel-3\x1f2.5"; got != want {
+		t.Fatalf("named type with a String method: Fingerprint = %q, want %q", got, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 
 	"sensornet/internal/analytic"
 	"sensornet/internal/engine"
@@ -93,7 +94,11 @@ func analyticPointName(cfg analytic.Config, p float64) string {
 	if cfg.BinomialMix != paperModel.BinomialMix {
 		variant += fmt.Sprintf(",binomial=%t", cfg.BinomialMix)
 	}
-	return fmt.Sprintf("analytic-point(rho=%g,p=%g%s)", cfg.Rho, p, variant)
+	// strconv's 'g' at precision -1 is fmt's %g, without fmt's cost.
+	b := append(make([]byte, 0, 64), "analytic-point(rho="...)
+	b = strconv.AppendFloat(b, cfg.Rho, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ",p="...), p, 'g', -1, 64)
+	return string(append(append(b, variant...), ')'))
 }
 
 // analyticPointJob builds the cached job evaluating model cfg at one

@@ -291,7 +291,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, t *table, k key)
 			return true
 		}
 	}
-	body, ok := (*snap)[k]
+	body, ok := snap.bodies[k]
 	if !ok {
 		return false
 	}

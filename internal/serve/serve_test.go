@@ -30,7 +30,7 @@ func testPresets() (experiments.Preset, experiments.Preset) {
 
 // warmCache computes both presets' surface jobs into dir, exactly as
 // shard processes would.
-func warmCache(t *testing.T, dir string, pa, ps experiments.Preset) {
+func warmCache(t testing.TB, dir string, pa, ps experiments.Preset) {
 	t.Helper()
 	eng := engine.New(engine.Config{Workers: 4,
 		Cache: engine.NewCache(dir, experiments.CacheSalt)})
@@ -43,7 +43,7 @@ func warmCache(t *testing.T, dir string, pa, ps experiments.Preset) {
 
 // newServer builds a cache-only server over dir and returns the cache
 // whose stats prove (non-)recomputation.
-func newServer(t *testing.T, dir string) (*serve.Server, *engine.Cache) {
+func newServer(t testing.TB, dir string) (*serve.Server, *engine.Cache) {
 	t.Helper()
 	pa, ps := testPresets()
 	cache := engine.NewCache(dir, experiments.CacheSalt)

@@ -20,7 +20,7 @@ func shootoutRhos() []float64 { return []float64{30} }
 
 // warmShootout computes the shootout campaign's jobs into dir, exactly
 // as shard or worker processes would.
-func warmShootout(t *testing.T, dir string, ps experiments.Preset) {
+func warmShootout(t testing.TB, dir string, ps experiments.Preset) {
 	t.Helper()
 	eng := engine.New(engine.Config{Workers: 4,
 		Cache: engine.NewCache(dir, experiments.CacheSalt)})
@@ -35,7 +35,7 @@ func warmShootout(t *testing.T, dir string, ps experiments.Preset) {
 
 // newShootServer builds a cache-only server whose shootout densities
 // match warmShootout.
-func newShootServer(t *testing.T, dir string) (*serve.Server, *engine.Cache) {
+func newShootServer(t testing.TB, dir string) (*serve.Server, *engine.Cache) {
 	t.Helper()
 	pa, ps := testPresets()
 	cache := engine.NewCache(dir, experiments.CacheSalt)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"math"
 	"sync"
@@ -31,6 +32,13 @@ import (
 // preserving the "shards publish later, requests start succeeding"
 // behaviour — and on a forced refresh the last good snapshot stays
 // published until a newer build succeeds.
+//
+// A build renders only data that changed. Every body is a pure
+// function of the table and the one value its load returns, so a load
+// whose value hashes to the published snapshot's digest keeps that
+// snapshot and encodes nothing. The load itself always runs: a refresh
+// still rebuilds the job set and reads every job through the cache, so
+// a missing row fails it as before.
 
 // key addresses one response shape: the route ("optimal", "surface"
 // or "shootout"), its filter (the metric or the channel model, "" for
@@ -42,18 +50,28 @@ type key struct {
 	rho           int
 }
 
-// bodies is one snapshot: the pre-encoded 200 body of every servable
-// key, immutable once built. A key with an ETag but no body is an
-// infeasible optimum.
+// bodies maps every servable key to its pre-encoded 200 body. A key
+// with an ETag but no body is an infeasible optimum.
 type bodies map[key][]byte
+
+// snapshot is one published state of a table, immutable once built:
+// its bodies and the sha256 of the compact JSON of the value they were
+// rendered from.
+type snapshot struct {
+	bodies bodies
+	digest [sha256.Size]byte
+}
 
 // table is one published data set.
 type table struct {
 	name  string // the surface= value naming it in queries and refreshes
 	rhos  []float64
 	etags map[key]string
-	load  func(ctx context.Context) (*bodies, error)
-	store store[bodies]
+	// load reads the data set through the engine and returns the one
+	// value its bodies are rendered from, with the function that
+	// renders them.
+	load  func(ctx context.Context) (data any, render func() (bodies, error), err error)
+	store store[snapshot]
 }
 
 // rhoIndex finds the queried density among the table's. Densities are
@@ -70,8 +88,35 @@ func (t *table) rhoIndex(rho float64) (int, bool) {
 
 // build publishes a fresh snapshot (coalesced with any build in
 // flight) loaded on loadCtx; ctx bounds only this caller's wait.
-func (t *table) build(ctx, loadCtx context.Context, force bool) (*bodies, error) {
-	return t.store.build(ctx, func() (*bodies, error) { return t.load(loadCtx) }, force)
+func (t *table) build(ctx, loadCtx context.Context, force bool) (*snapshot, error) {
+	return t.store.build(ctx, func() (*snapshot, error) { return t.loadSnapshot(loadCtx) }, force)
+}
+
+// loadSnapshot loads the table and renders its bodies, unless the loaded
+// value's digest equals the published snapshot's: then it returns the
+// published snapshot. Only a build's leader calls it, so the published
+// snapshot cannot change meanwhile. The digest is exact because the
+// value's JSON keeps every distinction a body can show: NaN reads null
+// there as in optimize.Wire, -0 stays distinct from 0, and ±Inf fails
+// the digest as it would fail the render.
+func (t *table) loadSnapshot(ctx context.Context) (*snapshot, error) {
+	data, render, err := t.load(ctx)
+	if err != nil {
+		return nil, err
+	}
+	enc, err := json.Marshal(data)
+	if err != nil {
+		return nil, err
+	}
+	digest := sha256.Sum256(enc)
+	if old := t.store.get(); old != nil && old.digest == digest {
+		return old, nil
+	}
+	b, err := render()
+	if err != nil {
+		return nil, err
+	}
+	return &snapshot{bodies: b, digest: digest}, nil
 }
 
 // surfaceTable serves one preset's (ρ, p) surface: every optimum per
@@ -91,27 +136,30 @@ func surfaceTable(eng *engine.Engine, name string, pre experiments.Preset, simul
 	if simulated {
 		loadSurface = experiments.SimSurfaceCtx
 	}
-	t.load = func(ctx context.Context) (*bodies, error) {
+	t.load = func(ctx context.Context) (any, func() (bodies, error), error) {
 		surf, err := loadSurface(ctx, eng, pre)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return surfaceBodies(name, surf)
+		var rows [][]optimize.WirePoint
+		for _, row := range surf.Points {
+			rows = append(rows, optimize.Wire(row))
+		}
+		return rows, func() (bodies, error) { return surfaceBodies(name, pre.S, pre.Rhos, rows) }, nil
 	}
 	return t
 }
 
-// surfaceBodies runs every metric's argmax over a loaded surface and
-// pre-encodes each body it can serve. name is the canonical surface
-// query value echoed in the bodies.
-func surfaceBodies(name string, surf *experiments.Surface) (*bodies, error) {
+// surfaceBodies runs every metric's argmax over a surface's wire rows,
+// one per density in rhos, and pre-encodes each body it can serve.
+// name is the canonical surface query value echoed in the bodies.
+func surfaceBodies(name string, s int, rhos []float64, rows [][]optimize.WirePoint) (bodies, error) {
 	b := bodies{}
-	s, rhos := surf.Pre.S, surf.Pre.Rhos
-	full := surfaceBody{Surface: name, S: s, Rhos: rhos}
+	full := surfaceBody{Surface: name, S: s, Rhos: rhos, Rows: rows}
 	for i, rho := range rhos {
-		row := surf.Points[i]
+		pts := optimize.Points(rows[i])
 		for _, sel := range optimize.Selectors() {
-			opt, ok := sel.Pick(row)
+			opt, ok := sel.Pick(pts)
 			if !ok {
 				continue
 			}
@@ -121,10 +169,8 @@ func surfaceBodies(name string, surf *experiments.Surface) (*bodies, error) {
 				return nil, err
 			}
 		}
-		pts := optimize.Wire(row)
-		full.Rows = append(full.Rows, pts)
 		if err := b.put(key{"surface", "", i}, surfaceBody{
-			Surface: name, S: s, Rhos: []float64{rho}, Rows: [][]optimize.WirePoint{pts},
+			Surface: name, S: s, Rhos: []float64{rho}, Rows: rows[i : i+1],
 		}); err != nil {
 			return nil, err
 		}
@@ -132,7 +178,7 @@ func surfaceBodies(name string, surf *experiments.Surface) (*bodies, error) {
 	if err := b.put(key{"surface", "", -1}, full); err != nil {
 		return nil, err
 	}
-	return &b, nil
+	return b, nil
 }
 
 // shootoutModels lists the shootout's channel models by query name.
@@ -166,18 +212,20 @@ func shootoutTable(eng *engine.Engine, pre experiments.Preset, rhos []float64) (
 			t.etags[key{"shootout", m, i}] = etagOf("shootout", digest, m+"|"+rhoKey(rho))
 		}
 	}
-	t.load = func(ctx context.Context) (*bodies, error) {
+	t.load = func(ctx context.Context) (any, func() (bodies, error), error) {
 		data, err := experiments.ShootoutDataCtx(ctx, eng, pre, rhos)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		b := bodies{}
-		for k := range t.etags {
-			if err := b.put(k, shootoutFilter(data, k)); err != nil {
-				return nil, err
+		return data, func() (bodies, error) {
+			b := bodies{}
+			for k := range t.etags {
+				if err := b.put(k, shootoutFilter(data, k)); err != nil {
+					return nil, err
+				}
 			}
-		}
-		return &b, nil
+			return b, nil
+		}, nil
 	}
 	return t, nil
 }

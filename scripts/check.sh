@@ -65,6 +65,13 @@ echo "== tier 2: fuzz the coordinator's request handling (fixed short budget)"
 # The committed corpus under internal/dist/testdata/fuzz runs in tier 1.
 go test -run '^$' -fuzz '^FuzzCoordinatorRequest$' -fuzztime 10s ./internal/dist
 
+echo "== tier 2: fuzz serve's query parsing (fixed short budget)"
+# Any query string, with or without If-None-Match, on the three data
+# routes of a warm server must answer 200, 304, 400 or 404, and a 200
+# must carry the body and ETag its key answered before fuzzing. The
+# committed corpus under internal/serve/testdata/fuzz runs in tier 1.
+go test -run '^$' -fuzz '^FuzzServeQuery$' -fuzztime 10s ./internal/serve
+
 echo "== tier 2: go run ./cmd/sensorlint ./... (ratchet + findings artifact)"
 # The committed baseline is empty on main (TestDriverRepoIsClean
 # asserts it); passing it anyway keeps this the one canonical
