@@ -411,6 +411,30 @@ func BenchmarkEngineOverhead(b *testing.B) {
 	}
 }
 
+// BenchmarkSurfaceJobs times building the paper presets' surface job
+// sets, names and fingerprints included: the fixed cost a serve
+// refresh, a -merge and every shard pay before their first cache read.
+func BenchmarkSurfaceJobs(b *testing.B) {
+	for _, tc := range []struct {
+		name      string
+		pre       experiments.Preset
+		simulated bool
+	}{
+		{"analytic", experiments.PaperAnalytic(), false},
+		{"sim", experiments.PaperSim(), true},
+	} {
+		n := len(tc.pre.Rhos) * len(tc.pre.Grid)
+		b.Run(fmt.Sprintf("%s/jobs=%d", tc.name, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if jobs := experiments.SurfaceJobs(tc.pre, tc.simulated, 0); len(jobs) != n {
+					b.Fatalf("%d jobs, want %d", len(jobs), n)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkJointDesign regenerates the joint (p, s) optimisation.
 func BenchmarkJointDesign(b *testing.B) {
 	pre := benchPresetSim()

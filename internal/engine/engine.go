@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -176,12 +177,20 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 		errMu.Unlock()
 	}
 
-	idxCh := make(chan int)
+	// Workers take job indexes from one counter, checking ctx before
+	// each take: jobs start in index order, each at most once, and a
+	// failure or cancellation stops new takes, leaving the jobs never
+	// taken with zero results.
+	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			for idx := range idxCh {
+			for ctx.Err() == nil {
+				idx := int(next.Add(1) - 1)
+				if idx >= len(jobs) {
+					return
+				}
 				res := e.runJob(ctx, worker, jobs[idx])
 				results[idx] = res
 				if res.Err != nil {
@@ -190,16 +199,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 			}
 		}(w)
 	}
-
-feed:
-	for i := range jobs {
-		select {
-		case idxCh <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idxCh)
 	wg.Wait()
 
 	e.account(len(jobs), results, time.Since(start))

@@ -36,15 +36,28 @@ import (
 // instead of 0.
 const CacheSalt = "sensornet-exp-v3"
 
-// analyticPointKey fingerprints one analytic surface point: every model
-// config field a study sets, plus the probability and constraint
-// levels.
-func analyticPointKey(cfg analytic.Config, p float64, c optimize.Constraints) string {
+// analyticModelKey is the fingerprint prefix every point of model cfg
+// shares: its kind, then every model config field a study sets. A
+// point's key appends its probability and the constraint levels.
+func analyticModelKey(cfg analytic.Config) string {
 	return engine.Fingerprint("analytic-point-v2", CacheSalt,
 		cfg.P, cfg.S, cfg.Rho, cfg.R, cfg.KMode, cfg.BinomialMix,
-		cfg.CarrierSense, cfg.IntegrationPoints, cfg.MaxPhases,
-		p, c.Latency, c.Reach, c.Budget)
+		cfg.CarrierSense, cfg.IntegrationPoints, cfg.MaxPhases)
 }
+
+// rowKey joins a job's own key part between the fingerprint prefix and
+// suffix its row shares. engine.Fingerprint formats each part on its
+// own and joins them with \x1f, so the result is byte-identical to
+// fingerprinting every part at once, and a row formats its shared
+// parts once instead of once per job. own may be a formatted float in
+// a stack buffer: a []byte operand of the concatenation is copied
+// straight into the key, with no string of its own.
+func rowKey[T string | []byte](prefix string, own T, suffix string) string {
+	return prefix + "\x1f" + string(own) + "\x1f" + suffix
+}
+
+// formatG formats x as fmt's %g and %v do.
+func formatG(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
 // encodePoints serialises analytic surface points for the disk cache
 // layer, in their one wire shape.
@@ -70,11 +83,12 @@ func decodePoints(data []byte) (any, error) {
 // it.
 var paperModel = PaperAnalytic().AnalyticConfig(0)
 
-// analyticPointName names the point of model cfg at probability p by
-// its density and probability, plus every study-set field that differs
-// from paperModel, so the points of variant surfaces never share a name
-// while the plain points keep theirs.
-func analyticPointName(cfg analytic.Config, p float64) string {
+// analyticPointName returns the text around p in the names of model
+// cfg's points: a point is named by its density and probability, plus
+// every study-set field that differs from paperModel, so the points of
+// variant surfaces never share a name while the plain points keep
+// theirs.
+func analyticPointName(cfg analytic.Config) (prefix, suffix string) {
 	var variant string
 	if cfg.S != paperModel.S {
 		variant += fmt.Sprintf(",s=%d", cfg.S)
@@ -94,23 +108,19 @@ func analyticPointName(cfg analytic.Config, p float64) string {
 	if cfg.BinomialMix != paperModel.BinomialMix {
 		variant += fmt.Sprintf(",binomial=%t", cfg.BinomialMix)
 	}
-	// strconv's 'g' at precision -1 is fmt's %g, without fmt's cost.
-	b := append(make([]byte, 0, 64), "analytic-point(rho="...)
-	b = strconv.AppendFloat(b, cfg.Rho, 'g', -1, 64)
-	b = strconv.AppendFloat(append(b, ",p="...), p, 'g', -1, 64)
-	return string(append(append(b, variant...), ')'))
+	return "analytic-point(rho=" + formatG(cfg.Rho) + ",p=", variant + ")"
 }
 
-// analyticPointJob builds the cached job evaluating model cfg at one
-// grid probability. Point-level sharding keeps every worker of a wide
-// pool busy even when a study sweeps few densities, and lets a warmed
-// cache resume a partially computed row. The job's value is a
-// 1-element []optimize.Point, the payload its cache entries have always
-// held.
-func analyticPointJob(cfg analytic.Config, p float64, c optimize.Constraints) engine.Job {
+// analyticPointJob builds the cached job, named name and keyed key,
+// evaluating model cfg at one grid probability. Point-level sharding
+// keeps every worker of a wide pool busy even when a study sweeps few
+// densities, and lets a warmed cache resume a partially computed row.
+// The job's value is a 1-element []optimize.Point, the payload its
+// cache entries have always held.
+func analyticPointJob(name, key string, cfg analytic.Config, p float64, c optimize.Constraints) engine.Job {
 	return engine.JobFunc{
-		JobName:  analyticPointName(cfg, p),
-		Key:      analyticPointKey(cfg, p, c),
+		JobName:  name,
+		Key:      key,
 		EncodeFn: encodePoints,
 		DecodeFn: decodePoints,
 		Fn: func(ctx context.Context) (any, error) {
@@ -124,13 +134,22 @@ func analyticPointJob(cfg analytic.Config, p float64, c optimize.Constraints) en
 
 // analyticPointJobs builds the point-job batch of an analytic surface,
 // row-major in (Rhos, Grid) order: density rho's row evaluates
-// model(rho).
+// model(rho). A point's key is its row's model prefix, its probability
+// and the surface's constraint suffix; its name is the row's name
+// prefix and suffix around the same formatted probability.
 func analyticPointJobs(pre Preset, model func(rho float64) analytic.Config) []engine.Job {
+	c := pre.Constraints
+	suffix := engine.Fingerprint(c.Latency, c.Reach, c.Budget)
 	jobs := make([]engine.Job, 0, len(pre.Rhos)*len(pre.Grid))
+	var buf [32]byte
 	for _, rho := range pre.Rhos {
 		cfg := model(rho)
+		prefix := analyticModelKey(cfg)
+		namePrefix, nameSuffix := analyticPointName(cfg)
 		for _, p := range pre.Grid {
-			jobs = append(jobs, analyticPointJob(cfg, p, pre.Constraints))
+			ps := strconv.AppendFloat(buf[:0], p, 'g', -1, 64)
+			jobs = append(jobs, analyticPointJob(namePrefix+string(ps)+nameSuffix,
+				rowKey(prefix, ps, suffix), cfg, p, c))
 		}
 	}
 	return jobs
@@ -144,16 +163,20 @@ func analyticPointJobs(pre Preset, model func(rho float64) analytic.Config) []en
 // optimizer's argmax wants.
 func simPointJobs(pre Preset, pool *sim.Pool) []engine.Job {
 	c := pre.Constraints
+	suffix := engine.Fingerprint(c.Latency, c.Reach, c.Budget, pre.Runs)
 	jobs := make([]engine.Job, 0, len(pre.Rhos)*len(pre.Grid))
+	var buf [32]byte
 	for _, rho := range pre.Rhos {
+		cfg := pre.SimConfig(rho)
+		prefix := cellKey("sim-point", cfg, cfg.Model)
+		namePrefix := "sim-point(rho=" + formatG(rho) + ",p="
 		for _, p := range pre.Grid {
-			cfg := pre.SimConfig(rho)
 			cfg.Protocol = protocol.Probability{P: p}
+			ps := strconv.AppendFloat(buf[:0], p, 'g', -1, 64)
 			jobs = append(jobs, cellJob[pointCell](cell{
-				name: fmt.Sprintf("sim-point(rho=%g,p=%g)", rho, p),
-				key: cellKey("sim-point", cfg, cfg.Model, p,
-					c.Latency, c.Reach, c.Budget, pre.Runs),
-				cfg: cfg, runs: pre.Runs, levels: c, pool: pool,
+				name: namePrefix + string(ps) + ")",
+				key:  rowKey(prefix, ps, suffix),
+				cfg:  cfg, runs: pre.Runs, levels: c, pool: pool,
 			}))
 		}
 	}

@@ -105,3 +105,60 @@ func TestCellStudyJobIdentityPinned(t *testing.T) {
 		}
 	}
 }
+
+// namedJobsDigest hashes the ordered names and fingerprints of a job
+// set: the names are what a -merge -json missing-shard report prints,
+// so they drift as visibly as the keys.
+func namedJobsDigest(jobs []engine.Job) string {
+	h := sha256.New()
+	for _, j := range jobs {
+		h.Write([]byte(j.Name()))
+		h.Write([]byte{0x1f})
+		h.Write([]byte(j.Fingerprint()))
+		h.Write([]byte{0x1e})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestFigureJobNamesPinned pins every figure's job names and
+// fingerprints together, at the paper presets and the CLI's per-figure
+// parameters, "all" and "shootout" included.
+func TestFigureJobNamesPinned(t *testing.T) {
+	spec := FigureSpec{Analytic: PaperAnalytic(), Sim: PaperSim(), DegRho: 60}
+	want := map[string]string{
+		"fig4":        "8cca5cb315a3753724e92c41b669929245e0fcba9715ca1f97508fe3ebf7d2b4",
+		"fig5":        "8cca5cb315a3753724e92c41b669929245e0fcba9715ca1f97508fe3ebf7d2b4",
+		"fig6":        "8cca5cb315a3753724e92c41b669929245e0fcba9715ca1f97508fe3ebf7d2b4",
+		"fig7":        "8cca5cb315a3753724e92c41b669929245e0fcba9715ca1f97508fe3ebf7d2b4",
+		"fig8":        "48e13782a9c51d832b686f39d9b7e557f7471de3950395c744a1ae4750aadc94",
+		"fig9":        "48e13782a9c51d832b686f39d9b7e557f7471de3950395c744a1ae4750aadc94",
+		"fig10":       "48e13782a9c51d832b686f39d9b7e557f7471de3950395c744a1ae4750aadc94",
+		"fig11":       "48e13782a9c51d832b686f39d9b7e557f7471de3950395c744a1ae4750aadc94",
+		"fig12":       "8cca5cb315a3753724e92c41b669929245e0fcba9715ca1f97508fe3ebf7d2b4",
+		"fig12sim":    "9947b95fea5fad7f2e09247848d330b3cd4251f35ecfdb8ad632d74c8326c78f",
+		"cfm":         "6e3455f73f9672934720ba61edde5aecc3e6686f1eca3b3545a8edab7aa4c6aa",
+		"carrier":     "9e54d100a7f5b51a39ce50ece375c9218955b7f6fd22b51ab6f87f86de4317bf",
+		"costfn":      "2196674926f2832b5ded95491a7f333846f67c66bb72ba066e153c285bfd5829",
+		"percolation": "ccf77fd0f5928b09a43522e6145274094c4cedc06d33157d302344ccf7f1bc16",
+		"collisions":  "67cff7d94b81c15c33a1f254d4e2ec45091fdbf77f70a2fa0250765be3fa2194",
+		"slots":       "011f5e3352cf4fa368b578803a4ea16d9c1866a21941e8b8bb0500f8208b4434",
+		"field":       "52fb79d6b572f2622a95b40959e753bb76cbcf9f9e63308b79a25af3c28350cc",
+		"schemes":     "455d941bbd058a7e58ca317ca89f5700cf1ab78e9bccbb15809b98a921d2a315",
+		"hetero":      "ce4d6c89001ee21c80bc12d06b46349a7d5927f5d842b79079fdc95f446ede59",
+		"refinedcfm":  "9f8f7313c7abcdc70b702ebd739f93d434f51cf004366559ffefad85955c6849",
+		"joint":       "545d04b8939067af4486fe9558ed9c583b78c52cf29468d79f4080f09c4d7f19",
+		"mumode":      "1d0314b059a048f44da337000f3e60a330d2983231394e7481980588e298fe92",
+		"degradation": "1091f583aa61d4dad1920bc1fa10ced1ddde6c665543d6c3d79e615e369b2983",
+		"shootout":    "2a6a3d5cb490cfdc3126262a77517accdda946aacef3d87959ee2871fdb64517",
+		"all":         "b574cee25668248ee1016684268f369c88ffa8835f55fd08e524cf04cad1d895",
+	}
+	for _, id := range FigureIDs() {
+		got := namedJobsDigest(mustJobs(FigureJobs(id, spec)))
+		if got != want[id] {
+			t.Errorf("%s job names or fingerprints drifted:\n got %s\nwant %s", id, got, want[id])
+		}
+	}
+	if len(want) != len(FigureIDs()) {
+		t.Errorf("%d figures pinned, want every one of the %d FigureIDs", len(want), len(FigureIDs()))
+	}
+}

@@ -127,37 +127,44 @@ func newShootStudy(pre Preset, rhos []float64) (*shootStudy, error) {
 		pool: newPool(),
 	}
 	for _, model := range st.models {
-		for _, rho := range st.rhos {
-			for _, s := range st.schemes {
-				st.cells = append(st.cells, st.cellJob(model, rho, s))
-			}
-		}
+		st.addCells(model)
 	}
 	return st, nil
 }
 
-// cellJob builds the cached job averaging one scheme's metrics over
-// the preset's replications under one channel model at one density.
-// Every scheme and every model at a density shares the replications'
-// deployments (common random numbers).
-func (st *shootStudy) cellJob(model channel.Model, rho float64, s shootScheme) engine.Job {
-	cfg := st.pre.SimConfig(rho)
-	cfg.Model = model
-	parts := []any{s.key, st.sinr.Alpha, st.sinr.Beta, st.sinr.N0,
+// addCells appends the cached jobs averaging each scheme's metrics over
+// the preset's replications under one channel model, density by
+// density. Every scheme and every model at a density shares the
+// replications' deployments (common random numbers). A cell's key is
+// its (model, ρ) prefix, its scheme key and its model's suffix, and its
+// name spells the same three.
+func (st *shootStudy) addCells(model channel.Model) {
+	suffix := []any{st.sinr.Alpha, st.sinr.Beta, st.sinr.N0,
 		st.pre.Constraints.Latency, st.pre.Runs}
 	if model == channel.ModelSINR {
-		cfg.SINR = st.sinr
 		// Only SINR reads the gain tables, so only its cells are keyed
 		// by how the gains are computed.
-		parts = append(parts, deploy.GainFormula)
+		suffix = append(suffix, deploy.GainFormula)
 	}
-	cfg.Protocol = s.proto(rho)
-	return cellJob[schemeCell](cell{
-		name: fmt.Sprintf("shoot(%s,%s,rho=%g)", model, s.key, rho),
-		key:  cellKey("shoot-cell", cfg, int(model), parts...),
-		cfg:  cfg, runs: st.pre.Runs, levels: st.pre.Constraints,
-		pool: st.pool,
-	})
+	keySuffix := engine.Fingerprint(suffix...)
+	for _, rho := range st.rhos {
+		cfg := st.pre.SimConfig(rho)
+		cfg.Model = model
+		if model == channel.ModelSINR {
+			cfg.SINR = st.sinr
+		}
+		prefix := cellKey("shoot-cell", cfg, int(model))
+		rhoName := ",rho=" + formatG(rho) + ")"
+		for _, s := range st.schemes {
+			cfg.Protocol = s.proto(rho)
+			st.cells = append(st.cells, cellJob[schemeCell](cell{
+				name: "shoot(" + model.String() + "," + s.key + rhoName,
+				key:  rowKey(prefix, s.key, keySuffix),
+				cfg:  cfg, runs: st.pre.Runs, levels: st.pre.Constraints,
+				pool: st.pool,
+			}))
+		}
+	}
 }
 
 // jobs returns the study's cell-job batch, model-major in

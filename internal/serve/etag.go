@@ -46,27 +46,29 @@ func etagOf(parts ...string) string {
 // validate against the same entity.
 func rhoKey(rho float64) string { return strconv.FormatFloat(rho, 'g', -1, 64) }
 
-// etagMatch implements the strong If-None-Match comparison: the header
-// is a comma-separated list of entity tags, or *. Weak tags (W/...)
-// never strong-match.
-func etagMatch(header, etag string) bool {
+// ifNoneMatch classifies an If-None-Match header against etag. The
+// header is a comma-separated list of entity tags, or *. exact reports
+// a strong match of a listed tag (weak tags, W/..., never strong-match);
+// wildcard reports a * that is all that could match. A * matches only
+// a current representation, which the caller must look up.
+func ifNoneMatch(header, etag string) (exact, wildcard bool) {
+	if header == "" {
+		return false, false
+	}
 	for _, c := range strings.Split(header, ",") {
-		c = strings.TrimSpace(c)
-		if c == "*" || c == etag {
-			return true
+		switch strings.TrimSpace(c) {
+		case etag:
+			return true, false
+		case "*":
+			wildcard = true
 		}
 	}
-	return false
+	return false, wildcard
 }
 
-// notModified answers 304 if the request's If-None-Match matches etag,
-// reporting whether the handler is done. Handlers set the ETag header
+// notModified answers 304 with etag. Handlers set the ETag header
 // themselves on their 200 path, so error responses carry no validator.
-func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		return true
-	}
-	return false
+func notModified(w http.ResponseWriter, etag string) {
+	w.Header().Set("ETag", etag)
+	w.WriteHeader(http.StatusNotModified)
 }

@@ -184,3 +184,45 @@ func TestETagAbsentOnErrors(t *testing.T) {
 		t.Fatalf("unknown rho: status %d etag %q", code, etag)
 	}
 }
+
+// TestETagWildcardMatchesOnlyARepresentation: If-None-Match: * matches
+// only a current representation. On a key with no body (an infeasible
+// optimum) it falls through to the route's 404 with no ETag; on a key
+// with one it answers 304 with that key's ETag; and a cold table builds
+// its snapshot before answering either.
+func TestETagWildcardMatchesOnlyARepresentation(t *testing.T) {
+	dir := t.TempDir()
+	pa, ps := testPresets()
+	pa.Constraints.Reach = 1.01 // no grid point reaches more than every node
+	warmAnalyticOnly(t, dir, pa)
+	newSrv := func() *serve.Server {
+		eng := engine.New(engine.Config{Workers: 4, Cache: engine.NewCache(dir, experiments.CacheSalt), CacheOnly: true})
+		srv, err := serve.NewCtx(t.Context(), eng, pa, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	const (
+		infeasible = "/api/optimal?surface=analytic&metric=latency&rho=40"
+		feasible   = "/api/optimal?surface=analytic&metric=reach&rho=40"
+	)
+	_, feasibleTag, _ := getETag(t, newSrv(), feasible, "")
+	if feasibleTag == "" {
+		t.Fatal("the feasible optimum answered without an ETag")
+	}
+	for _, order := range [][]string{{infeasible, feasible}, {feasible, infeasible}} {
+		srv := newSrv() // cold: the first request builds the snapshot
+		for _, url := range order {
+			for _, header := range []string{"*", `"stale", *`, `W/"x", *`} {
+				code, etag, _ := getETag(t, srv, url, header)
+				switch {
+				case url == infeasible && (code != http.StatusNotFound || etag != ""):
+					t.Fatalf("GET %s If-None-Match %s: status %d, ETag %q; want 404 and none", url, header, code, etag)
+				case url == feasible && (code != http.StatusNotModified || etag != feasibleTag):
+					t.Fatalf("GET %s If-None-Match %s: status %d, ETag %q; want 304 and %s", url, header, code, etag, feasibleTag)
+				}
+			}
+		}
+	}
+}

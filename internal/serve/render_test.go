@@ -6,6 +6,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"math"
 	"reflect"
@@ -46,15 +47,20 @@ type stubTable struct {
 
 func newStubTable() *stubTable {
 	st := &stubTable{table: &table{name: "stub", rhos: stubRhos}, rows: stubRows}
-	st.load = func(context.Context) (any, func() (bodies, error), error) {
+	st.load = func(context.Context) ([sha256.Size]byte, func() (bodies, error), error) {
 		if st.fail != nil {
-			return nil, nil, st.fail
+			return [sha256.Size]byte{}, nil, st.fail
 		}
 		rows := st.rows()
-		return rows, func() (bodies, error) {
+		pts := make([][]optimize.Point, len(rows))
+		for i, row := range rows {
+			pts[i] = optimize.Points(row)
+		}
+		digest, err := surfaceDigest(pts)
+		return digest, func() (bodies, error) {
 			st.renders++
 			return surfaceBodies(st.name, 3, stubRhos, rows)
-		}, nil
+		}, err
 	}
 	return st
 }

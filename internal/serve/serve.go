@@ -272,15 +272,19 @@ func (s *Server) surface(name string) (*table, error) {
 }
 
 // answer serves t's body under k: a 304 when the request's validator
-// matches (before any snapshot access — or, cold, any cache read),
-// else the snapshot's bytes, building the snapshot first when the
-// table is cold. Builds are coalesced and run on the server's base
-// context; the request context only bounds this caller's wait. answer
-// reports false, having written nothing, when k has an ETag but no
-// body: an infeasible optimum, which the caller answers 404.
+// names k's ETag (before any snapshot access — or, cold, any cache
+// read), else the snapshot's bytes, building the snapshot first when
+// the table is cold. If-None-Match: * matches only a current
+// representation, so it answers 304 only once the snapshot shows k has
+// a body. Builds are coalesced and run on the server's base context;
+// the request context only bounds this caller's wait. answer reports
+// false, having written nothing, when k has an ETag but no body: an
+// infeasible optimum, which the caller answers 404.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, t *table, k key) bool {
 	etag := t.etags[k]
-	if notModified(w, r, etag) {
+	exact, wildcard := ifNoneMatch(r.Header.Get("If-None-Match"), etag)
+	if exact {
+		notModified(w, etag)
 		return true
 	}
 	snap := t.store.get()
@@ -292,11 +296,15 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, t *table, k key)
 		}
 	}
 	body, ok := snap.bodies[k]
-	if !ok {
+	switch {
+	case !ok:
 		return false
+	case wildcard:
+		notModified(w, etag)
+	default:
+		w.Header().Set("ETag", etag)
+		writeRaw(w, http.StatusOK, body)
 	}
-	w.Header().Set("ETag", etag)
-	writeRaw(w, http.StatusOK, body)
 	return true
 }
 

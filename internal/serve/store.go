@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -34,11 +37,13 @@ import (
 // published until a newer build succeeds.
 //
 // A build renders only data that changed. Every body is a pure
-// function of the table and the one value its load returns, so a load
+// function of the table and the one value its load reads, so a load
 // whose value hashes to the published snapshot's digest keeps that
-// snapshot and encodes nothing. The load itself always runs: a refresh
-// still rebuilds the job set and reads every job through the cache, so
-// a missing row fails it as before.
+// snapshot and encodes nothing. The digest hashes the value itself,
+// typed: every float by its bits, every string and slice with its
+// length. The load itself always runs: a refresh still rebuilds the
+// job set and reads every job through the cache, so a missing row
+// fails it as before.
 
 // key addresses one response shape: the route ("optimal", "surface"
 // or "shootout"), its filter (the metric or the channel model, "" for
@@ -55,8 +60,7 @@ type key struct {
 type bodies map[key][]byte
 
 // snapshot is one published state of a table, immutable once built:
-// its bodies and the sha256 of the compact JSON of the value they were
-// rendered from.
+// its bodies and the digest of the value they were rendered from.
 type snapshot struct {
 	bodies bodies
 	digest [sha256.Size]byte
@@ -67,10 +71,10 @@ type table struct {
 	name  string // the surface= value naming it in queries and refreshes
 	rhos  []float64
 	etags map[key]string
-	// load reads the data set through the engine and returns the one
-	// value its bodies are rendered from, with the function that
-	// renders them.
-	load  func(ctx context.Context) (data any, render func() (bodies, error), err error)
+	// load reads the data set through the engine and returns the
+	// digest of the one value its bodies are rendered from, with the
+	// function that renders them.
+	load  func(ctx context.Context) (digest [sha256.Size]byte, render func() (bodies, error), err error)
 	store store[snapshot]
 }
 
@@ -95,20 +99,12 @@ func (t *table) build(ctx, loadCtx context.Context, force bool) (*snapshot, erro
 // loadSnapshot loads the table and renders its bodies, unless the loaded
 // value's digest equals the published snapshot's: then it returns the
 // published snapshot. Only a build's leader calls it, so the published
-// snapshot cannot change meanwhile. The digest is exact because the
-// value's JSON keeps every distinction a body can show: NaN reads null
-// there as in optimize.Wire, -0 stays distinct from 0, and ±Inf fails
-// the digest as it would fail the render.
+// snapshot cannot change meanwhile.
 func (t *table) loadSnapshot(ctx context.Context) (*snapshot, error) {
-	data, render, err := t.load(ctx)
+	digest, render, err := t.load(ctx)
 	if err != nil {
 		return nil, err
 	}
-	enc, err := json.Marshal(data)
-	if err != nil {
-		return nil, err
-	}
-	digest := sha256.Sum256(enc)
 	if old := t.store.get(); old != nil && old.digest == digest {
 		return old, nil
 	}
@@ -117,6 +113,90 @@ func (t *table) loadSnapshot(ctx context.Context) (*snapshot, error) {
 		return nil, err
 	}
 	return &snapshot{bodies: b, digest: digest}, nil
+}
+
+// valueDigest accumulates the render gate's digest of a table's value.
+// It is exact: a body is a pure function of the table and the value,
+// and the encoding is injective on everything a body can show. Floats
+// enter by their bits, so -0 and 0 differ as they do in JSON; strings
+// and slices are length-prefixed, and a slice or map whose nil-ness a
+// body can show has it hashed too. A float a body must encode as a
+// JSON number fails the digest when it is NaN or infinite, exactly
+// where the render would fail.
+type valueDigest struct {
+	b   []byte
+	err error
+}
+
+func (d *valueDigest) u64(x uint64) { d.b = binary.LittleEndian.AppendUint64(d.b, x) }
+
+// number hashes a float a body encodes as a JSON number.
+func (d *valueDigest) number(x float64) {
+	if (math.IsNaN(x) || math.IsInf(x, 0)) && d.err == nil {
+		d.err = fmt.Errorf("serve: unsupported value %v: a JSON number must be finite", x)
+	}
+	d.u64(math.Float64bits(x))
+}
+
+// nullable hashes a float a body encodes as null when it is NaN, as
+// optimize.Wire does: a presence byte, then the bits of a present one.
+func (d *valueDigest) nullable(x float64) {
+	if math.IsNaN(x) {
+		d.b = append(d.b, 0)
+		return
+	}
+	d.b = append(d.b, 1)
+	d.number(x)
+}
+
+func (d *valueDigest) str(s string) {
+	d.u64(uint64(len(s)))
+	d.b = append(d.b, s...)
+}
+
+// size hashes a slice's or map's length and whether it is nil, which
+// JSON tells apart (null against [] or {}).
+func (d *valueDigest) size(n int, isNil bool) {
+	if isNil {
+		d.b = append(d.b, 0)
+		return
+	}
+	d.b = append(d.b, 1)
+	d.u64(uint64(n))
+}
+
+func (d *valueDigest) sum() ([sha256.Size]byte, error) {
+	if d.err != nil {
+		return [sha256.Size]byte{}, d.err
+	}
+	return sha256.Sum256(d.b), nil
+}
+
+// surfaceDigest is the digest of a surface's rows: each row's length,
+// then each point's P and its six metrics, a NaN metric reading null.
+// The rows' nil-ness never reaches a body: optimize.Wire returns a
+// non-nil row for every row.
+func surfaceDigest(rows [][]optimize.Point) ([sha256.Size]byte, error) {
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	// 8 bytes per length, 62 per point: P and six present metrics.
+	d := valueDigest{b: make([]byte, 0, 8*(1+len(rows))+62*n)}
+	d.u64(uint64(len(rows)))
+	for _, row := range rows {
+		d.u64(uint64(len(row)))
+		for _, pt := range row {
+			d.number(pt.P)
+			d.nullable(pt.ReachAtL)
+			d.nullable(pt.Latency)
+			d.nullable(pt.Broadcasts)
+			d.nullable(pt.ReachAtBudget)
+			d.nullable(pt.SuccessRate)
+			d.nullable(pt.Final)
+		}
+	}
+	return d.sum()
 }
 
 // surfaceTable serves one preset's (ρ, p) surface: every optimum per
@@ -136,16 +216,19 @@ func surfaceTable(eng *engine.Engine, name string, pre experiments.Preset, simul
 	if simulated {
 		loadSurface = experiments.SimSurfaceCtx
 	}
-	t.load = func(ctx context.Context) (any, func() (bodies, error), error) {
+	t.load = func(ctx context.Context) ([sha256.Size]byte, func() (bodies, error), error) {
 		surf, err := loadSurface(ctx, eng, pre)
 		if err != nil {
-			return nil, nil, err
+			return [sha256.Size]byte{}, nil, err
 		}
-		var rows [][]optimize.WirePoint
-		for _, row := range surf.Points {
-			rows = append(rows, optimize.Wire(row))
-		}
-		return rows, func() (bodies, error) { return surfaceBodies(name, pre.S, pre.Rhos, rows) }, nil
+		digest, err := surfaceDigest(surf.Points)
+		return digest, func() (bodies, error) {
+			var rows [][]optimize.WirePoint
+			for _, row := range surf.Points {
+				rows = append(rows, optimize.Wire(row))
+			}
+			return surfaceBodies(name, pre.S, pre.Rhos, rows)
+		}, err
 	}
 	return t
 }
@@ -212,12 +295,13 @@ func shootoutTable(eng *engine.Engine, pre experiments.Preset, rhos []float64) (
 			t.etags[key{"shootout", m, i}] = etagOf("shootout", digest, m+"|"+rhoKey(rho))
 		}
 	}
-	t.load = func(ctx context.Context) (any, func() (bodies, error), error) {
+	t.load = func(ctx context.Context) ([sha256.Size]byte, func() (bodies, error), error) {
 		data, err := experiments.ShootoutDataCtx(ctx, eng, pre, rhos)
 		if err != nil {
-			return nil, nil, err
+			return [sha256.Size]byte{}, nil, err
 		}
-		return data, func() (bodies, error) {
+		digest, err := shootoutDigest(data)
+		return digest, func() (bodies, error) {
 			b := bodies{}
 			for k := range t.etags {
 				if err := b.put(k, shootoutFilter(data, k)); err != nil {
@@ -225,9 +309,52 @@ func shootoutTable(eng *engine.Engine, pre experiments.Preset, rhos []float64) (
 				}
 			}
 			return b, nil
-		}, nil
+		}, err
 	}
 	return t, nil
+}
+
+// shootoutDigest is the digest of the shootout's data: its model names
+// and densities, then each row's model, density, schemes (key, display
+// name and the seven aggregates) and Best in sorted key order. Bodies
+// narrow the model and density axes by index, so only the nil-ness of
+// a row's schemes and Best reaches one.
+func shootoutDigest(data *experiments.ShootoutData) ([sha256.Size]byte, error) {
+	var d valueDigest
+	d.u64(uint64(len(data.Models)))
+	for _, m := range data.Models {
+		d.str(m)
+	}
+	d.u64(uint64(len(data.Rhos)))
+	for _, rho := range data.Rhos {
+		d.number(rho)
+	}
+	d.u64(uint64(len(data.Rows)))
+	var keys []string
+	for _, row := range data.Rows {
+		d.str(row.Model)
+		d.number(row.Rho)
+		d.size(len(row.Schemes), row.Schemes == nil)
+		for _, s := range row.Schemes {
+			d.str(s.Scheme)
+			d.str(s.Display)
+			for _, x := range [...]float64{s.Coverage, s.ReachAtL, s.Settle,
+				s.Broadcasts, s.Delivered, s.LostColl, s.SuccessRate} {
+				d.number(x)
+			}
+		}
+		d.size(len(row.Best), row.Best == nil)
+		keys = keys[:0]
+		for k := range row.Best {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			d.str(k)
+			d.str(row.Best[k])
+		}
+	}
+	return d.sum()
 }
 
 // shootoutBody is the JSON shape of every /api/shootout response: the
