@@ -413,7 +413,8 @@ func BenchmarkEngineOverhead(b *testing.B) {
 
 // BenchmarkSurfaceJobs times building the paper presets' surface job
 // sets, names and fingerprints included: the fixed cost a serve
-// refresh, a -merge and every shard pay before their first cache read.
+// table's load, a -merge and every shard pay before their first cache
+// read.
 func BenchmarkSurfaceJobs(b *testing.B) {
 	for _, tc := range []struct {
 		name      string

@@ -116,15 +116,12 @@ func NewCache(dir, salt string) *Cache {
 }
 
 // key computes the content address of a fingerprint under the cache's
-// salt.
+// salt, sha256(salt ‖ 0x1f ‖ fingerprint), in one hash over a stack
+// buffer; a salt and fingerprint longer than the buffer spill to the
+// heap.
 func (c *Cache) key(fingerprint string) key {
-	h := sha256.New()
-	h.Write([]byte(c.salt))
-	h.Write([]byte{0x1f})
-	h.Write([]byte(fingerprint))
-	var k key
-	h.Sum(k[:0])
-	return k
+	var buf [256]byte
+	return sha256.Sum256(append(append(append(buf[:0], c.salt...), 0x1f), fingerprint...))
 }
 
 // Get looks a fingerprint up, first in memory (decoded values, then

@@ -3,10 +3,13 @@ package engine
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -34,6 +37,32 @@ func TestCacheMemoryRoundTrip(t *testing.T) {
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 1 || s.Stores != 1 {
 		t.Fatalf("stats %+v", s)
+	}
+}
+
+// TestCacheKeyMatchesStreamingHash pins the one-call key to the
+// streaming sha256 of salt ‖ 0x1f ‖ fingerprint, so no record's disk
+// address moves: on random fingerprints, empty and non-ASCII ones, and
+// salts and fingerprints longer than the key's stack buffer.
+func TestCacheKeyMatchesStreamingHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	fps := []string{"", "analytic-point(rho=60,p=0.2)", "ρ=60·p=0.2", "\xff\x00\x1f", strings.Repeat("x", 1000)}
+	for i := 0; i < 200; i++ {
+		b := make([]byte, rng.Intn(300))
+		rng.Read(b)
+		fps = append(fps, string(b))
+	}
+	for _, salt := range []string{"", "salt", strings.Repeat("s", 300)} {
+		c := NewCache("", salt)
+		for _, fp := range fps {
+			h := sha256.New()
+			h.Write([]byte(salt))
+			h.Write([]byte{0x1f})
+			h.Write([]byte(fp))
+			if got, want := c.key(fp), h.Sum(nil); !bytes.Equal(got[:], want) {
+				t.Fatalf("salt %q, fingerprint %q: key %x, want %x", salt, fp, got, want)
+			}
+		}
 	}
 }
 

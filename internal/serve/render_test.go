@@ -1,17 +1,18 @@
-// Render-gate tests: a build renders bodies only when the value its
-// load returns changed. An equal value keeps the published snapshot
-// without rendering; a changed one renders afresh; a failed load keeps
-// the last good snapshot published.
+// Cold-table render test: a table whose loaded value cannot encode
+// publishes nothing, so every request wave answers the failure and
+// loads again until a load succeeds.
 package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"errors"
 	"math"
-	"reflect"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"sensornet/internal/engine"
+	"sensornet/internal/experiments"
 	"sensornet/internal/optimize"
 )
 
@@ -36,140 +37,44 @@ func stubRows() [][]optimize.WirePoint {
 	}
 }
 
-// stubTable is a surface table over a stub load: each load returns
-// rows() or fails with fail, and renders counts the renders.
-type stubTable struct {
-	*table
-	rows    func() [][]optimize.WirePoint
-	fail    error
-	renders int
-}
-
-func newStubTable() *stubTable {
-	st := &stubTable{table: &table{name: "stub", rhos: stubRhos}, rows: stubRows}
-	st.load = func(context.Context) ([sha256.Size]byte, func() (bodies, error), error) {
-		if st.fail != nil {
-			return [sha256.Size]byte{}, nil, st.fail
-		}
-		rows := st.rows()
-		pts := make([][]optimize.Point, len(rows))
-		for i, row := range rows {
-			pts[i] = optimize.Points(row)
-		}
-		digest, err := surfaceDigest(pts)
-		return digest, func() (bodies, error) {
-			st.renders++
-			return surfaceBodies(st.name, 3, stubRhos, rows)
-		}, err
-	}
-	return st
-}
-
-// refresh forces a build, as POST /api/refresh does.
-func (st *stubTable) refresh() (*snapshot, error) {
-	return st.build(context.Background(), context.Background(), true)
-}
-
-func TestRenderGateKeepsSnapshotOfEqualValue(t *testing.T) {
-	st := newStubTable()
-	first, err := st.build(context.Background(), context.Background(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.renders != 1 {
-		t.Fatalf("first build rendered %d times, want 1", st.renders)
-	}
-	for i := 0; i < 3; i++ {
-		snap, err := st.refresh()
+// TestColdTableThatCannotEncodeStaysCold: JSON has no infinity, so a
+// surface holding ±Inf fails to render. Each request then answers 500
+// and leaves the table cold, the next one loads again, and the first
+// load whose value encodes publishes.
+func TestColdTableThatCannotEncodeStaysCold(t *testing.T) {
+	for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+		eng := engine.New(engine.Config{Workers: 1, Cache: engine.NewCache("", experiments.CacheSalt), CacheOnly: true})
+		srv, err := NewCtx(t.Context(), eng, experiments.QuickAnalytic(), experiments.QuickSim())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snap != first || st.store.get() != first {
-			t.Fatalf("refresh %d over an equal value replaced the published snapshot", i)
-		}
-	}
-	if st.renders != 1 {
-		t.Fatalf("refreshes over an equal value rendered: %d renders, want 1", st.renders)
-	}
-}
-
-func TestRenderGateRendersChangedValue(t *testing.T) {
-	f := func(x float64) *float64 { return &x }
-	for _, tc := range []struct {
-		name   string
-		change func(rows [][]optimize.WirePoint)
-	}{
-		{"value", func(rows [][]optimize.WirePoint) { rows[0][1].ReachAtL = f(0.71) }},
-		{"optimum moves", func(rows [][]optimize.WirePoint) { rows[1][2].ReachAtL = f(0.9) }},
-		{"null to value", func(rows [][]optimize.WirePoint) { rows[1][1].Latency = f(7) }},
-		{"value to null", func(rows [][]optimize.WirePoint) { rows[0][0].Final = nil }},
-		{"zero to negative zero", func(rows [][]optimize.WirePoint) { rows[0][2].ReachAtBudget = f(math.Copysign(0, -1)) }},
-		{"row shape", func(rows [][]optimize.WirePoint) { rows[1] = rows[1][:2] }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			st := newStubTable()
-			before, err := st.refresh()
-			if err != nil {
-				t.Fatal(err)
-			}
-			st.rows = func() [][]optimize.WirePoint {
-				rows := stubRows()
-				tc.change(rows)
-				return rows
-			}
-			after, err := st.refresh()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if after == before || st.store.get() != after || st.renders != 2 {
-				t.Fatalf("changed value: published %p (before %p, got %p), %d renders; want a fresh render published",
-					st.store.get(), before, after, st.renders)
-			}
-			want, err := surfaceBodies(st.name, 3, stubRhos, st.rows())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(after.bodies, want) {
-				t.Fatal("bodies after the change differ from a fresh render of the changed value")
-			}
-			if reflect.DeepEqual(after.bodies, before.bodies) {
-				t.Fatal("the change moved no body; the case tests nothing")
-			}
-		})
-	}
-}
-
-func TestRenderGateKeepsLastGoodOnFailedLoad(t *testing.T) {
-	st := newStubTable()
-	good, err := st.refresh()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf := math.Inf(1)
-	for _, tc := range []struct {
-		name  string
-		setup func()
-	}{
-		{"load error", func() { st.fail = errors.New("rows unpublished") }},
-		// JSON has no infinity: the digest fails, as the render would.
-		{"infinite value", func() {
-			st.fail = nil
-			st.rows = func() [][]optimize.WirePoint {
-				rows := stubRows()
+		tab, loads, finite := srv.tables[0], 0, false
+		tab.load = func(context.Context) (bodies, error) {
+			loads++
+			rows := stubRows()
+			if !finite {
 				rows[0][0].Latency = &inf
-				return rows
 			}
-		}},
-	} {
-		tc.setup()
-		if snap, err := st.refresh(); err == nil || snap != nil {
-			t.Fatalf("%s: refresh returned %p, %v; want an error", tc.name, snap, err)
+			return surfaceBodies(tab.name, 3, stubRhos, rows)
 		}
-		if st.store.get() != good {
-			t.Fatalf("%s: the last good snapshot was replaced", tc.name)
+		get := func() *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("GET", "/api/surface?surface=analytic", nil))
+			return rec
 		}
-	}
-	if st.renders != 1 {
-		t.Fatalf("failed loads rendered: %d renders, want 1", st.renders)
+		for i := 1; i <= 2; i++ {
+			rec := get()
+			if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "unsupported value") {
+				t.Fatalf("%v, request %d: status %d body %s; want 500 naming the value", inf, i, rec.Code, rec.Body)
+			}
+			if tab.published.Load() != nil || loads != i {
+				t.Fatalf("%v, request %d: %d loads, published %v; want %d loads and a cold table",
+					inf, i, loads, tab.published.Load() != nil, i)
+			}
+		}
+		finite = true
+		if rec := get(); rec.Code != http.StatusOK || tab.published.Load() == nil || loads != 3 {
+			t.Fatalf("%v, finite load: status %d after %d loads; want 200 and a published table", inf, rec.Code, loads)
+		}
 	}
 }

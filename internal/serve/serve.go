@@ -36,7 +36,7 @@ import (
 //	GET  /api/optimal?surface=analytic|sim&metric=<name>&rho=<density>
 //	GET  /api/surface?surface=analytic|sim[&rho=<density>]
 //	GET  /api/shootout[?model=<name>][&rho=<density>]
-//	POST /api/refresh[?surface=analytic|sim|shootout]   rebuild snapshots
+//	POST /api/refresh[?surface=analytic|sim|shootout]   build cold snapshots
 type Server struct {
 	eng *engine.Engine
 	// tables are the analytic and sim surfaces, then the shootout: the
@@ -120,7 +120,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Warm(ctx context.Context) error {
 	var firstErr error
 	for _, t := range s.tables {
-		if _, err := t.build(ctx, ctx, false); err != nil && firstErr == nil {
+		if _, err := t.build(ctx, ctx); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -181,7 +181,7 @@ func missingJobs(err error) (missing *engine.MissingError, jobs []string) {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	snapshots := make(map[string]bool, len(s.tables))
 	for _, t := range s.tables {
-		snapshots[t.name] = t.store.get() != nil
+		snapshots[t.name] = t.published.Load() != nil
 	}
 	body := map[string]any{
 		"status":    "ok",
@@ -218,7 +218,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// refreshResult reports one surface's rebuild outcome.
+// refreshResult reports one surface's refresh outcome.
 type refreshResult struct {
 	Surface     string   `json:"surface"`
 	OK          bool     `json:"ok"`
@@ -236,10 +236,12 @@ func lookup(tables []*table, name string) *table {
 	return nil
 }
 
-// handleRefresh forces snapshot rebuilds — after shards publish new
-// rows, hit this instead of restarting the server. A failed rebuild
-// keeps the last good snapshot published. Refreshing every snapshot is
-// the default; surface=analytic|sim|shootout narrows it.
+// handleRefresh builds the snapshots still cold — after shards publish
+// their rows, hit this instead of restarting the server. A published
+// snapshot is final (see store.go), so it reports ok without a cache
+// read; a cold one that fails to build reports its error and missing
+// jobs. Every table is the default; surface=analytic|sim|shootout
+// narrows it.
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	tables := s.tables
 	if name := r.URL.Query().Get("surface"); name != "" {
@@ -254,7 +256,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	out := make([]refreshResult, len(tables))
 	for i, t := range tables {
 		out[i] = refreshResult{Surface: t.name, OK: true}
-		if _, err := t.build(r.Context(), s.baseCtx, true); err != nil {
+		if _, err := t.build(r.Context(), s.baseCtx); err != nil {
 			status = http.StatusServiceUnavailable
 			out[i] = refreshResult{Surface: t.name, Error: err.Error()}
 			_, out[i].MissingJobs = missingJobs(err)
@@ -287,15 +289,12 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, t *table, k key)
 		notModified(w, etag)
 		return true
 	}
-	snap := t.store.get()
-	if snap == nil {
-		var err error
-		if snap, err = t.build(r.Context(), s.baseCtx, false); err != nil {
-			fail(w, err, http.StatusInternalServerError)
-			return true
-		}
+	b, err := t.build(r.Context(), s.baseCtx)
+	if err != nil {
+		fail(w, err, http.StatusInternalServerError)
+		return true
 	}
-	body, ok := snap.bodies[k]
+	body, ok := b[k]
 	switch {
 	case !ok:
 		return false

@@ -1,7 +1,8 @@
 // Snapshot-store tests: steady-state serving is zero cache reads and
-// byte-stable across /api/refresh; cold surfaces coalesce N racing
-// requests into one engine load; an admission Budget turns misses into
-// bounded write-through fills.
+// byte-stable across /api/refresh; a refresh keeps every published
+// table without a cache read; cold surfaces coalesce N racing requests
+// into one engine load; an admission Budget turns misses into bounded
+// write-through fills.
 package serve_test
 
 import (
@@ -71,16 +72,16 @@ func TestServeSteadyStateZeroCacheReads(t *testing.T) {
 	}
 }
 
-// TestServeColdRequestsCoalesce: N requests racing a cold surface cost
-// one engine load — the cache (our counting cache) sees exactly the
-// reads of a single surface build, not N of them.
+// TestServeColdRequestsCoalesce: N requests and refreshes racing a
+// cold surface cost one engine load — the cache (our counting cache)
+// sees exactly the reads of a single surface build, not N of them.
 func TestServeColdRequestsCoalesce(t *testing.T) {
 	dir := t.TempDir()
 	pa, _ := testPresets()
 	warmAnalyticOnly(t, dir, pa)
 	srv, cache := newServer(t, dir)
 
-	const racers = 16
+	const racers, refreshers = 16, 4
 	var wg sync.WaitGroup
 	codes := make([]int, racers)
 	bodies := make([][]byte, racers)
@@ -91,11 +92,21 @@ func TestServeColdRequestsCoalesce(t *testing.T) {
 			codes[i], bodies[i] = rawGet(srv, "GET", "/api/surface?surface=analytic")
 		}(i)
 	}
+	for i := 0; i < refreshers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code, body := rawGet(srv, "POST", "/api/refresh?surface=analytic"); code != http.StatusOK {
+				t.Errorf("racing refresh: status %d body %s", code, body)
+			}
+		}()
+	}
 	wg.Wait()
 
 	jobs := len(experiments.SurfaceJobs(pa, false, 1))
 	if hits := cache.Stats().Hits; hits != jobs {
-		t.Fatalf("%d racing cold requests cost %d cache reads, want the %d of one coalesced build", racers, hits, jobs)
+		t.Fatalf("%d racing cold requests and %d refreshes cost %d cache reads, want the %d of one coalesced build",
+			racers, refreshers, hits, jobs)
 	}
 	for i := range codes {
 		if codes[i] != http.StatusOK {
@@ -172,6 +183,84 @@ type mismatch struct {
 
 func (m *mismatch) Error() string {
 	return "response diverged across refresh: " + m.url
+}
+
+// TestServeRefreshKeepsPublishedTables: a published table is final. On
+// a warm server, strict or write-through, a refresh of every table and
+// of each one alone reads nothing from the cache, admits nothing
+// through the budget and leaves every body and ETag byte-identical.
+func TestServeRefreshKeepsPublishedTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulated warm-up in -short mode")
+	}
+	pa, ps := testPresets()
+	filled := t.TempDir()
+	warmCache(t, filled, pa, ps)
+	warmShootout(t, filled, ps)
+	urls := append([]string{
+		"/api/optimal?surface=sim&metric=reach&rho=30",
+		"/api/surface?surface=sim",
+		"/api/shootout",
+		"/api/shootout?model=SINR&rho=30",
+	}, steadyURLs...)
+	type answer struct {
+		body []byte
+		etag string
+	}
+	for _, tc := range []struct {
+		name   string
+		dir    string
+		budget *engine.Budget
+	}{
+		{"strict", filled, nil},
+		// Warm fills the empty cache through the budget.
+		{"write-through", t.TempDir(), engine.NewBudget(1e6, 1000, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := engine.NewCache(tc.dir, experiments.CacheSalt)
+			eng := engine.New(engine.Config{Workers: 4, Cache: cache, CacheOnly: true, Budget: tc.budget})
+			srv, err := serve.NewCtx(t.Context(), eng, pa, ps, serve.WithShootoutRhos(shootoutRhos()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Warm(t.Context()); err != nil {
+				t.Fatal(err)
+			}
+			served := func() map[string]answer {
+				out := make(map[string]answer, len(urls))
+				for _, url := range urls {
+					rec := httptest.NewRecorder()
+					srv.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+					if rec.Code != http.StatusOK {
+						t.Fatalf("GET %s: status %d", url, rec.Code)
+					}
+					out[url] = answer{rec.Body.Bytes(), rec.Header().Get("ETag")}
+				}
+				return out
+			}
+			before, cs, bs := served(), cache.Stats(), tc.budget.Stats()
+			if tc.budget != nil && bs.Admitted == 0 {
+				t.Fatal("the write-through Warm admitted no job")
+			}
+			for _, url := range []string{"/api/refresh", "/api/refresh?surface=analytic",
+				"/api/refresh?surface=sim", "/api/refresh?surface=shootout"} {
+				if code, body := rawGet(srv, "POST", url); code != http.StatusOK {
+					t.Fatalf("POST %s: status %d body %s", url, code, body)
+				}
+			}
+			if after := cache.Stats(); after != cs {
+				t.Fatalf("refreshes of published tables touched the cache: %+v -> %+v", cs, after)
+			}
+			if after := tc.budget.Stats(); after != bs {
+				t.Fatalf("refreshes of published tables moved the budget: %+v -> %+v", bs, after)
+			}
+			for url, after := range served() {
+				if !bytes.Equal(after.body, before[url].body) || after.etag != before[url].etag {
+					t.Fatalf("GET %s changed across refreshes", url)
+				}
+			}
+		})
+	}
 }
 
 // TestServeRefreshReportsPerSurface: refresh rebuilds what it can,

@@ -10,7 +10,9 @@
 # (EngineOverhead), the cross-scheme channel-model shootout
 # (ShootoutCampaign), the serving fast path (ServeOptimal /
 # ServeSurfaceRow / ServeSurfaceFull / ServeShootoutCell — steady-state
-# snapshot hits) and the serving rebuild path (ServeRefresh), plus the
+# snapshot hits), a refresh of published tables, which reads nothing
+# (ServeRefresh), and the serving load path: a fresh server's tables
+# loaded from the cache and rendered by Warm (ServeWarm), plus the
 # layer benches under the shootout: the plain deployment build
 # (GenerateRho60), the largest plain sensing build
 # (GenerateRho140Sensing), the SINR deployment build with its gain
@@ -27,7 +29,7 @@
 # through Put and IngestResult, and a cold read-back (CacheDisk), and
 # the dist layer's per-job cost: a loopback coordinator and one worker
 # leasing, running, posting and ingesting trivial jobs (DistRoundTrip),
-# and the job-set build every serve refresh, merge and shard pays
+# and the job-set build every serve table load, merge and shard pays
 # before its first cache read: the paper presets' analytic (700 jobs)
 # and simulated (140 jobs) surfaces, names and fingerprints included
 # (SurfaceJobs).
@@ -47,7 +49,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH.json}"
 benchtime="${2:-1x}"
 
-pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkEngineOverhead$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$|BenchmarkGenerateRho60$|BenchmarkGenerateRho140Sensing$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkRunSyncRho60$|BenchmarkRunAsyncRho60$|BenchmarkResolveSlotDense$|BenchmarkResolveSlotSINR$|BenchmarkRunRho60$|BenchmarkRunRho140CarrierSense$|BenchmarkCalibrateLaw$|BenchmarkCacheDisk$|BenchmarkDistRoundTrip$|BenchmarkSurfaceJobs$'
+pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkEngineOverhead$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$|BenchmarkServeWarm$|BenchmarkGenerateRho60$|BenchmarkGenerateRho140Sensing$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkRunSyncRho60$|BenchmarkRunAsyncRho60$|BenchmarkResolveSlotDense$|BenchmarkResolveSlotSINR$|BenchmarkRunRho60$|BenchmarkRunRho140CarrierSense$|BenchmarkCalibrateLaw$|BenchmarkCacheDisk$|BenchmarkDistRoundTrip$|BenchmarkSurfaceJobs$'
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"; [ -z "${serve_pid:-}" ] || kill "$serve_pid" 2>/dev/null || true' EXIT
