@@ -186,6 +186,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments: -worker-fail-after only applies to -worker")
 		os.Exit(2)
 	}
+	if !(*serveBudget >= 0) || math.IsInf(*serveBudget, 1) {
+		fmt.Fprintf(os.Stderr, "experiments: -serve-budget: %v is not a finite rate >= 0 (0 = strict never-recompute)\n", *serveBudget)
+		os.Exit(2)
+	}
+	if *serveBurst < 0 || *serveInflight < 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -serve-burst %d, -serve-inflight %d: counts must be >= 0 (0 = the default)\n", *serveBurst, *serveInflight)
+		os.Exit(2)
+	}
 	if (*serveBudget > 0 || *serveBurst > 0 || *serveInflight > 0) && *serveAddr == "" {
 		fmt.Fprintln(os.Stderr, "experiments: -serve-budget/-serve-burst/-serve-inflight only apply to -serve")
 		os.Exit(2)

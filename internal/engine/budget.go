@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -38,20 +39,15 @@ type Budget struct {
 // the given burst capacity and in-flight bound. The bucket starts full,
 // so a fresh server can fill up to `burst` rows immediately. A burst
 // < 1 defaults to ceil(rate) (at least 1); maxInFlight <= 0 means
-// unbounded. A rate <= 0 returns nil — the budget that admits nothing.
+// unbounded. A rate that is not a positive finite number (zero,
+// negative, NaN, ±Inf) returns nil — the budget that admits nothing.
 func NewBudget(rate float64, burst, maxInFlight int) *Budget {
-	if rate <= 0 {
+	if !(rate > 0) || math.IsInf(rate, 1) {
 		return nil
 	}
 	b := float64(burst)
 	if burst < 1 {
-		b = float64(int(rate))
-		if b < rate {
-			b++ // ceil for fractional rates
-		}
-		if b < 1 {
-			b = 1
-		}
+		b = max(1, math.Ceil(rate))
 	}
 	if maxInFlight < 0 {
 		maxInFlight = 0

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,11 +47,13 @@ func TestBudgetNilAdmitsNothing(t *testing.T) {
 	if s := b.Stats(); s != (BudgetStats{}) {
 		t.Fatalf("nil budget stats = %+v", s)
 	}
-	if NewBudget(0, 0, 0) != nil {
-		t.Fatal("NewBudget(0) should be the nil admit-nothing budget")
-	}
-	if NewBudget(-1, 0, 0) != nil {
-		t.Fatal("NewBudget(-1) should be the nil admit-nothing budget")
+	// Only a positive finite rate builds a gate: a NaN rate leaves NaN
+	// tokens, which never compare below one, and an infinite rate
+	// refills the bucket at every acquire, so either admits every job.
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if NewBudget(rate, 5, 0) != nil {
+			t.Fatalf("NewBudget(%v) should be the nil admit-nothing budget", rate)
+		}
 	}
 }
 
@@ -158,6 +161,21 @@ func TestCacheOnlyWriteThrough(t *testing.T) {
 	}
 	if !results[2].Missing {
 		t.Fatalf("over-budget result = %+v, want Missing", results[2])
+	}
+	if s := b.Stats(); s.Admitted != 2 || s.Denied != 1 || s.InFlight != 0 {
+		t.Fatalf("budget stats %+v, want 2 admitted, 1 denied, 0 in flight", s)
+	}
+	// The same budgeted engine answers the filled rows from the cache
+	// and admits nothing for them.
+	again, err := eng.Run(context.Background(), jobs[:2])
+	if err != nil {
+		t.Fatalf("budgeted re-run over the filled rows: %v", err)
+	}
+	if !again[0].FromCache || !again[1].FromCache {
+		t.Fatalf("filled rows not served from cache: %+v", again)
+	}
+	if s := b.Stats(); s.Admitted != 2 || s.Denied != 1 {
+		t.Fatalf("re-run moved the budget: %+v", s)
 	}
 	// The filled rows are published: a strict engine over the same
 	// cache now answers them without computing.

@@ -34,9 +34,10 @@ type Config struct {
 	// never-recompute into admission-controlled write-through: a cache
 	// miss may execute (and publish) the job if the budget admits it;
 	// an exhausted budget degrades to the Missing behaviour above.
-	// Identical concurrent fills dedup through a per-fingerprint
-	// singleflight, so N racers cost one execution and one token.
-	// Ignored when CacheOnly is false.
+	// Every computed job pays one token: the engine does not coalesce
+	// identical jobs across concurrent batches, so a caller that races
+	// the same cold fingerprints coalesces above the engine, as serve
+	// does per table. Ignored when CacheOnly is false.
 	Budget *Budget
 	// OnEvent, when non-nil, observes the engine's progress events.
 	// It is called from worker goroutines and must be cheap and
@@ -106,8 +107,7 @@ type Result struct {
 // from multiple goroutines; batches submitted concurrently share the
 // cache and telemetry but are executed independently.
 type Engine struct {
-	cfg     Config
-	flights flightGroup
+	cfg Config
 
 	mu      sync.Mutex
 	batches int
@@ -149,6 +149,10 @@ func (e *Engine) Budget() *Budget { return e.cfg.Budget }
 // outstanding jobs are cancelled. When ctx is cancelled, the returned
 // error wraps the context's cause (errors.Is(err, context.Canceled)
 // holds for a plain cancel).
+//
+// Concurrent Run calls are fully independent: each computes its own
+// cache misses, so two batches racing one uncached fingerprint both
+// run it, and the later Put stores an identical value.
 func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	if len(jobs) == 0 {
 		return nil, ctx.Err()
@@ -235,70 +239,18 @@ func (e *Engine) runJob(ctx context.Context, worker int, job Job) Result {
 		return res
 	}
 	encode, decode := codecOf(job)
-
-	cached := func(v any) Result {
+	if v, ok := e.cfg.Cache.Get(fp, decode); ok {
 		res.Value = v
 		res.FromCache = true
 		e.emit(Event{Kind: EventCacheHit, Job: name, Worker: worker})
 		return res
 	}
-	if v, ok := e.cfg.Cache.Get(fp, decode); ok {
-		return cached(v)
-	}
-	if e.cfg.CacheOnly && fp != "" && e.cfg.Budget == nil {
-		// Strict never-recompute: not an error per job — the batch keeps
-		// draining so the merge step can report every missing shard at
-		// once, and Run aggregates the misses into one *MissingError.
-		res.Missing = true
-		return res
-	}
-
-	// About to compute a publishable result: coalesce with any
-	// concurrent execution of the same fingerprint. The leader falls
-	// through to the run below; followers wait, then act on how the
-	// flight resolved.
-	if fp != "" && e.cfg.Cache != nil {
-		for {
-			call, leader := e.flights.join(fp)
-			if leader {
-				defer func() {
-					out := flightFailed
-					switch {
-					case res.Missing:
-						out = flightMissing
-					case res.Err == nil:
-						out = flightStored
-					}
-					e.flights.finish(fp, call, out)
-				}()
-				break
-			}
-			out, err := call.wait(ctx)
-			if err != nil {
-				res.Err = jobError(name, err)
-				return res
-			}
-			switch out {
-			case flightStored:
-				if v, ok := e.cfg.Cache.Get(fp, decode); ok {
-					return cached(v)
-				}
-				// The leader succeeded but the cache could not hold the
-				// value (codec-less disk round-trip); loop and take a
-				// turn ourselves.
-			case flightMissing:
-				res.Missing = true
-				return res
-			case flightFailed:
-				// The leader's run errored independently of ours;
-				// loop and take our own turn.
-			}
-		}
-	}
-
-	// Write-through admission: the flight leader pays one token for the
-	// whole cohort. Denial degrades to the strict Missing behaviour.
 	if e.cfg.CacheOnly && fp != "" {
+		// A cache-only miss computes only on a write-through budget's
+		// token; the nil budget admits nothing. A denied miss is not an
+		// error per job — the batch keeps draining so the merge step can
+		// report every missing shard at once, and Run aggregates the
+		// misses into one *MissingError.
 		if !e.cfg.Budget.TryAcquire() {
 			res.Missing = true
 			return res

@@ -31,10 +31,12 @@ import (
 //
 // Cold tables coalesce: concurrent requests that find no bodies elect
 // one leader to run the engine load while the rest wait on the same
-// buildCall, so N racing cold requests cost one pass over the cache. A
-// failed load (rows unpublished, the cache-only engine reports
-// Missing) is never stored — each wave of requests retries, preserving
-// the "shards publish later, requests start succeeding" behaviour.
+// buildCall, so N racing cold requests cost one pass over the cache
+// and, write-through, one computation and one budget token per missing
+// job: the engine itself does not coalesce identical jobs. A failed
+// load (rows unpublished, the cache-only engine reports Missing) is
+// never stored — each wave of requests retries, preserving the "shards
+// publish later, requests start succeeding" behaviour.
 
 // key addresses one response shape: the route ("optimal", "surface"
 // or "shootout"), its filter (the metric or the channel model, "" for

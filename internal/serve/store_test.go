@@ -1,7 +1,8 @@
 // Snapshot-store tests: steady-state serving is zero cache reads and
 // byte-stable across /api/refresh; a refresh keeps every published
 // table without a cache read; cold surfaces coalesce N racing requests
-// into one engine load; an admission Budget turns misses into bounded
+// into one engine load, strict or write-through, and the three tables
+// share no job; an admission Budget turns misses into bounded
 // write-through fills.
 package serve_test
 
@@ -73,14 +74,48 @@ func TestServeSteadyStateZeroCacheReads(t *testing.T) {
 }
 
 // TestServeColdRequestsCoalesce: N requests and refreshes racing a
-// cold surface cost one engine load — the cache (our counting cache)
-// sees exactly the reads of a single surface build, not N of them.
+// cold surface cost one engine load. Strict, the cache (our counting
+// cache) sees exactly the reads of a single surface build, not N of
+// them. Write-through over an empty cache, each job computes, stores
+// and pays its budget token once: the table is the only layer that
+// coalesces, since the engine runs concurrent identical jobs
+// independently.
 func TestServeColdRequestsCoalesce(t *testing.T) {
-	dir := t.TempDir()
-	pa, _ := testPresets()
-	warmAnalyticOnly(t, dir, pa)
-	srv, cache := newServer(t, dir)
+	pa, ps := testPresets()
+	jobs := len(experiments.SurfaceJobs(pa, false, 1))
 
+	t.Run("strict", func(t *testing.T) {
+		dir := t.TempDir()
+		warmAnalyticOnly(t, dir, pa)
+		srv, cache := newServer(t, dir)
+		raceColdAnalytic(t, srv)
+		if hits := cache.Stats().Hits; hits != jobs {
+			t.Fatalf("racing cold requests and refreshes cost %d cache reads, want the %d of one coalesced build",
+				hits, jobs)
+		}
+	})
+	t.Run("write-through", func(t *testing.T) {
+		cache := engine.NewCache(t.TempDir(), experiments.CacheSalt)
+		budget := engine.NewBudget(1e6, jobs, 0)
+		eng := engine.New(engine.Config{Workers: 4, Cache: cache, CacheOnly: true, Budget: budget})
+		srv, err := serve.NewCtx(t.Context(), eng, pa, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raceColdAnalytic(t, srv)
+		if stores := cache.Stats().Stores; stores != jobs {
+			t.Fatalf("racing write-through fills stored %d rows, want the %d of one coalesced build", stores, jobs)
+		}
+		if bs := budget.Stats(); bs.Admitted != int64(jobs) || bs.Denied != 0 {
+			t.Fatalf("racing write-through fills: %+v, want %d admitted and 0 denied", bs, jobs)
+		}
+	})
+}
+
+// raceColdAnalytic races 16 GETs of the cold analytic surface against
+// 4 refreshes of it; every GET must answer the same 200 body.
+func raceColdAnalytic(t *testing.T, srv *serve.Server) {
+	t.Helper()
 	const racers, refreshers = 16, 4
 	var wg sync.WaitGroup
 	codes := make([]int, racers)
@@ -102,12 +137,6 @@ func TestServeColdRequestsCoalesce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-
-	jobs := len(experiments.SurfaceJobs(pa, false, 1))
-	if hits := cache.Stats().Hits; hits != jobs {
-		t.Fatalf("%d racing cold requests and %d refreshes cost %d cache reads, want the %d of one coalesced build",
-			racers, refreshers, hits, jobs)
-	}
 	for i := range codes {
 		if codes[i] != http.StatusOK {
 			t.Fatalf("racer %d: status %d", i, codes[i])
@@ -115,6 +144,53 @@ func TestServeColdRequestsCoalesce(t *testing.T) {
 		if !bytes.Equal(bodies[i], bodies[0]) {
 			t.Fatalf("racer %d body differs from racer 0", i)
 		}
+	}
+}
+
+// TestServeTableJobsDisjoint pins the traffic fact that lets the
+// engine skip coalescing. The engine runs concurrent identical jobs
+// independently: two loads racing one cold fingerprint would each
+// compute it and, under write-through, each pay a budget token. Serve
+// coalesces each table's whole load, so no job computes twice as long
+// as no job repeats within a table's set and no two tables share one,
+// at quick and at paper presets with the default shootout densities.
+func TestServeTableJobsDisjoint(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		analytic, sim experiments.Preset
+		want          int
+	}{
+		{"quick", experiments.QuickAnalytic(), experiments.QuickSim(), 254},
+		{"paper", experiments.PaperAnalytic(), experiments.PaperSim(), 864},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shoot, err := experiments.ShootoutJobs(tc.sim, experiments.DefaultShootoutRhos())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The job sets surfaceTable and shootoutTable load.
+			tables := []struct {
+				name string
+				jobs []engine.Job
+			}{
+				{"analytic", experiments.SurfaceJobs(tc.analytic, false, 1)},
+				{"sim", experiments.SurfaceJobs(tc.sim, true, 1)},
+				{"shootout", shoot},
+			}
+			owner := map[string]string{}
+			for _, tab := range tables {
+				for _, j := range tab.jobs {
+					fp := j.Fingerprint()
+					if prev, dup := owner[fp]; dup {
+						t.Fatalf("%s job %s repeats a %s job's fingerprint", tab.name, j.Name(), prev)
+					}
+					owner[fp] = tab.name
+				}
+			}
+			if len(owner) != tc.want {
+				t.Fatalf("%d distinct fingerprints across the three tables, want %d", len(owner), tc.want)
+			}
+		})
 	}
 }
 

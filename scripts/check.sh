@@ -122,11 +122,13 @@ skip_rc=$?
 set -e
 [ "$skip_rc" -eq 2 ] || { echo "-figure fig8 -skip-sim exited $skip_rc, want 2" >&2; exit 1; }
 
-echo "== tier 2: a negative -runs or a bad -deg-rho exits 2"
+echo "== tier 2: a negative -runs, a bad -deg-rho or a bad serve budget exits 2"
 # -runs 0 keeps the preset's run count; a negative count is a usage
 # error, not a silent default. A density no deployment can place fails
-# before any job is built.
-for args in "-runs -3" "-deg-rho -1" "-deg-rho NaN"; do
+# before any job is built. A serve budget must be a finite rate >= 0
+# and its burst and in-flight bound counts >= 0, with or without -serve.
+for args in "-runs -3" "-deg-rho -1" "-deg-rho NaN" \
+    "-serve-budget NaN" "-serve-budget -1" "-serve-burst -1" "-serve-inflight -1"; do
     set +e
     # shellcheck disable=SC2086
     "$tmp/experiments" -figure degradation -quick $args >/dev/null 2>&1
