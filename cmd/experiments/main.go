@@ -198,6 +198,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments: -serve-budget/-serve-burst/-serve-inflight only apply to -serve")
 		os.Exit(2)
 	}
+	if (*serveBurst > 0 || *serveInflight > 0) && *serveBudget == 0 {
+		fmt.Fprintln(os.Stderr, "experiments: -serve-burst/-serve-inflight only apply to -serve-budget (0 = strict never-recompute)")
+		os.Exit(2)
+	}
+	if *leaseTTL <= 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -lease-ttl: %v is not a positive duration\n", *leaseTTL)
+		os.Exit(2)
+	}
 	chaosProf, err := chaos.ParseProfile(*chaosProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: -chaos-profile:", err)
@@ -424,9 +432,9 @@ func runCoordinator(ctx context.Context, addr, addrFile string, cache *engine.Ca
 	}
 
 	s := coord.Stats()
-	fmt.Fprintf(w, "coordinator: %d/%d jobs completed (%d cached at start), %d failed, %d leases expired, %d workers, %d ingested, %d duplicates, %d backpressured, %d dup-ingests\n",
+	fmt.Fprintf(w, "coordinator: %d/%d jobs completed (%d cached at start), %d failed, %d leases expired, %d workers, %d ingested, %d duplicates, %d dup-ingests\n",
 		s.Completed, s.Jobs, s.CachedAtStart, s.Failed, s.Expired, len(s.Workers),
-		s.Ingested, s.Duplicates, s.Backpressured, cache.Stats().IngestDupes)
+		s.Ingested, s.Duplicates, cache.Stats().IngestDupes)
 	if ctx.Err() != nil {
 		return context.Canceled
 	}

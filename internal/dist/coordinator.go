@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -34,17 +33,11 @@ type Config struct {
 	// failures, so a poison job cannot wedge the campaign; defaults
 	// to 3.
 	MaxJobFailures int
-	// IngestBurst, when positive, bounds how many fresh result payloads
-	// the coordinator admits per IngestWindow before answering 429 +
-	// Retry-After; the deferred worker keeps its lease and retries. Zero,
-	// the default, admits every fresh result: each job ingests at most
-	// once, and duplicates and failure reports never reach the sink, so
-	// a campaign's ingests are bounded by its job count and a cap could
-	// only slow it down.
+	// Deprecated: IngestBurst is ignored. The coordinator admits every
+	// fresh result: each job ingests at most once, and duplicates and
+	// failure reports never reach the sink, so a campaign's ingests are
+	// bounded by its job count and a cap could only slow it down.
 	IngestBurst int
-	// IngestWindow is the sliding window a positive IngestBurst is
-	// measured over; defaults to 1s.
-	IngestWindow time.Duration
 	// Now is the coordinator's clock; defaults to time.Now. Tests
 	// inject a fake to drive lease expiry deterministically.
 	Now func() time.Time
@@ -113,18 +106,14 @@ type Coordinator struct {
 	// states counts the jobs in each jobState.
 	states [stateFailed + 1]int
 
-	total, cached                         int
-	expired, requeued, duplicates         int
-	ingestErrors, ingested, backpressured int
+	total, cached                 int
+	expired, requeued, duplicates int
+	ingestErrors, ingested        int
 
 	// wake is closed, and replaced, whenever a parked lease request may
 	// now be answered differently: a job was re-enqueued, the campaign
 	// finished, or a drain began.
 	wake chan struct{}
-
-	// ingestTimes is the sliding backpressure window: admission times of
-	// the most recent ingests, pruned to IngestWindow on every check.
-	ingestTimes []time.Time
 
 	draining    bool
 	drained     chan struct{}
@@ -151,9 +140,6 @@ func NewCoordinator(cfg Config, jobs []engine.Job) (*Coordinator, error) {
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.IngestWindow <= 0 {
-		cfg.IngestWindow = time.Second
 	}
 	c := &Coordinator{
 		cfg:     cfg,
@@ -253,8 +239,7 @@ func (c *Coordinator) statsLocked() Stats {
 		Pending: c.states[statePending], Leased: c.states[stateLeased],
 		Expired: c.expired, Requeued: c.requeued,
 		Duplicates: c.duplicates, IngestErrors: c.ingestErrors,
-		Ingested: c.ingested, Backpressured: c.backpressured,
-		Draining: c.draining,
+		Ingested: c.ingested, Draining: c.draining,
 	}
 	for _, w := range c.workers {
 		ws := w.stats
@@ -641,7 +626,7 @@ func (c *Coordinator) heartbeat(req HeartbeatRequest) HeartbeatResponse {
 		return HeartbeatResponse{Extended: false}
 	}
 	l.deadline = now.Add(c.cfg.LeaseTTL)
-	return HeartbeatResponse{Extended: true, TTLMillis: c.cfg.LeaseTTL.Milliseconds()}
+	return HeartbeatResponse{Extended: true}
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -649,25 +634,18 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	status, body, retryAfter := c.result(req)
-	if retryAfter > 0 {
-		secs := int64(retryAfter / time.Second)
-		if retryAfter%time.Second > 0 {
-			secs++ // Retry-After is whole seconds; round up, never down to 0
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
+	status, body := c.result(req)
 	writeJSON(w, status, body)
 }
 
 // result ingests one posted result under the coordinator lock,
-// returning the HTTP status, response body, and (for 429) the wait the
-// handler writes as Retry-After after release. The
-// IngestResult call stays inside the critical section deliberately: it
-// is a local content-addressed cache write, and admitting a result
-// must be atomic with the job-state transition or a concurrent
-// duplicate post could double-count completion.
-func (c *Coordinator) result(req ResultRequest) (int, any, time.Duration) {
+// returning the HTTP status and response body the handler writes after
+// release. Every fresh result is admitted. The IngestResult call stays
+// inside the critical section deliberately: it is a local
+// content-addressed cache write, and admitting a result must be atomic
+// with the job-state transition or a concurrent duplicate post could
+// double-count completion.
+func (c *Coordinator) result(req ResultRequest) (int, any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.Now()
@@ -677,7 +655,7 @@ func (c *Coordinator) result(req ResultRequest) (int, any, time.Duration) {
 	}
 	j, ok := c.jobs[req.Fingerprint]
 	if !ok {
-		return http.StatusNotFound, ResultResponse{Accepted: false}, 0
+		return http.StatusNotFound, ResultResponse{Accepted: false}
 	}
 	if req.Error != "" {
 		if wi := c.workers[req.Worker]; wi != nil {
@@ -687,7 +665,7 @@ func (c *Coordinator) result(req ResultRequest) (int, any, time.Duration) {
 			c.duplicates++
 			c.releaseLocked(j)
 			c.checkDrainedLocked()
-			return http.StatusOK, c.ackLocked(ResultResponse{Accepted: true, Duplicate: true}), 0
+			return http.StatusOK, c.ackLocked(ResultResponse{Accepted: true, Duplicate: true})
 		}
 		c.releaseLocked(j)
 		c.checkDrainedLocked()
@@ -697,7 +675,7 @@ func (c *Coordinator) result(req ResultRequest) (int, any, time.Duration) {
 			c.logf("dist: job %s retired after %d failures (last: %s)",
 				j.spec.Name, j.failures, req.Error)
 			c.checkDoneLocked()
-			return http.StatusOK, c.ackLocked(ResultResponse{Accepted: true, Retired: true}), 0
+			return http.StatusOK, c.ackLocked(ResultResponse{Accepted: true, Retired: true})
 		}
 		// Requeue at the tail: a failing job must not starve the healthy
 		// front of the queue.
@@ -707,7 +685,7 @@ func (c *Coordinator) result(req ResultRequest) (int, any, time.Duration) {
 		c.notifyLocked()
 		c.logf("dist: job %s failed on worker %s (%s); re-enqueued (%d/%d failures)",
 			j.spec.Name, req.Worker, req.Error, j.failures, c.cfg.MaxJobFailures)
-		return http.StatusOK, c.ackLocked(ResultResponse{Accepted: true}), 0
+		return http.StatusOK, c.ackLocked(ResultResponse{Accepted: true})
 	}
 
 	if j.state == stateDone {
@@ -717,23 +695,12 @@ func (c *Coordinator) result(req ResultRequest) (int, any, time.Duration) {
 		c.duplicates++
 		c.releaseLocked(j)
 		c.checkDrainedLocked()
-		return http.StatusOK, c.ackLocked(ResultResponse{Accepted: true, Duplicate: true}), 0
-	}
-	// Backpressure applies only to fresh payloads about to be ingested:
-	// duplicates and failure reports cost nothing, and a 429 must leave
-	// the job's state (and the worker's lease) exactly as it found them
-	// so the deferred retry is a plain replay.
-	if wait, ok := c.admitIngestLocked(now); !ok {
-		c.backpressured++
-		return http.StatusTooManyRequests, BackpressureResponse{
-			Error:       "dist: ingest budget exhausted; retry after backoff",
-			RetryMillis: int64((wait + time.Millisecond - 1) / time.Millisecond),
-		}, wait
+		return http.StatusOK, c.ackLocked(ResultResponse{Accepted: true, Duplicate: true})
 	}
 	if err := c.cfg.Sink.IngestResult(req.Fingerprint, req.Payload); err != nil {
 		c.ingestErrors++
 		c.logf("dist: ingesting result of %s from worker %s: %v", j.spec.Name, req.Worker, err)
-		return http.StatusInternalServerError, map[string]string{"error": err.Error()}, 0
+		return http.StatusInternalServerError, map[string]string{"error": err.Error()}
 	}
 	c.ingested++
 	c.releaseLocked(j)
@@ -745,34 +712,7 @@ func (c *Coordinator) result(req ResultRequest) (int, any, time.Duration) {
 		wi.stats.Completed++
 	}
 	c.checkDoneLocked()
-	return http.StatusOK, c.ackLocked(ResultResponse{Accepted: true}), 0
-}
-
-// admitIngestLocked charges one ingest against the sliding-window
-// budget, when one is set. When the window is full it reports how long
-// until its oldest admission ages out — the Retry-After the deferred
-// worker is told.
-func (c *Coordinator) admitIngestLocked(now time.Time) (time.Duration, bool) {
-	if c.cfg.IngestBurst <= 0 {
-		return 0, true
-	}
-	cutoff := now.Add(-c.cfg.IngestWindow)
-	keep := c.ingestTimes[:0]
-	for _, t := range c.ingestTimes {
-		if t.After(cutoff) {
-			keep = append(keep, t)
-		}
-	}
-	c.ingestTimes = keep
-	if len(c.ingestTimes) >= c.cfg.IngestBurst {
-		wait := c.ingestTimes[0].Sub(cutoff)
-		if wait <= 0 {
-			wait = time.Millisecond
-		}
-		return wait, false
-	}
-	c.ingestTimes = append(c.ingestTimes, now)
-	return 0, true
+	return http.StatusOK, c.ackLocked(ResultResponse{Accepted: true})
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -117,8 +117,7 @@ type HeartbeatRequest struct {
 // completed elsewhere); the worker may keep computing — a late result
 // is still accepted idempotently — but must not count on the lease.
 type HeartbeatResponse struct {
-	Extended  bool  `json:"extended"`
-	TTLMillis int64 `json:"ttlMillis,omitempty"`
+	Extended bool `json:"extended"`
 }
 
 // ResultRequest publishes the outcome of a leased job. On success,
@@ -156,16 +155,6 @@ type ResultResponse struct {
 	Draining bool `json:"draining,omitempty"`
 }
 
-// BackpressureResponse is the body of a 429 answer to a result post.
-// RetryMillis is the wait, rounded up to the millisecond, until the
-// ingest window admits the replay; the Retry-After header carries the
-// same wait rounded up to whole seconds for clients that read only
-// headers.
-type BackpressureResponse struct {
-	Error       string `json:"error"`
-	RetryMillis int64  `json:"retryMillis"`
-}
-
 // Stats snapshots the coordinator's queue, lease, and worker state for
 // the /api/status endpoint and end-of-campaign reporting.
 type Stats struct {
@@ -193,8 +182,8 @@ type Stats struct {
 	// the exactly-once counterpart of Duplicates: Ingested never exceeds
 	// the job count no matter how many times results are delivered.
 	Ingested int `json:"ingested"`
-	// Backpressured counts result posts deferred with 429 + Retry-After
-	// because the ingest budget was exhausted.
+	// Deprecated: Backpressured is always 0. The coordinator admits
+	// every fresh result, so no post is deferred.
 	Backpressured int `json:"backpressured"`
 	// Draining reports the coordinator has stopped granting leases and
 	// is waiting for in-flight work to land.

@@ -52,7 +52,7 @@ func FuzzCoordinatorRequest(f *testing.F) {
 		sink.failFor["bad"] = true
 		fps := []string{"a", "b", "c", "bad"}
 		c, err := NewCoordinator(Config{Sink: sink, LeaseTTL: ttl, MaxJobFailures: 2,
-			IngestBurst: 2, IngestWindow: ttl, Now: clock.Now}, jobsFor(fps...))
+			Now: clock.Now}, jobsFor(fps...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func FuzzCoordinatorRequest(f *testing.F) {
 			c.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)).WithContext(ended))
 			switch rec.Code {
 			case http.StatusOK, http.StatusBadRequest, http.StatusNotFound,
-				http.StatusTooManyRequests, http.StatusInternalServerError:
+				http.StatusInternalServerError:
 			default:
 				t.Fatalf("step %d: %s %s answered %d", step, method, path, rec.Code)
 			}

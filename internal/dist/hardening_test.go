@@ -79,93 +79,10 @@ func TestLateResultLeavesNothingPending(t *testing.T) {
 	}
 }
 
-// TestBackpressure429 pins the ingest-budget contract: once the
-// sliding window fills, a fresh result post is deferred with 429 +
-// Retry-After while the worker keeps its lease, and a replay after the
-// window drains is accepted unchanged. Duplicates stay free — they
-// never charge the budget.
-func TestBackpressure429(t *testing.T) {
-	clock := newFakeClock()
-	sink := newFakeSink()
-	c, err := NewCoordinator(Config{
-		Sink: sink, LeaseTTL: time.Minute, Now: clock.Now,
-		IngestBurst: 2, IngestWindow: time.Second,
-	}, jobsFor("a", "b", "c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type held struct{ lease LeaseResponse }
-	var leases []held
-	for i := 0; i < 3; i++ {
-		l := lease(t, c, "w1")
-		if len(l.Jobs) == 0 {
-			t.Fatalf("lease %d = %+v", i, l)
-		}
-		leases = append(leases, held{l})
-	}
-
-	// First two posts fit the budget.
-	for i := 0; i < 2; i++ {
-		r, code := postResult(t, c, ResultRequest{Worker: "w1", LeaseID: leases[i].lease.LeaseID,
-			Fingerprint: leases[i].lease.Jobs[0].Fingerprint, Payload: []byte(`1`)})
-		if code != http.StatusOK || !r.Accepted {
-			t.Fatalf("post %d: code %d resp %+v", i, code, r)
-		}
-	}
-
-	// The third exhausts it: 429, Retry-After set, lease retained, job
-	// not completed, sink untouched.
-	third := leases[2].lease
-	body, _ := json.Marshal(ResultRequest{Worker: "w1", LeaseID: third.LeaseID,
-		Fingerprint: third.Jobs[0].Fingerprint, Payload: []byte(`1`)})
-	rec := httptest.NewRecorder()
-	c.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathResult, bytes.NewReader(body)))
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("over-budget post: code %d", rec.Code)
-	}
-	if ra := rec.Header().Get("Retry-After"); ra != "1" {
-		t.Fatalf("Retry-After = %q, want \"1\"", ra)
-	}
-	var hint BackpressureResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &hint); err != nil || hint.RetryMillis != 1000 {
-		t.Fatalf("429 body %s: retryMillis = %d (err %v), want the exact 1000ms wait", rec.Body.Bytes(), hint.RetryMillis, err)
-	}
-	s := c.Stats()
-	if s.Backpressured != 1 || s.Ingested != 2 || s.Completed != 2 || s.Leased != 1 {
-		t.Fatalf("stats after 429 = %+v", s)
-	}
-	if sink.ingests(third.Jobs[0].Fingerprint) != 0 {
-		t.Fatal("429'd payload reached the sink")
-	}
-
-	// A duplicate post while the window is full is still absorbed for
-	// free — no 429, no ingest.
-	dup, code := postResult(t, c, ResultRequest{Worker: "w1",
-		Fingerprint: leases[0].lease.Jobs[0].Fingerprint, Payload: []byte(`1`)})
-	if code != http.StatusOK || !dup.Duplicate {
-		t.Fatalf("duplicate under backpressure: code %d resp %+v", code, dup)
-	}
-
-	// After the window drains, the identical replay lands.
-	clock.Advance(2 * time.Second)
-	r, code := postResult(t, c, ResultRequest{Worker: "w1", LeaseID: third.LeaseID,
-		Fingerprint: third.Jobs[0].Fingerprint, Payload: []byte(`1`)})
-	if code != http.StatusOK || !r.Accepted || r.Duplicate {
-		t.Fatalf("replay after window: code %d resp %+v", code, r)
-	}
-	if !isDone(c) {
-		t.Fatal("campaign not done after replay")
-	}
-	if s := c.Stats(); s.Ingested != 3 {
-		t.Fatalf("Ingested = %d, want 3", s.Ingested)
-	}
-}
-
-// TestDefaultConfigAdmitsEveryIngest: with no IngestBurst set, a
-// coordinator admits every fresh result, here 700 posted on a clock
-// that never leaves one window. Each job ingests at most once, so the
-// job count bounds the ingests and no result is deferred.
+// TestDefaultConfigAdmitsEveryIngest: a coordinator admits every fresh
+// result, here 700 posted on a clock that never moves, even with the
+// deprecated IngestBurst set to 1. Each job ingests at most once, so
+// the job count bounds the ingests and no result is deferred.
 func TestDefaultConfigAdmitsEveryIngest(t *testing.T) {
 	const n = 700
 	fps := make([]string, n)
@@ -173,8 +90,8 @@ func TestDefaultConfigAdmitsEveryIngest(t *testing.T) {
 		fps[i] = fmt.Sprintf("job-%03d", i)
 	}
 	sink := newFakeSink()
-	c, err := NewCoordinator(Config{Sink: sink, LeaseTTL: time.Minute, Now: newFakeClock().Now},
-		jobsFor(fps...))
+	c, err := NewCoordinator(Config{Sink: sink, LeaseTTL: time.Minute, Now: newFakeClock().Now,
+		IngestBurst: 1}, jobsFor(fps...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"sensornet/internal/engine"
@@ -51,8 +49,7 @@ type WorkerConfig struct {
 	// heartbeat, or result post is always safe.
 	PostAttempts int
 	// PostBackoff spaces the retries; the zero value means the shared
-	// engine discipline with Base 100ms, Max 2s. A 429's retry hint
-	// overrides the computed delay.
+	// engine discipline with Base 100ms, Max 2s.
 	PostBackoff engine.BackoffPolicy
 	// FailAfter, when > 0, injects a crash: once at least that many
 	// results are posted, the worker takes one more lease and exits
@@ -96,9 +93,9 @@ type Worker struct {
 	cfg  WorkerConfig
 	jobs map[string]engine.Job
 	base string
-	// ttlMillis remembers the lease TTL the coordinator last granted
-	// (updated by Run, read by retryAfter to bound 429 retry hints).
-	ttlMillis atomic.Int64
+	// ttlMillis remembers the lease TTL the coordinator last granted,
+	// which bounds an empty lease's retry hint (Run's goroutine only).
+	ttlMillis int64
 	// seq numbers the lease requests (Run's goroutine only).
 	seq int64
 	// roundTrip and jobRun size the lease requests (Run's goroutine
@@ -188,9 +185,8 @@ func (w *Worker) logf(format string, args ...any) {
 // is verified before parsing, so a transport that corrupts or
 // truncates bytes produces a retry, never a silently damaged message.
 // Every failure — transport error, non-200 status, checksum mismatch,
-// undecodable body — is retried up to PostAttempts times on the shared
-// engine backoff discipline; a 429's retry hint overrides the
-// computed delay. Retrying everything is sound because the protocol is
+// undecodable body — is retried up to PostAttempts times, spaced by
+// PostBackoff. Retrying everything is sound because the protocol is
 // idempotent end to end (duplicate leases, heartbeats, and result
 // posts are all absorbed), and under a hostile transport a "permanent"
 // status may itself be damage. It returns the round trip of the attempt
@@ -207,19 +203,15 @@ func (w *Worker) post(ctx context.Context, path string, req, resp any) (time.Dur
 		<-backoff.C
 	}
 	defer backoff.Stop()
-	wait := time.Duration(0)
 	for attempt := 1; attempt <= w.cfg.PostAttempts; attempt++ {
 		if attempt > 1 {
-			backoff.Reset(wait)
+			backoff.Reset(w.cfg.PostBackoff.Delay(path, attempt-1))
 			select {
 			case <-backoff.C:
 			case <-ctx.Done():
 				return 0, context.Cause(ctx)
 			}
 		}
-		// Default spacing for the next round; a 429's retry hint below
-		// overrides it.
-		wait = w.cfg.PostBackoff.Delay(path, attempt)
 		hr, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(body))
 		if err != nil {
 			return 0, err
@@ -242,13 +234,6 @@ func (w *Worker) post(ctx context.Context, path string, req, resp any) (time.Dur
 			lastErr = fmt.Errorf("dist: %s: response body checksum mismatch (corrupted in transit)", path)
 			continue
 		}
-		if res.StatusCode == http.StatusTooManyRequests {
-			lastErr = fmt.Errorf("dist: %s: coordinator backpressured the post", path)
-			if ra := w.retryAfter(res, data); ra > 0 {
-				wait = ra
-			}
-			continue
-		}
 		if res.StatusCode != http.StatusOK {
 			lastErr = fmt.Errorf("dist: %s: coordinator said %s: %s", path, res.Status, strings.TrimSpace(string(data)))
 			continue
@@ -264,28 +249,11 @@ func (w *Worker) post(ctx context.Context, path string, req, resp any) (time.Dur
 	return 0, fmt.Errorf("dist: %s: giving up after %d attempts: %w", path, w.cfg.PostAttempts, lastErr)
 }
 
-// retryAfter reads a 429's retry hint: the body's retryMillis when it
-// is positive, else the Retry-After header's delay-seconds form (for a
-// coordinator that sends only the header), else 0 (HTTP-date form is
-// not worth supporting for a header we mint ourselves). A hint is
-// clamped by clampHint.
-func (w *Worker) retryAfter(res *http.Response, body []byte) time.Duration {
-	var hint BackpressureResponse
-	if json.Unmarshal(body, &hint) == nil && hint.RetryMillis > 0 {
-		return w.clampHint(time.Duration(hint.RetryMillis) * time.Millisecond)
-	}
-	if secs, err := strconv.Atoi(res.Header.Get("Retry-After")); err == nil {
-		return w.clampHint(time.Duration(secs) * time.Second)
-	}
-	return 0
-}
-
-// clampHint forces a coordinator's retry hint — a 429's, or an empty
-// lease's RetryMillis — into the coordinator's own hint range,
-// [50ms, TTL/4]: it crosses an untrusted (and, under internal/chaos,
-// actively corrupted) transport, so a flipped digit must not stall a
-// worker for hours ("9999999") or turn a wait into a hot spin ("0",
-// "-3").
+// clampHint forces a coordinator's retry hint, an empty lease's
+// RetryMillis, into the coordinator's own hint range, [50ms, TTL/4]: it
+// crosses an untrusted (and, under internal/chaos, actively corrupted)
+// transport, so a flipped digit must not stall a worker for hours
+// ("9999999") or turn a wait into a hot spin ("0", "-3").
 func (w *Worker) clampHint(d time.Duration) time.Duration {
 	lo := 50 * time.Millisecond
 	return min(max(d, lo), max(w.ttl()/4, lo))
@@ -294,8 +262,8 @@ func (w *Worker) clampHint(d time.Duration) time.Duration {
 // ttl is the lease TTL the coordinator last granted, defaulting to the
 // protocol's usual 30s before the first lease response arrives.
 func (w *Worker) ttl() time.Duration {
-	if ms := w.ttlMillis.Load(); ms > 0 {
-		return time.Duration(ms) * time.Millisecond
+	if w.ttlMillis > 0 {
+		return time.Duration(w.ttlMillis) * time.Millisecond
 	}
 	return 30 * time.Second
 }
@@ -320,7 +288,7 @@ func (w *Worker) Run(ctx context.Context) (*WorkerReport, error) {
 			return rep, err
 		}
 		if lease.TTLMillis > 0 {
-			w.ttlMillis.Store(lease.TTLMillis)
+			w.ttlMillis = lease.TTLMillis
 		}
 		if lease.Done {
 			return rep, nil

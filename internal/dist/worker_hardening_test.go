@@ -110,66 +110,6 @@ func TestWorkerPostVerifiesResponseChecksum(t *testing.T) {
 	}
 }
 
-// TestWorkerPostHonorsRetryAfter: a 429's Retry-After overrides the
-// backoff schedule — the deferred post waits at least that long.
-func TestWorkerPostHonorsRetryAfter(t *testing.T) {
-	var hits atomic.Int64
-	url := scriptedServer(t, func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		writeJSON(w, http.StatusOK, ResultResponse{Accepted: true})
-	})
-	w := testWorker(t, url, nil)
-	start := time.Now()
-	var resp ResultResponse
-	if _, err := w.post(context.Background(), PathResult, ResultRequest{Worker: "w-test", Fingerprint: "fp-1"}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Accepted || hits.Load() != 2 {
-		t.Fatalf("resp %+v after %d hits", resp, hits.Load())
-	}
-	// PostBackoff caps at 2ms here, so a ≥1s wait proves Retry-After won.
-	if elapsed := time.Since(start); elapsed < time.Second {
-		t.Fatalf("replay after %v, want ≥ 1s (Retry-After honored)", elapsed)
-	}
-}
-
-// TestWorkerPostSubSecondRetryHint: against a real coordinator whose
-// ingest window is 100ms, a deferred result post is replayed after the
-// 429 body's millisecond hint, well under the whole-second Retry-After
-// header the coordinator also sends.
-func TestWorkerPostSubSecondRetryHint(t *testing.T) {
-	c, err := NewCoordinator(Config{Sink: newFakeSink(), LeaseTTL: time.Minute,
-		IngestBurst: 1, IngestWindow: 100 * time.Millisecond}, jobsFor("a", "b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := testWorker(t, scriptedServer(t, c.ServeHTTP), nil)
-	first, second := lease(t, c, "w-test"), lease(t, c, "w-test")
-	// The first result takes the window's one slot, so the second post
-	// meets a full window.
-	if r, code := postResult(t, c, ResultRequest{Worker: "w-test", LeaseID: first.LeaseID,
-		Fingerprint: first.Jobs[0].Fingerprint, Payload: []byte(`1`)}); code != http.StatusOK || !r.Accepted {
-		t.Fatalf("first post: code %d resp %+v", code, r)
-	}
-	start := time.Now()
-	var resp ResultResponse
-	if _, err := w.post(context.Background(), PathResult, ResultRequest{Worker: "w-test",
-		LeaseID: second.LeaseID, Fingerprint: second.Jobs[0].Fingerprint, Payload: []byte(`1`)}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if s := c.Stats(); !resp.Accepted || s.Backpressured != 1 || s.Ingested != 2 {
-		t.Fatalf("resp %+v, stats %+v: want one 429 then an accepted replay", resp, s)
-	}
-	if elapsed >= 500*time.Millisecond {
-		t.Fatalf("replay after %v, want well under a second (the 100ms window's hint)", elapsed)
-	}
-}
-
 // TestWorkerPostGivesUpAfterAttempts: a persistently failing endpoint
 // exhausts PostAttempts and surfaces the last error.
 func TestWorkerPostGivesUpAfterAttempts(t *testing.T) {
@@ -311,57 +251,29 @@ func TestWorkerReLeaseAnsweredFromCache(t *testing.T) {
 	}
 }
 
-// TestRetryAfterClamped pins the clamp on the 429 retry hint: the body's
-// retryMillis, else the Retry-After header, crosses an untrusted
-// transport, so parsed values are forced into the coordinator's own
-// [50ms, TTL/4] hint range — no multi-hour stalls from a corrupted
-// digit, no hot spin from "0" or a negative.
-func TestRetryAfterClamped(t *testing.T) {
-	w := testWorker(t, "http://unused.invalid", nil)
-	resp := func(v string) *http.Response {
-		r := &http.Response{Header: http.Header{}}
-		if v != "" {
-			r.Header.Set("Retry-After", v)
-		}
-		return r
-	}
-	// Before any lease the TTL defaults to 30s, so the range is
-	// [50ms, 7.5s].
-	for _, tc := range []struct {
-		header, body string
-		want         time.Duration
-	}{
-		{"", "", 0},                                          // absent: fall back to computed backoff
-		{"soon", "", 0},                                      // unparseable: same
-		{"-3", "", 50 * time.Millisecond},                    // negative: clamp low, not ignore
-		{"0", "", 50 * time.Millisecond},                     // zero would hot-spin
-		{"2", "", 2 * time.Second},                           // in range: honored
-		{"999999", "", 7500 * time.Millisecond},              // ~11 days: clamp to TTL/4
-		{"1", `{"retryMillis":120}`, 120 * time.Millisecond}, // the body's exact wait wins
-		{"1", `{"retryMillis":0}`, time.Second},              // no body hint: the header
-		{"1", `{"retryMillis":`, time.Second},                // undecodable body: the header
-		{"", `{"retryMillis":10}`, 50 * time.Millisecond},    // clamped like the header
-		{"", `{"retryMillis":99999999}`, 7500 * time.Millisecond},
-	} {
-		if got := w.retryAfter(resp(tc.header), []byte(tc.body)); got != tc.want {
-			t.Errorf("Retry-After %q, body %s: %v, want %v", tc.header, tc.body, got, tc.want)
-		}
-	}
-	// After a lease granted TTLMillis=200 the ceiling tightens to 50ms.
-	w.ttlMillis.Store(200)
-	if got := w.retryAfter(resp("999999"), nil); got != 50*time.Millisecond {
-		t.Errorf("post-lease clamp = %v, want 50ms", got)
-	}
-	if got := w.retryAfter(resp("2"), nil); got != 50*time.Millisecond {
-		t.Errorf("in-range value above the tightened ceiling = %v, want 50ms", got)
-	}
-}
-
-// TestWorkerIdleWaitClamped: an empty lease's RetryMillis goes through
-// the same [50ms, TTL/4] clamp as a 429's hint, so an absurd hint
-// (here after a lease response carrying a 200ms TTL) costs one short
-// wait, not hours.
+// TestWorkerIdleWaitClamped: an empty lease's RetryMillis is clamped to
+// [50ms, TTL/4] of the last granted TTL (30s before any lease), so a
+// zero or negative hint cannot hot-spin, and an absurd hint (here after
+// a lease response carrying a 200ms TTL) costs one short wait, not
+// hours.
 func TestWorkerIdleWaitClamped(t *testing.T) {
+	clamp := testWorker(t, "http://unused.invalid", nil)
+	for _, tc := range []struct {
+		ttlMillis  int64
+		hint, want time.Duration
+	}{
+		{0, -3 * time.Second, 50 * time.Millisecond},
+		{0, 0, 50 * time.Millisecond},
+		{0, 2 * time.Second, 2 * time.Second},
+		{0, 99999999 * time.Millisecond, 7500 * time.Millisecond},
+		{200, 2 * time.Second, 50 * time.Millisecond},
+	} {
+		clamp.ttlMillis = tc.ttlMillis
+		if got := clamp.clampHint(tc.hint); got != tc.want {
+			t.Errorf("TTL %dms, hint %v: wait %v, want %v", tc.ttlMillis, tc.hint, got, tc.want)
+		}
+	}
+
 	var polls atomic.Int64
 	url := scriptedServer(t, func(w http.ResponseWriter, r *http.Request) {
 		if polls.Add(1) == 1 {
@@ -385,12 +297,12 @@ func TestWorkerIdleWaitClamped(t *testing.T) {
 }
 
 // TestWorkerHostileRetryAfterBounded runs a full lease→compute→result
-// round against a scripted coordinator that backpressures the result
-// post with an absurd Retry-After ("999999" seconds), under the chaos
-// hostile transport. Before the clamp a single such 429 stalled the
-// worker for ~11 days; with it, every deferred post waits at most
-// TTL/4, so the campaign completes promptly despite the hostile hint
-// plus the transport's drops, duplicates, and corruption.
+// round against a scripted coordinator that answers the result post
+// with 429 and an absurd Retry-After ("999999" seconds), under the
+// chaos hostile transport. The worker reads no retry hint from a
+// failed post: a 429 is an ordinary failed attempt, retried on
+// PostBackoff, so the campaign completes promptly despite the hostile
+// hint plus the transport's drops, duplicates, and corruption.
 func TestWorkerHostileRetryAfterBounded(t *testing.T) {
 	var accepted atomic.Bool
 	var resultHits atomic.Int64
@@ -406,7 +318,7 @@ func TestWorkerHostileRetryAfterBounded(t *testing.T) {
 				Jobs: []JobSpec{{Name: "j", Fingerprint: "fp-1"}},
 			})
 		case PathHeartbeat:
-			writeJSON(w, http.StatusOK, HeartbeatResponse{Extended: true, TTLMillis: 200})
+			writeJSON(w, http.StatusOK, HeartbeatResponse{Extended: true})
 		case PathResult:
 			if !accepted.Load() && resultHits.Add(1) <= 3 {
 				w.Header().Set("Retry-After", "999999")
@@ -437,6 +349,6 @@ func TestWorkerHostileRetryAfterBounded(t *testing.T) {
 		t.Fatalf("completed = %d, want 1 (report %+v)", rep.Completed, rep)
 	}
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
-		t.Fatalf("run took %v: the Retry-After clamp did not bound the backpressure wait", elapsed)
+		t.Fatalf("run took %v: a 429's Retry-After delayed the retry past PostBackoff", elapsed)
 	}
 }

@@ -34,6 +34,18 @@
 # and simulated (140 jobs) surfaces, names and fingerprints included
 # (SurfaceJobs).
 #
+# The five serve handler benches (ServeOptimal, ServeSurfaceRow,
+# ServeSurfaceFull, ServeShootoutCell, ServeRefresh) take a few
+# microseconds per op, so a handful of iterations times scheduler noise
+# more than the handler: over six counts each on a 2-vCPU Xeon,
+# ServeShootoutCell read 2.8-7.5 µs at 5x and 2.7-4.1 µs at 5000x
+# (1.9-2.6 and 2.3-2.4 µs on a quieter run), and a 5x check.sh run
+# once failed the gate's 4x ns/op ratio on it. They run in a go test
+# of their own, at 1000 times an `Nx` benchtime (5x becomes 5000x).
+# The snapshot still records the benchtime given, and check.sh passes
+# a baseline's recorded benchtime back in, so both sides of the gate
+# scale alike.
+#
 # The latency tier then boots a real `experiments -serve` over a
 # warmed quick cache, drives it with cmd/loadgen (closed loop, mixed
 # query distribution), and merges the p50/p90/p99 percentiles into the
@@ -49,7 +61,12 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH.json}"
 benchtime="${2:-1x}"
 
-pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkEngineOverhead$|BenchmarkShootoutCampaign$|BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$|BenchmarkServeWarm$|BenchmarkGenerateRho60$|BenchmarkGenerateRho140Sensing$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkRunSyncRho60$|BenchmarkRunAsyncRho60$|BenchmarkResolveSlotDense$|BenchmarkResolveSlotSINR$|BenchmarkRunRho60$|BenchmarkRunRho140CarrierSense$|BenchmarkCalibrateLaw$|BenchmarkCacheDisk$|BenchmarkDistRoundTrip$|BenchmarkSurfaceJobs$'
+pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkEngineOverhead$|BenchmarkShootoutCampaign$|BenchmarkServeWarm$|BenchmarkGenerateRho60$|BenchmarkGenerateRho140Sensing$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkRunSyncRho60$|BenchmarkRunAsyncRho60$|BenchmarkResolveSlotDense$|BenchmarkResolveSlotSINR$|BenchmarkRunRho60$|BenchmarkRunRho140CarrierSense$|BenchmarkCalibrateLaw$|BenchmarkCacheDisk$|BenchmarkDistRoundTrip$|BenchmarkSurfaceJobs$'
+serve_pattern='BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$'
+case "$benchtime" in
+*x) serve_benchtime="${benchtime%x}000x" ;;
+*) serve_benchtime="$benchtime" ;;
+esac
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"; [ -z "${serve_pid:-}" ] || kill "$serve_pid" 2>/dev/null || true' EXIT
@@ -57,6 +74,9 @@ trap 'rm -rf "$tmp"; [ -z "${serve_pid:-}" ] || kill "$serve_pid" 2>/dev/null ||
 echo "== bench: $pattern (benchtime=$benchtime)" >&2
 go test -run=NONE -bench="$pattern" -benchtime="$benchtime" -benchmem . ./internal/serve/ ./internal/deploy/ ./internal/channel/ ./internal/sim/ ./internal/analytic/ ./internal/engine/ ./internal/dist/ \
 	> "$tmp/bench.txt"
+echo "== bench: $serve_pattern (benchtime=$serve_benchtime)" >&2
+go test -run=NONE -bench="$serve_pattern" -benchtime="$serve_benchtime" -benchmem ./internal/serve/ \
+	>> "$tmp/bench.txt"
 # Copy the raw run to stderr through the open descriptor: reopening
 # /dev/stderr (tee does) truncates the log when stderr is a regular
 # file, as in `scripts/check.sh > check.log 2>&1`.

@@ -122,13 +122,15 @@ skip_rc=$?
 set -e
 [ "$skip_rc" -eq 2 ] || { echo "-figure fig8 -skip-sim exited $skip_rc, want 2" >&2; exit 1; }
 
-echo "== tier 2: a negative -runs, a bad -deg-rho or a bad serve budget exits 2"
+echo "== tier 2: a negative -runs, a bad -deg-rho, a bad serve budget or a non-positive -lease-ttl exits 2"
 # -runs 0 keeps the preset's run count; a negative count is a usage
 # error, not a silent default. A density no deployment can place fails
 # before any job is built. A serve budget must be a finite rate >= 0
 # and its burst and in-flight bound counts >= 0, with or without -serve.
+# A lease TTL must be positive, with or without -coordinator.
 for args in "-runs -3" "-deg-rho -1" "-deg-rho NaN" \
-    "-serve-budget NaN" "-serve-budget -1" "-serve-burst -1" "-serve-inflight -1"; do
+    "-serve-budget NaN" "-serve-budget -1" "-serve-burst -1" "-serve-inflight -1" \
+    "-lease-ttl 0" "-lease-ttl -1s"; do
     set +e
     # shellcheck disable=SC2086
     "$tmp/experiments" -figure degradation -quick $args >/dev/null 2>&1
@@ -136,6 +138,15 @@ for args in "-runs -3" "-deg-rho -1" "-deg-rho NaN" \
     set -e
     [ "$rc" -eq 2 ] || { echo "-figure degradation $args exited $rc, want 2" >&2; exit 1; }
 done
+# A burst (or in-flight bound) without -serve-budget would configure
+# nothing: it is a usage error, not a strict server. A server that
+# starts instead runs until the timeout kills it (exit 124).
+set +e
+timeout 30 "$tmp/experiments" -quick -cache-dir "$tmp/empty" -serve 127.0.0.1:0 -serve-burst 5 \
+    >/dev/null 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || { echo "-serve -serve-burst 5 without -serve-budget exited $rc, want 2" >&2; exit 1; }
 
 echo "== tier 2: committed full-report artifacts match a fresh -figure all"
 # report_full.txt and results/ are the paper-preset report EXPERIMENTS.md
