@@ -36,6 +36,18 @@ func benchPresetSim() experiments.Preset {
 // benchEngine is a fresh uncached engine with one worker per CPU.
 func benchEngine() *engine.Engine { return engine.New(engine.Config{}) }
 
+// benchFigure renders one figure ID through RunFigures on a fresh
+// engine per iteration, at the figure table's parameters over spec's
+// presets.
+func benchFigure(b *testing.B, spec experiments.FigureSpec, id string) {
+	b.Helper()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.RunFigures(context.Background(), benchEngine(), spec, nil, id); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func analyticSurface(b *testing.B) *experiments.Surface {
 	b.Helper()
 	s, err := experiments.AnalyticSurfaceCtx(context.Background(), benchEngine(), benchPresetAnalytic())
@@ -168,12 +180,7 @@ func BenchmarkFig12SuccessRate(b *testing.B) {
 // BenchmarkCFMBaseline regenerates the §4 CFM flooding closed forms
 // next to the CAM analysis.
 func BenchmarkCFMBaseline(b *testing.B) {
-	pre := benchPresetAnalytic()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CFMBaseline(context.Background(), benchEngine(), pre); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFigure(b, experiments.FigureSpec{Analytic: benchPresetAnalytic()}, "cfm")
 }
 
 // BenchmarkCarrierSenseAblation regenerates the Appendix A collision
@@ -181,11 +188,7 @@ func BenchmarkCFMBaseline(b *testing.B) {
 func BenchmarkCarrierSenseAblation(b *testing.B) {
 	pre := benchPresetAnalytic()
 	pre.Rhos = []float64{80}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CarrierSenseAblation(context.Background(), benchEngine(), pre); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFigure(b, experiments.FigureSpec{Analytic: pre}, "carrier")
 }
 
 // BenchmarkAblationMuMode compares the real-valued μ extension modes on
@@ -246,22 +249,13 @@ func BenchmarkSimulatorDenseFlooding(b *testing.B) {
 func BenchmarkCostFunctions(b *testing.B) {
 	pre := benchPresetAnalytic()
 	pre.Rhos = []float64{20, 60}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CostFunctions(context.Background(), benchEngine(), pre, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFigure(b, experiments.FigureSpec{Analytic: pre}, "costfn")
 }
 
 // BenchmarkPercolation regenerates the grid+CFM percolation transition
 // (the related-work cross-check with p_c = 0.593).
 func BenchmarkPercolation(b *testing.B) {
-	grid := []float64{0.4, 0.55, 0.6, 0.65, 0.8}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Percolation(context.Background(), benchEngine(), 12, grid, 3, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFigure(b, experiments.FigureSpec{}, "percolation")
 }
 
 // BenchmarkCollisionProfile regenerates the collision-rate explanation
@@ -270,43 +264,24 @@ func BenchmarkCollisionProfile(b *testing.B) {
 	pre := benchPresetSim()
 	pre.Grid = []float64{0.1, 1}
 	pre.Runs = 2
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CollisionProfile(context.Background(), benchEngine(), pre, 60); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFigure(b, experiments.FigureSpec{Sim: pre}, "collisions")
 }
 
 // BenchmarkSlotSweep regenerates the backoff-window ablation.
 func BenchmarkSlotSweep(b *testing.B) {
-	grid := []float64{0.05, 0.1, 0.2, 0.4, 0.8}
-	c := optimize.Constraints{Latency: 5, Reach: 0.72, Budget: 35}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SlotSweep(context.Background(), benchEngine(), 80, []int{1, 3, 8}, grid, c); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFigure(b, experiments.FigureSpec{Analytic: benchPresetAnalytic()}, "slots")
 }
 
 // BenchmarkFieldScaling regenerates the O(P·r) latency scaling study.
 func BenchmarkFieldScaling(b *testing.B) {
-	c := optimize.Constraints{Latency: 5, Reach: 0.5, Budget: 35}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FieldScaling(context.Background(), benchEngine(), 80, []int{3, 6, 9}, 0.15, c); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFigure(b, experiments.FigureSpec{Analytic: benchPresetAnalytic()}, "field")
 }
 
 // BenchmarkSchemeComparison regenerates the all-schemes table.
 func BenchmarkSchemeComparison(b *testing.B) {
 	pre := benchPresetSim()
 	pre.Runs = 2
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SchemeComparison(context.Background(), benchEngine(), pre, []float64{40}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFigure(b, experiments.FigureSpec{Sim: pre}, "schemes")
 }
 
 // BenchmarkShootoutCampaign regenerates the cross-scheme shootout
@@ -330,21 +305,12 @@ func BenchmarkShootoutCampaign(b *testing.B) {
 func BenchmarkHeterogeneity(b *testing.B) {
 	pre := benchPresetSim()
 	pre.Runs = 2
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Heterogeneity(context.Background(), benchEngine(), pre, 60); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFigure(b, experiments.FigureSpec{Sim: pre}, "hetero")
 }
 
 // BenchmarkRefinedCFM regenerates the density-priced CFM table.
 func BenchmarkRefinedCFM(b *testing.B) {
-	pre := benchPresetAnalytic()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RefinedCFM(context.Background(), benchEngine(), pre, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFigure(b, experiments.FigureSpec{Analytic: benchPresetAnalytic()}, "refinedcfm")
 }
 
 // BenchmarkEngineCampaign measures the engine-backed simulated
@@ -441,9 +407,5 @@ func BenchmarkJointDesign(b *testing.B) {
 	pre := benchPresetSim()
 	pre.Runs = 2
 	pre.Grid = []float64{0.05, 0.1, 0.2, 0.4, 0.8}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.JointDesign(context.Background(), benchEngine(), pre, 100, 15, []int{1, 3, 6}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFigure(b, experiments.FigureSpec{Sim: pre}, "joint")
 }

@@ -44,7 +44,14 @@ func main() {
 	c := core.Constraints{Latency: *latency, Reach: *reach, Budget: *budget}
 
 	if *sweep {
-		if err := runSweep(m, c, *step); err != nil {
+		// Range is empty exactly when the step is outside (0, 1] or too
+		// fine for its point count to fit in an int32.
+		grid := mathx.Range(*step, 1, *step)
+		if len(grid) == 0 {
+			fmt.Fprintf(os.Stderr, "analyze: -step %g: want a step in (0, 1] giving at most 2^31-1 grid points\n", *step)
+			os.Exit(2)
+		}
+		if err := runSweep(m, c, grid); err != nil {
 			fmt.Fprintln(os.Stderr, "analyze:", err)
 			os.Exit(1)
 		}
@@ -98,8 +105,7 @@ func runSingle(m core.NetworkModel, c core.Constraints, p float64, csvPath strin
 	return nil
 }
 
-func runSweep(m core.NetworkModel, c core.Constraints, step float64) error {
-	grid := mathx.Range(step, 1, step)
+func runSweep(m core.NetworkModel, c core.Constraints, grid []float64) error {
 	pts, err := m.Sweep(c, grid)
 	if err != nil {
 		return err

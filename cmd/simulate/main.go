@@ -59,6 +59,10 @@ func main() {
 	}
 	switch strings.ToLower(*proto) {
 	case "pb":
+		if !(*prob >= 0 && *prob <= 1) {
+			fmt.Fprintf(os.Stderr, "simulate: -p %g outside [0, 1]\n", *prob)
+			os.Exit(2)
+		}
 		cfg.Protocol = protocol.Probability{P: *prob}
 	case "flooding":
 		cfg.Protocol = protocol.Flooding{}

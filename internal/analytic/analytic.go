@@ -96,11 +96,11 @@ func (c Config) Validate() error {
 		return errors.New("analytic: P must be >= 1")
 	case c.S < 1:
 		return errors.New("analytic: S must be >= 1")
-	case c.Rho <= 0:
-		return errors.New("analytic: Rho must be > 0")
-	case c.R < 0:
-		return errors.New("analytic: R must be >= 0")
-	case c.Prob < 0 || c.Prob > 1:
+	case !(c.Rho > 0) || math.IsInf(c.Rho, 1):
+		return errors.New("analytic: Rho must be finite and > 0")
+	case !(c.R >= 0) || math.IsInf(c.R, 1):
+		return errors.New("analytic: R must be finite and >= 0")
+	case !(c.Prob >= 0 && c.Prob <= 1):
 		return fmt.Errorf("analytic: Prob %v outside [0,1]", c.Prob)
 	case c.IntegrationPoints < 0:
 		return errors.New("analytic: IntegrationPoints must be >= 0")

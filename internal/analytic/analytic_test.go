@@ -30,6 +30,13 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{P: 5, S: 3, Rho: 20, Prob: 1.1},
 		{P: 5, S: 3, Rho: 20, Prob: 0.1, R: -1},
 		{P: 5, S: 3, Rho: 20, Prob: 0.1, IntegrationPoints: -1},
+		// NaN fails every ordered comparison, and +Inf passes a bare
+		// lower bound.
+		{P: 5, S: 3, Rho: math.NaN(), Prob: 0.1},
+		{P: 5, S: 3, Rho: math.Inf(1), Prob: 0.1},
+		{P: 5, S: 3, Rho: 20, Prob: math.NaN()},
+		{P: 5, S: 3, Rho: 20, Prob: 0.1, R: math.NaN()},
+		{P: 5, S: 3, Rho: 20, Prob: 0.1, R: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"sensornet/internal/analytic"
 	"sensornet/internal/buckets"
@@ -77,7 +78,7 @@ func DefaultModel() NetworkModel {
 
 // Validate reports whether the model is usable.
 func (m NetworkModel) Validate() error {
-	if m.P < 1 || m.S < 1 || m.Rho <= 0 {
+	if m.P < 1 || m.S < 1 || !(m.Rho > 0) || math.IsInf(m.Rho, 1) {
 		return fmt.Errorf("core: invalid model %+v", m)
 	}
 	return nil

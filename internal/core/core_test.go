@@ -24,10 +24,15 @@ func TestValidateRejectsBadModels(t *testing.T) {
 		{P: 0, S: 3, Rho: 60},
 		{P: 5, S: 0, Rho: 60},
 		{P: 5, S: 3, Rho: 0},
+		{P: 5, S: 3, Rho: math.NaN()},
+		{P: 5, S: 3, Rho: math.Inf(1)},
 	} {
 		if err := m.Validate(); err == nil {
 			t.Errorf("expected error for %+v", m)
 		}
+	}
+	if _, err := DefaultModel().Analyze(math.NaN()); err == nil {
+		t.Error("expected error for a NaN probability")
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -38,16 +37,11 @@ func (c *collCell) div(n float64) {
 	c.Rate /= n
 }
 
-// CollisionProfile explains the bell curves mechanistically: at one
+// collisionStudy explains the bell curves mechanistically: at one
 // density it sweeps the broadcast probability and measures, in the
 // simulator, the fraction of reception opportunities destroyed by
-// collisions alongside the achieved reachability.
-func CollisionProfile(ctx context.Context, eng *engine.Engine, pre Preset, rho float64) (*FigureResult, error) {
-	return runStudy(ctx, eng)(collisionStudy(pre, rho))
-}
-
-// collisionStudy is one cell per grid probability; every probability
-// sees the same deployments.
+// collisions alongside the achieved reachability. It is one cell per
+// grid probability; every probability sees the same deployments.
 func collisionStudy(pre Preset, rho float64) (study, error) {
 	if err := checkRuns("collisions", pre.Runs); err != nil {
 		return nil, err
@@ -81,16 +75,10 @@ func collisionStudy(pre Preset, rho float64) (study, error) {
 	}}, nil
 }
 
-// SlotSweep studies the backoff window: the paper fixes s = 3 slots per
-// phase; this ablation sweeps s in the analytical model and reports the
-// optimal probability and achievable reachability for each, at one
-// density.
-func SlotSweep(ctx context.Context, eng *engine.Engine, rho float64, slots []int, grid []float64,
-	c optimize.Constraints) (*FigureResult, error) {
-	return runStudy(ctx, eng)(slotStudy(rho, slots, grid, c))
-}
-
-// slotStudy draws on one single-density analytic surface per slot
+// slotStudy studies the backoff window: the paper fixes s = 3 slots
+// per phase; this ablation sweeps s in the analytical model and reports
+// the optimal probability and achievable reachability for each, at one
+// density. It draws on one single-density analytic surface per slot
 // count.
 func slotStudy(rho float64, slots []int, grid []float64, c optimize.Constraints) (study, error) {
 	pres := make([]Preset, len(slots))
@@ -126,16 +114,11 @@ func slotStudy(rho float64, slots []int, grid []float64, c optimize.Constraints)
 	}, pres...), nil
 }
 
-// FieldScaling fixes the density and grows the field radius P,
+// fieldStudy fixes the density and grows the field radius P,
 // reporting how far and how fast the broadcast travels: the paper's
 // O(P·r) latency intuition, quantified on the collision-aware model.
-func FieldScaling(ctx context.Context, eng *engine.Engine, rho float64, fields []int, p float64,
-	c optimize.Constraints) (*FigureResult, error) {
-	return runStudy(ctx, eng)(fieldStudy(rho, fields, p, c))
-}
-
-// fieldStudy draws on one single-point analytic surface per field
-// radius, each over N = ρP² nodes.
+// It draws on one single-point analytic surface per field radius, each
+// over N = ρP² nodes.
 func fieldStudy(rho float64, fields []int, p float64, c optimize.Constraints) (study, error) {
 	pres := make([]Preset, len(fields))
 	for i, pp := range fields {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -16,7 +15,7 @@ func TestCollisionProfileShape(t *testing.T) {
 	pre.Rhos = []float64{60}
 	pre.Grid = []float64{0.05, 0.3, 1}
 	pre.Runs = 3
-	f, err := CollisionProfile(context.Background(), testEngine(), pre, 60)
+	f, err := studyFigure(collisionStudy(pre, 60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func TestCollisionProfileShape(t *testing.T) {
 func TestSlotSweepShape(t *testing.T) {
 	grid := mathx.Range(0.02, 1, 0.02)
 	c := optimize.Constraints{Latency: 5, Reach: 0.72, Budget: 35}
-	f, err := SlotSweep(context.Background(), testEngine(), 80, []int{1, 3, 8}, grid, c)
+	f, err := studyFigure(slotStudy(80, []int{1, 3, 8}, grid, c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +54,14 @@ func TestSlotSweepShape(t *testing.T) {
 
 func TestSlotSweepErrorPropagation(t *testing.T) {
 	c := optimize.Constraints{Latency: 5, Reach: 0.72, Budget: 35}
-	if _, err := SlotSweep(context.Background(), testEngine(), 80, []int{0}, []float64{0.1}, c); err == nil {
+	if _, err := studyFigure(slotStudy(80, []int{0}, []float64{0.1}, c)); err == nil {
 		t.Fatal("invalid slot count should error")
 	}
 }
 
 func TestFieldScalingLatencyLinear(t *testing.T) {
 	c := optimize.Constraints{Latency: 5, Reach: 0.5, Budget: 35}
-	f, err := FieldScaling(context.Background(), testEngine(), 80, []int{3, 6, 9}, 0.15, c)
+	f, err := studyFigure(fieldStudy(80, []int{3, 6, 9}, 0.15, c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func timelineAt(pp, s int, rho, p float64) (metrics.Timeline, error) {
 func TestSchemeComparison(t *testing.T) {
 	pre := QuickSim()
 	pre.Runs = 3
-	f, err := SchemeComparison(context.Background(), testEngine(), pre, []float64{40})
+	f, err := studyFigure(schemeStudy(pre, []float64{40}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,7 @@ func TestSchemeComparison(t *testing.T) {
 func TestHeterogeneity(t *testing.T) {
 	pre := QuickSim()
 	pre.Runs = 4
-	f, err := Heterogeneity(context.Background(), testEngine(), pre, 60)
+	f, err := studyFigure(heteroStudy(pre, 60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +145,7 @@ func TestHeterogeneity(t *testing.T) {
 func TestRefinedCFM(t *testing.T) {
 	pre := QuickAnalytic()
 	pre.Rhos = []float64{20, 60, 100}
-	f, err := RefinedCFM(context.Background(), testEngine(), pre, 2)
+	f, err := studyFigure(refinedStudy(pre, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestJointDesign(t *testing.T) {
 	pre := QuickSim()
 	pre.Runs = 6
 	pre.Grid = mathx.Range(0.04, 1, 0.04)
-	f, err := JointDesign(context.Background(), testEngine(), pre, 100, 15, []int{1, 3, 6})
+	f, err := studyFigure(jointStudy(pre, 100, 15, []int{1, 3, 6}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestMuModeAblation(t *testing.T) {
 	pre := QuickAnalytic()
 	pre.Rhos = []float64{40, 120}
 	pre.Grid = mathx.Range(0.04, 1, 0.04)
-	f, err := MuModeAblation(context.Background(), testEngine(), pre)
+	f, err := studyFigure(muModeStudy(pre))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,22 +142,6 @@ type study interface {
 	figure(results []engine.Result) (*FigureResult, error)
 }
 
-// runStudy returns the function that runs a just-built study through
-// runStudies, passing a build error straight through:
-// runStudy(ctx, eng)(newStudy(...)).
-func runStudy(ctx context.Context, eng *engine.Engine) func(study, error) (*FigureResult, error) {
-	return func(st study, err error) (*FigureResult, error) {
-		if err != nil {
-			return nil, err
-		}
-		figs, err := runStudies(ctx, eng, []study{st})
-		if err != nil {
-			return nil, err
-		}
-		return figs[0], nil
-	}
-}
-
 // runStudies is the one figure path: it runs the union of the studies'
 // job sets on eng as one batch, then draws each study's figure from its
 // own results. The draws run concurrently, up to eng's worker count,

@@ -10,19 +10,15 @@ import (
 	"sensornet/internal/reliable"
 )
 
-// CostFunctions realises the paper's concluding proposal: measure the
-// real time and energy costs t_f(ρ), e_f(ρ) of a *reliable* broadcast
-// (i.e. of implementing CFM on top of CAM) as functions of node
-// density, for the two §3.2.1 realisations — ACK/retransmit and TDMA.
+// costStudy realises the paper's concluding proposal: measure the real
+// time and energy costs t_f(ρ), e_f(ρ) of a *reliable* broadcast (i.e.
+// of implementing CFM on top of CAM) as functions of node density, for
+// the two §3.2.1 realisations — ACK/retransmit and TDMA. It is one ACK
+// cell per density, over at least one deployment.
 //
 // The resulting cost functions are what a refined CFM would plug in so
 // that collision pressure is visible to high-level algorithm design
 // without exposing the collisions themselves.
-func CostFunctions(ctx context.Context, eng *engine.Engine, pre Preset, seeds int) (*FigureResult, error) {
-	return runStudy(ctx, eng)(costStudy(pre, seeds))
-}
-
-// costStudy is one ACK cell per density, over at least one deployment.
 func costStudy(pre Preset, seeds int) (study, error) {
 	return cellStudy[ackCell]{ackCells("costfn", pre, max(seeds, 1), true), func(aggs []ackCell) (*FigureResult, error) {
 		f := &FigureResult{ID: "costfn",

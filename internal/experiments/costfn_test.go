@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"math"
 	"testing"
 )
@@ -9,7 +8,7 @@ import (
 func TestCostFunctionsShape(t *testing.T) {
 	pre := QuickAnalytic()
 	pre.Rhos = []float64{10, 40}
-	f, err := CostFunctions(context.Background(), testEngine(), pre, 3)
+	f, err := studyFigure(costStudy(pre, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +34,7 @@ func TestCostFunctionsShape(t *testing.T) {
 func TestCostFunctionsSeedsClamped(t *testing.T) {
 	pre := QuickAnalytic()
 	pre.Rhos = []float64{10}
-	if _, err := CostFunctions(context.Background(), testEngine(), pre, 0); err != nil {
+	if _, err := studyFigure(costStudy(pre, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

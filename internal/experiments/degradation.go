@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"sensornet/internal/engine"
@@ -60,29 +59,25 @@ func (c *degCell) div(n float64) {
 	c.Depleted /= n
 }
 
-// Degradation measures how flooding and the law-tuned PB_CAM degrade
-// as node crashes and link loss intrude on the paper's collision-only
-// failure model: coverage, latency-constrained reach, and settling time
-// over a (crash rate × loss rate) grid at one density, averaged over
-// the preset's replications with common random numbers. One cached
-// engine job per (scheme, crash, loss) cell, so a killed study resumes
-// from the cache. Crash phases are uniform over the horizon; when the
-// preset leaves MaxPhases unset the study caps it near the latency
-// budget so node death lands inside the broadcast window instead of
-// long after it settles.
-func Degradation(ctx context.Context, eng *engine.Engine, pre Preset, rho float64,
-	crashRates, lossRates []float64) (*FigureResult, error) {
-	return runStudy(ctx, eng)(degradationStudy(pre, rho, crashRates, lossRates))
-}
-
-// degradationStudy is one cell per (scheme, crash, loss), scheme-major,
-// with the default rate grids for empty lists. Every cell shares the
-// replications' deployments and — because the fault plan's streams
-// derive from the run seed, not the rates — coupled fault draws: at a
-// fixed replication the crashed set at a low rate is a subset of the
-// crashed set at a high one. The density must be positive and finite,
-// and every (crash, loss) pair must pass faults.Config.Validate, so a
-// bad density or rate fails before any job is built.
+// degradationStudy measures how flooding and the law-tuned PB_CAM
+// degrade as node crashes and link loss intrude on the paper's
+// collision-only failure model: coverage, latency-constrained reach,
+// and settling time over a (crash rate × loss rate) grid at one
+// density, averaged over the preset's replications with common random
+// numbers. One cached engine job per (scheme, crash, loss) cell, so a
+// killed study resumes from the cache. Crash phases are uniform over
+// the horizon; when the preset leaves MaxPhases unset the study caps
+// it near the latency budget so node death lands inside the broadcast
+// window instead of long after it settles.
+//
+// The cells are scheme-major, with the default rate grids for empty
+// lists. Every cell shares the replications' deployments and — because
+// the fault plan's streams derive from the run seed, not the rates —
+// coupled fault draws: at a fixed replication the crashed set at a low
+// rate is a subset of the crashed set at a high one. The density must
+// be positive and finite, and every (crash, loss) pair must pass
+// faults.Config.Validate, so a bad density or rate fails before any job
+// is built.
 func degradationStudy(pre Preset, rho float64, crashRates, lossRates []float64) (study, error) {
 	if err := checkRuns("degradation", pre.Runs); err != nil {
 		return nil, err

@@ -179,13 +179,10 @@ func TestDegradationKillResumeByteIdentical(t *testing.T) {
 	pre.Runs = 3
 	crash := []float64{0, 0.3}
 	loss := []float64{0, 0.3}
+	spec := experiments.FigureSpec{Sim: pre, DegRho: 20, CrashRates: crash, LossRates: loss}
 	render := func(eng *engine.Engine, ctx context.Context) (string, error) {
-		f, err := experiments.Degradation(ctx, eng, pre, 20, crash, loss)
-		if err != nil {
-			return "", err
-		}
 		var b bytes.Buffer
-		if err := f.Render(&b); err != nil {
+		if _, err := experiments.RunFigures(ctx, eng, spec, &b, "degradation"); err != nil {
 			return "", err
 		}
 		return b.String(), nil

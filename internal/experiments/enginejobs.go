@@ -279,7 +279,7 @@ func assembleSurface(pre Preset, simulated bool, results []engine.Result) (*Surf
 			pts[k] = row[0]
 		}
 	}
-	s := &Surface{Pre: pre, Simulated: simulated}
+	s := &Surface{Pre: pre}
 	for i := range pre.Rhos {
 		s.Points = append(s.Points, pts[i*g:(i+1)*g:(i+1)*g])
 	}

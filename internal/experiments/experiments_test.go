@@ -15,6 +15,20 @@ import (
 // testEngine is a fresh uncached engine for one test's figure.
 func testEngine() *engine.Engine { return engine.New(engine.Config{}) }
 
+// studyFigure runs a just-built study on a test engine through
+// runStudies, the path RunFigures takes, passing a build error straight
+// through: studyFigure(collisionStudy(pre, 60)).
+func studyFigure(st study, err error) (*FigureResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	figs, err := runStudies(context.Background(), testEngine(), []study{st})
+	if err != nil {
+		return nil, err
+	}
+	return figs[0], nil
+}
+
 // testSurface caches the quick analytic surface across tests in this
 // package: computing it once keeps the suite fast.
 var testSurface *Surface
@@ -172,7 +186,7 @@ func TestFig12RatioRoughlyConstant(t *testing.T) {
 }
 
 func TestCFMBaseline(t *testing.T) {
-	f, err := CFMBaseline(context.Background(), testEngine(), QuickAnalytic())
+	f, err := studyFigure(cfmStudy(QuickAnalytic()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +201,7 @@ func TestCarrierSenseAblation(t *testing.T) {
 	pre := QuickAnalytic()
 	pre.Rhos = []float64{40, 100}
 	pre.Grid = pre.Grid[:25] // p <= 0.5 is where the optima live
-	f, err := CarrierSenseAblation(context.Background(), testEngine(), pre)
+	f, err := studyFigure(carrierStudy(pre))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +294,7 @@ func TestSimFiguresQuick(t *testing.T) {
 	if optP[1] > optP[0]+0.2 {
 		t.Fatalf("simulated optimal p rising with density: %v", optP)
 	}
-	f12, err := runStudy(context.Background(), testEngine())(newSuccessStudy(pre))
+	f12, err := studyFigure(newSuccessStudy(pre))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +313,7 @@ func TestFig12SimZeroSuccessRate(t *testing.T) {
 	pre.Rhos = []float64{0.04}
 	pre.Grid = []float64{0.5, 1}
 	pre.Runs = 2
-	f, err := runStudy(context.Background(), testEngine())(newSuccessStudy(pre))
+	f, err := studyFigure(newSuccessStudy(pre))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -280,15 +279,10 @@ func (st successStudy) figure(results []engine.Result) (*FigureResult, error) {
 	return f, nil
 }
 
-// CFMBaseline reports the closed-form CFM flooding performance of §4
+// cfmStudy reports the closed-form CFM flooding performance of §4
 // next to the collision-aware analysis, quantifying how misleading CFM
-// is at each density.
-func CFMBaseline(ctx context.Context, eng *engine.Engine, pre Preset) (*FigureResult, error) {
-	return runStudy(ctx, eng)(cfmStudy(pre))
-}
-
-// cfmStudy draws on the flooding column (p = 1) of the preset's
-// analytic surface.
+// is at each density. It draws on the flooding column (p = 1) of the
+// preset's analytic surface.
 func cfmStudy(pre Preset) (study, error) {
 	pre.Grid = []float64{1}
 	return onSurfaces(false, func(surfs []*Surface) (*FigureResult, error) {
@@ -316,14 +310,10 @@ func cfmStudy(pre Preset) (study, error) {
 	}, pre), nil
 }
 
-// CarrierSenseAblation compares the plain Assumption-6 collision model
-// with the Appendix A carrier-sensing model on the reachability metric.
-func CarrierSenseAblation(ctx context.Context, eng *engine.Engine, pre Preset) (*FigureResult, error) {
-	return runStudy(ctx, eng)(carrierStudy(pre))
-}
-
-// carrierStudy draws on the preset's analytic surface and on its
-// carrier-sensing copy.
+// carrierStudy compares the plain Assumption-6 collision model with
+// the Appendix A carrier-sensing model on the reachability metric. It
+// draws on the preset's analytic surface and on its carrier-sensing
+// copy.
 func carrierStudy(pre Preset) (study, error) {
 	cs := pre
 	cs.CarrierSense = true

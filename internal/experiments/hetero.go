@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -15,18 +14,15 @@ import (
 // four times denser at the centre than at the edge.
 func heteroProfile(r float64) float64 { return 4 - 3*r }
 
-// Heterogeneity tests the limits of a single global broadcast
+// heteroStudy tests the limits of a single global broadcast
 // probability: on a radially heterogeneous field (dense centre, sparse
 // edge), a p tuned for the mean density is wrong almost everywhere,
 // while the degree-adaptive rule p_i = C/degree_i re-tunes itself per
 // neighbourhood. This realises the paper's remark that success-rate- or
 // density-driven adaptation is "practically useful if the node density
 // exhibits large spatio-temporal variation".
-func Heterogeneity(ctx context.Context, eng *engine.Engine, pre Preset, meanRho float64) (*FigureResult, error) {
-	return runStudy(ctx, eng)(heteroStudy(pre, meanRho))
-}
-
-// heteroStudy is one cell per scheme: flooding, the PB probability tuned
+//
+// The study is one cell per scheme: flooding, the PB probability tuned
 // for the mean density, and the per-node degree-adaptive rule. Each
 // replication samples its own hotspot field; deployment sampling and
 // protocol coin flips draw from unrelated streams derived from the

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -11,25 +10,19 @@ import (
 	"sensornet/internal/protocol"
 )
 
-// JointDesign optimises PB_CAM's two free parameters together — the
+// jointStudy optimises PB_CAM's two free parameters together — the
 // broadcast probability p AND the backoff window s — under a fair
 // latency budget expressed in slots (the paper fixes s = 3 and tunes
 // only p). For each window size the analytic model picks the best p;
-// the winning operating points are then validated by simulation.
+// the winning operating points are then validated by simulation, one
+// cell each. Both read reachability at the window's deadline of
+// slotBudget/s phases, so every window gets the same latency in slots.
+// Every window sees the same replication seeds.
 //
 // Finding: with the deadline counted in slots, shorter windows win —
 // the extra relay rounds they buy outweigh their coarser contention
 // resolution, and the probability absorbs the difference. The paper's
 // s = 3 is a convention, not an optimum.
-func JointDesign(ctx context.Context, eng *engine.Engine, pre Preset, rho float64,
-	slotBudget float64, slots []int) (*FigureResult, error) {
-	return runStudy(ctx, eng)(jointStudy(pre, rho, slotBudget, slots))
-}
-
-// jointStudy tunes p analytically per window size s, then validates
-// each optimum in one cell. Both read reachability at the window's
-// deadline of slotBudget/s phases, so every window gets the same
-// latency in slots. Every window sees the same replication seeds.
 func jointStudy(pre Preset, rho, slotBudget float64, slots []int) (study, error) {
 	if err := checkRuns("joint", pre.Runs); err != nil {
 		return nil, err

@@ -1,26 +1,19 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"sensornet/internal/analytic"
 	"sensornet/internal/buckets"
-	"sensornet/internal/engine"
 	"sensornet/internal/optimize"
 )
 
-// MuModeAblation quantifies the DESIGN.md "μ at non-integer K"
-// decision: the paper evaluates μ(g(x)·p, s) at real-valued expected
-// sender counts without saying how; this experiment compares the three
+// muModeStudy quantifies the DESIGN.md "μ at non-integer K" decision:
+// the paper evaluates μ(g(x)·p, s) at real-valued expected sender
+// counts without saying how; this experiment compares the three
 // interpolation modes plus the exact binomial mixture on the Fig. 4
-// optimum at each density.
-func MuModeAblation(ctx context.Context, eng *engine.Engine, pre Preset) (*FigureResult, error) {
-	return runStudy(ctx, eng)(muModeStudy(pre))
-}
-
-// muModeStudy draws on four analytic surfaces of the preset, one per μ
-// evaluation mode.
+// optimum at each density. It draws on four analytic surfaces of the
+// preset, one per μ evaluation mode.
 func muModeStudy(pre Preset) (study, error) {
 	variants := []struct {
 		name     string

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -12,18 +11,6 @@ import (
 	"sensornet/internal/protocol"
 	"sensornet/internal/sim"
 )
-
-// Percolation cross-validates the simulator against an independent
-// known constant cited by the paper's related work: probability-based
-// broadcast over a *grid* deployment with *collision-free*
-// communication is site percolation on the square lattice, whose
-// critical probability is ~0.593. The experiment sweeps p, records the
-// final reachability of PB over CFM on a grid, and locates the sharp
-// transition.
-func Percolation(ctx context.Context, eng *engine.Engine, p int, grid []float64,
-	runs int, seed int64) (*FigureResult, error) {
-	return runStudy(ctx, eng)(percolationStudy(p, grid, runs, seed), nil)
-}
 
 // cliPercolation is the percolation study the CLI renders, alone and in
 // "all": a radius-18 lattice, 10 runs, p from 0.35 in steps of 0.05.
@@ -37,8 +24,16 @@ func cliPercolation() study {
 	return percolationStudy(18, grid, 10, 1)
 }
 
-// percolationStudy is one cell per probability on a radius-p lattice
-// (at least 4) that every cell shares, with at least one run per cell.
+// percolationStudy cross-validates the simulator against an
+// independent known constant cited by the paper's related work:
+// probability-based broadcast over a *grid* deployment with
+// *collision-free* communication is site percolation on the square
+// lattice, whose critical probability is ~0.593. The experiment sweeps
+// p, records the final reachability of PB over CFM on a grid, and
+// locates the sharp transition.
+//
+// The study is one cell per probability on a radius-p lattice (at
+// least 4) that every cell shares, with at least one run per cell.
 // Replication seeds derive from the study seed, the probability and the
 // replication index.
 func percolationStudy(p int, grid []float64, runs int, seed int64) study {

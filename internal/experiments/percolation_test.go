@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -13,7 +12,7 @@ func TestPercolationTransitionNearCritical(t *testing.T) {
 		t.Skip("percolation sweep in -short mode")
 	}
 	grid := mathx.Range(0.35, 0.9, 0.05)
-	f, err := Percolation(context.Background(), testEngine(), 18, grid, 6, 1)
+	f, err := studyFigure(percolationStudy(18, grid, 6, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +41,7 @@ func TestPercolationMonotoneInP(t *testing.T) {
 		t.Skip("percolation sweep in -short mode")
 	}
 	grid := []float64{0.3, 0.6, 0.95}
-	f, err := Percolation(context.Background(), testEngine(), 12, grid, 8, 2)
+	f, err := studyFigure(percolationStudy(12, grid, 8, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func TestPercolationMonotoneInP(t *testing.T) {
 }
 
 func TestPercolationDegenerateArgs(t *testing.T) {
-	f, err := Percolation(context.Background(), testEngine(), 0, []float64{0.5}, 0, 3)
+	f, err := studyFigure(percolationStudy(0, []float64{0.5}, 0, 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

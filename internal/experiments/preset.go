@@ -107,8 +107,6 @@ type Surface struct {
 	Pre Preset
 	// Points[i][j] holds the metrics at (Rhos[i], Grid[j]).
 	Points [][]optimize.Point
-	// Simulated records which engine produced the surface.
-	Simulated bool
 }
 
 // AnalyticSurfaceCtx sweeps the analytical model over the preset,

@@ -1,27 +1,20 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"sensornet/internal/analytic"
-	"sensornet/internal/engine"
 	"sensornet/internal/metrics"
 )
 
-// RefinedCFM closes the loop the paper's conclusion proposes: measure
+// refinedStudy closes the loop the paper's conclusion proposes: measure
 // what reliable broadcasts really cost (internal/reliable), fit the
 // density-dependent cost functions t_f(ρ), e_f(ρ), and plug them back
 // into a collision-free model. The experiment contrasts three
 // predictions of network-wide reliable flooding: the naive CFM (unit
 // costs), the refined CFM (fitted costs), and — as the honest yardstick
 // of how much reliability costs — the measured per-broadcast figures.
-func RefinedCFM(ctx context.Context, eng *engine.Engine, pre Preset, seeds int) (*FigureResult, error) {
-	return runStudy(ctx, eng)(refinedStudy(pre, seeds))
-}
-
-// refinedStudy is one ACK cell per density, over at least two
-// deployments.
+// It is one ACK cell per density, over at least two deployments.
 func refinedStudy(pre Preset, seeds int) (study, error) {
 	return cellStudy[ackCell]{ackCells("refinedcfm", pre, max(seeds, 2), false), func(aggs []ackCell) (*FigureResult, error) {
 		f := &FigureResult{ID: "refinedcfm",

@@ -1,16 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
 	"sensornet/internal/engine"
 )
 
-// TestRefinedCFMSeedStreams is the regression test for the PR 1-era
-// bug that survived in RefinedCFM until PR 2: deriving the per-density
-// deployment RNG as seed*104729+int64(rho). Under that scheme every
+// TestRefinedCFMSeedStreams is the regression test for an early bug
+// of the refined-CFM study: deriving the per-density deployment RNG
+// as seed*104729+int64(rho). Under that scheme every
 // density with the same int64 truncation (20.0 and 20.4) shared a
 // stream, and the ACK stream ignored rho entirely. The engine
 // derivation must give pairwise-distinct seeds across adjacent seeds
@@ -50,20 +49,20 @@ func TestRefinedCFMRuns(t *testing.T) {
 	pre := QuickAnalytic()
 	pre.Rhos = []float64{20, 40, 60}
 
-	a, err := RefinedCFM(context.Background(), testEngine(), pre, 2)
+	a, err := studyFigure(refinedStudy(pre, 2))
 	if err != nil {
-		t.Fatalf("RefinedCFM: %v", err)
+		t.Fatalf("refinedStudy: %v", err)
 	}
 	if got := len(a.Series["refinedLatency"]); got != len(pre.Rhos) {
 		t.Fatalf("refinedLatency has %d samples, want %d", got, len(pre.Rhos))
 	}
-	b, err := RefinedCFM(context.Background(), testEngine(), pre, 2)
+	b, err := studyFigure(refinedStudy(pre, 2))
 	if err != nil {
-		t.Fatalf("RefinedCFM (repeat): %v", err)
+		t.Fatalf("refinedStudy (repeat): %v", err)
 	}
 	for i := range a.Series["refinedLatency"] {
 		if a.Series["refinedLatency"][i] != b.Series["refinedLatency"][i] {
-			t.Fatalf("RefinedCFM is not deterministic at index %d", i)
+			t.Fatalf("refinedStudy is not deterministic at index %d", i)
 		}
 	}
 }

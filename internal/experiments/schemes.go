@@ -1,23 +1,18 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"sensornet/internal/engine"
 	"sensornet/internal/protocol"
 )
 
-// SchemeComparison benchmarks every broadcast scheme in the repository
-// on the same deployments: the paper's two (flooding, PB_CAM with the
+// schemeStudy benchmarks every broadcast scheme in the repository on
+// the same deployments: the paper's two (flooding, PB_CAM with the
 // law-tuned probability) plus the rest of the Williams taxonomy and the
-// two adaptive schemes. One table per density.
-func SchemeComparison(ctx context.Context, eng *engine.Engine, pre Preset, rhos []float64) (*FigureResult, error) {
-	return runStudy(ctx, eng)(schemeStudy(pre, rhos))
-}
-
-// schemeStudy is one CAM cell per (density, scheme), density-major.
-// Every scheme at a density sees the same deployments.
+// two adaptive schemes, one table per density. It is one CAM cell per
+// (density, scheme), density-major. Every scheme at a density sees the
+// same deployments.
 func schemeStudy(pre Preset, rhos []float64) (study, error) {
 	if err := checkRuns("schemes", pre.Runs); err != nil {
 		return nil, err

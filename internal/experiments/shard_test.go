@@ -282,8 +282,9 @@ func TestShardedEngineRefusesSurfaceAssembly(t *testing.T) {
 	if _, err := experiments.SimSurfaceCtx(ctx, eng, tinySimPreset()); err == nil || !strings.Contains(err.Error(), "sharded engine") {
 		t.Errorf("SimSurfaceCtx on a sharded engine: err = %v, want sharded-engine refusal", err)
 	}
-	if _, err := experiments.Degradation(ctx, eng, tinySimPreset(), 20, nil, nil); err == nil || !strings.Contains(err.Error(), "sharded engine") {
-		t.Errorf("Degradation on a sharded engine: err = %v, want sharded-engine refusal", err)
+	spec := experiments.FigureSpec{Sim: tinySimPreset(), DegRho: 20}
+	if _, err := experiments.RunFigures(ctx, eng, spec, nil, "degradation"); err == nil || !strings.Contains(err.Error(), "sharded engine") {
+		t.Errorf("degradation on a sharded engine: err = %v, want sharded-engine refusal", err)
 	}
 }
 

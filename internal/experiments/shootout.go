@@ -275,11 +275,15 @@ func (st *shootStudy) data(results []engine.Result) (*ShootoutData, error) {
 // with cumulative-interference decoding, so dense-field flooding
 // degrades smoothly instead of cliff-dropping. When the preset leaves
 // MaxPhases unset the study caps it near the latency budget, like the
-// degradation study.
+// degradation study. It is RunFigures on the figure table's shootout
+// row, with pre as the simulated preset.
 func ShootoutCtx(ctx context.Context, eng *engine.Engine, pre Preset,
 	rhos []float64) (*FigureResult, error) {
-
-	return runStudy(ctx, eng)(newShootStudy(pre, rhos))
+	figs, err := RunFigures(ctx, eng, FigureSpec{Sim: pre, ShootRhos: rhos}, nil, "shootout")
+	if err != nil {
+		return nil, err
+	}
+	return figs[0], nil
 }
 
 func (st *shootStudy) figure(results []engine.Result) (*FigureResult, error) {

@@ -5,12 +5,18 @@ import "math"
 // Range returns the arithmetic sequence start, start+step, ... not
 // exceeding stop (inclusive up to floating-point slack). It mirrors the
 // parameter grids of the paper, e.g. Range(0.01, 1, 0.01) for the
-// analytic probability sweep.
+// analytic probability sweep. It returns nil when an argument is NaN
+// or infinite, when step <= 0 or stop < start, and when the sequence
+// would hold more than math.MaxInt32 points.
 func Range(start, stop, step float64) []float64 {
-	if step <= 0 || stop < start {
+	if !IsFinite(start) || !IsFinite(stop) || !IsFinite(step) || step <= 0 || stop < start {
 		return nil
 	}
-	n := int(math.Floor((stop-start)/step + 1e-9))
+	last := math.Floor((stop-start)/step + 1e-9)
+	if last >= math.MaxInt32 {
+		return nil
+	}
+	n := int(last)
 	out := make([]float64, 0, n+1)
 	for i := 0; i <= n; i++ {
 		out = append(out, start+float64(i)*step)

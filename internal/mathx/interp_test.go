@@ -177,6 +177,20 @@ func TestRangeDegenerate(t *testing.T) {
 	if len(g) != 1 || g[0] != 5 {
 		t.Fatalf("single-point grid wrong: %v", g)
 	}
+	// A NaN or infinite argument, and a step too fine for the point
+	// count to fit in an int32, give nil instead of a panic in make or
+	// a one-point grid.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range [][3]float64{
+		{0.01, 1, nan}, {nan, 1, 0.01}, {0.01, nan, 0.01},
+		{0.01, 1, inf}, {0.01, 1, -inf}, {inf, inf, 0.01},
+		{-inf, 1, 0.01}, {0.01, inf, 0.01},
+		{1e-300, 1, 1e-300}, {-math.MaxFloat64, math.MaxFloat64, 1},
+	} {
+		if g := Range(tc[0], tc[1], tc[2]); g != nil {
+			t.Errorf("Range(%g, %g, %g) has %d points, want nil", tc[0], tc[1], tc[2], len(g))
+		}
+	}
 }
 
 func TestArgMaxArgMin(t *testing.T) {

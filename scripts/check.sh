@@ -122,7 +122,7 @@ skip_rc=$?
 set -e
 [ "$skip_rc" -eq 2 ] || { echo "-figure fig8 -skip-sim exited $skip_rc, want 2" >&2; exit 1; }
 
-echo "== tier 2: a negative -runs, a bad -deg-rho, a bad serve budget or a non-positive -lease-ttl exits 2"
+echo "== tier 2: a negative -runs, a bad -deg-rho, a bad serve budget, a non-positive -lease-ttl, a bad analyze -step or simulate -p exits 2; a non-finite analyze -rho or -p exits 1"
 # -runs 0 keeps the preset's run count; a negative count is a usage
 # error, not a silent default. A density no deployment can place fails
 # before any job is built. A serve budget must be a finite rate >= 0
@@ -147,6 +147,39 @@ timeout 30 "$tmp/experiments" -quick -cache-dir "$tmp/empty" -serve 127.0.0.1:0 
 rc=$?
 set -e
 [ "$rc" -eq 2 ] || { echo "-serve -serve-burst 5 without -serve-budget exited $rc, want 2" >&2; exit 1; }
+# A NaN or infinite density, or a NaN probability, fails model
+# validation: exit 1, as -rho -5 does. A sweep step outside (0, 1], or
+# one too fine for its grid to fit, is a usage error. Go exits 2 on a
+# panic too, so the step checks also require a stderr without one. A PB
+# probability outside [0, 1] is a usage error.
+go build -o "$tmp/analyze" ./cmd/analyze
+go build -o "$tmp/simulate" ./cmd/simulate
+for args in "-rho NaN" "-rho Inf" "-p NaN"; do
+    set +e
+    # shellcheck disable=SC2086
+    "$tmp/analyze" $args >/dev/null 2>&1
+    rc=$?
+    set -e
+    [ "$rc" -eq 1 ] || { echo "analyze $args exited $rc, want 1" >&2; exit 1; }
+done
+for step in NaN 0 1e-300; do
+    set +e
+    "$tmp/analyze" -sweep -step "$step" >/dev/null 2>"$tmp/analyze.err"
+    rc=$?
+    set -e
+    [ "$rc" -eq 2 ] && ! grep -q 'panic:' "$tmp/analyze.err" || {
+        echo "analyze -sweep -step $step exited $rc, want 2 without a panic:" >&2
+        cat "$tmp/analyze.err" >&2
+        exit 1
+    }
+done
+for p in 2 NaN; do
+    set +e
+    "$tmp/simulate" -p "$p" >/dev/null 2>&1
+    rc=$?
+    set -e
+    [ "$rc" -eq 2 ] || { echo "simulate -p $p exited $rc, want 2" >&2; exit 1; }
+done
 
 echo "== tier 2: committed full-report artifacts match a fresh -figure all"
 # report_full.txt and results/ are the paper-preset report EXPERIMENTS.md
