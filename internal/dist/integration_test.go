@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -96,7 +95,10 @@ func sameSurface(t *testing.T, local, dist *experiments.Surface) {
 
 // runDistributed drives a full campaign through a coordinator and the
 // given worker configs, returning the coordinator (for stats) and each
-// worker's (report, error) in order.
+// worker's (report, error) in order. The workers run one at a time,
+// each until it returns: a fault-injected worker dies holding its lease
+// before the next worker starts, so a survivor cannot drain the
+// campaign before the dying worker leases anything.
 func runDistributed(t *testing.T, cache *engine.Cache, jobs []engine.Job, workerCfgs []dist.WorkerConfig) (*dist.Coordinator, []*dist.WorkerReport, []error) {
 	t.Helper()
 	coord, err := dist.NewCoordinator(dist.Config{
@@ -115,27 +117,23 @@ func runDistributed(t *testing.T, cache *engine.Cache, jobs []engine.Job, worker
 
 	reports := make([]*dist.WorkerReport, len(workerCfgs))
 	errs := make([]error, len(workerCfgs))
-	var wg sync.WaitGroup
 	for i, cfg := range workerCfgs {
 		cfg.BaseURL = srv.URL
 		w, err := dist.NewWorker(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func(i int, w *dist.Worker) {
-			defer wg.Done()
-			reports[i], errs[i] = w.Run(ctx)
-		}(i, w)
+		reports[i], errs[i] = w.Run(ctx)
 	}
-	wg.Wait()
 	return coord, reports, errs
 }
 
 // TestDistributedMergesByteIdentical is the acceptance anchor: a
 // 2-worker distributed campaign — with one worker killed mid-run by
 // fault injection — produces a cache directory byte-identical to a
-// plain local run, and the merged surface is equal.
+// plain local run, and the merged surface is equal. The dying worker
+// runs first and alone, so it always completes a lease and dies holding
+// the next one, which must expire and fail over to the survivor.
 func TestDistributedMergesByteIdentical(t *testing.T) {
 	pre := tinyAnalyticPreset()
 	jobs := experiments.SurfaceJobs(pre, false, 1)
@@ -153,7 +151,7 @@ func TestDistributedMergesByteIdentical(t *testing.T) {
 	}
 
 	// Distributed: coordinator over a fresh cache dir, two workers; the
-	// first dies after one completed job while holding a lease.
+	// first dies after its first completed lease while holding another.
 	distDir := t.TempDir()
 	workerEngine := func() *engine.Engine { return engine.New(engine.Config{Workers: 2}) }
 	coord, reports, errs := runDistributed(t,

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -15,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Cache is a content-addressed result store with two layers: an
@@ -34,8 +36,11 @@ import (
 // never rewritten or deleted. Readers keep a lazily built index from
 // key to record location; a lookup miss refreshes it by listing the
 // directory and scanning only the headers appended since the last
-// scan. Every read parses the envelope and checks its fingerprint and
-// salt; an unusable record is counted, reported and dropped from this
+// scan. Every read checks the envelope's fingerprint and salt. A
+// record in the exact bytes the store writes starts with the canonical
+// head for them, so only its payload is scanned, once, before the
+// decoder takes it; any other record is parsed whole (see readRecord).
+// An unusable record is counted, reported and dropped from this
 // cache's index, and the recompute's appended record supersedes it.
 type Cache struct {
 	dir  string
@@ -229,10 +234,30 @@ func (c *Cache) findIndexed(k key, fingerprint string, accept func([]byte) error
 // readRecord reads r's envelope and checks that it names fingerprint
 // under this cache's salt and, when accept is non-nil, that accept
 // takes its payload.
+//
+// A record storeDisk wrote is its envelope's canonical head, the
+// payload and a closing brace, and readRecord takes that shape without
+// parsing the envelope: when the record starts with the head for
+// fingerprint and this salt, ends in '}', and what lies between is,
+// but for surrounding whitespace, one valid JSON value shorter than
+// maxFastPayload, that value is the payload a full decode would find
+// under those names. Any other record, or a payload accept rejects,
+// goes through the full decode, so a read takes exactly the records
+// it took before the fast path. The buffer is fresh per read, because
+// accept may keep the payload slice.
 func (c *Cache) readRecord(r record, fingerprint string, accept func([]byte) error) error {
 	buf := make([]byte, r.n)
 	if _, err := r.seg.f.ReadAt(buf, r.off); err != nil {
 		return fmt.Errorf("read: %w", err)
+	}
+	var headBuf [256]byte
+	if head, ok := appendEnvelopeHead(headBuf[:0], fingerprint, c.salt); ok &&
+		len(buf) > len(head) && buf[len(buf)-1] == '}' && bytes.HasPrefix(buf, head) {
+		payload := bytes.Trim(buf[len(head):len(buf)-1], jsonSpace)
+		if len(payload) < maxFastPayload && json.Valid(payload) &&
+			(accept == nil || accept(payload) == nil) {
+			return nil
+		}
 	}
 	var env envelope
 	if err := json.Unmarshal(buf, &env); err != nil {
@@ -247,6 +272,81 @@ func (c *Cache) readRecord(r record, fingerprint string, accept func([]byte) err
 		}
 	}
 	return nil
+}
+
+// jsonSpace is the whitespace JSON allows around a value.
+const jsonSpace = " \t\r\n"
+
+// maxFastPayload bounds the payloads readRecord checks apart from
+// their envelope. encoding/json rejects nesting deeper than 10000
+// levels, and inside the envelope a payload sits one level down, so a
+// payload nested exactly 10000 deep is valid alone but not in its
+// record. Such a payload needs at least 20000 bytes, so a shorter one
+// is valid alone exactly when its record is.
+const maxFastPayload = 2 * 10000
+
+// appendEnvelopeHead appends to dst the bytes storeDisk's json.Marshal
+// of an envelope for fingerprint under salt writes before the payload,
+//
+//	{"fingerprint":<fingerprint>,"salt":<salt>,"payload":
+//
+// It reports false when either string is not valid UTF-8: Marshal
+// replaces such bytes, so the record names another fingerprint or
+// salt, which the full decode reports.
+func appendEnvelopeHead(dst []byte, fingerprint, salt string) ([]byte, bool) {
+	if !utf8.ValidString(fingerprint) || !utf8.ValidString(salt) {
+		return dst, false
+	}
+	dst = appendJSONString(append(dst, `{"fingerprint":`...), fingerprint)
+	dst = appendJSONString(append(dst, `,"salt":`...), salt)
+	return append(dst, `,"payload":`...), true
+}
+
+// appendJSONString appends s, which must be valid UTF-8, quoted as
+// encoding/json's Marshal quotes it: '"' and '\\' escaped by a
+// backslash, \b, \f, \n, \r and \t by name, the other control
+// characters and '<', '>' and '&' as \u00XX, and U+2028 and U+2029 as
+// \u2028 and \u2029.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r == '\u2028' || r == '\u2029' {
+				dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xf])
+				start = i + size
+			}
+			i += size
+			continue
+		}
+		if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			i++
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		switch b {
+		case '"', '\\':
+			dst = append(dst, '\\', b)
+		case '\b':
+			dst = append(dst, '\\', 'b')
+		case '\f':
+			dst = append(dst, '\\', 'f')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		default:
+			dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xf])
+		}
+		i++
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 // drop removes r from k's indexed records, reporting whether it was

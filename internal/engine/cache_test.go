@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unicode/utf8"
 )
 
 func jsonCodec() (func(any) ([]byte, error), func([]byte) (any, error)) {
@@ -138,6 +139,85 @@ func TestCacheEnvelopeFingerprintChecked(t *testing.T) {
 	}
 	if s := fresh.Stats(); s.Corrupt != 1 {
 		t.Fatalf("Corrupt = %d, want 1", s.Corrupt)
+	}
+}
+
+// TestEnvelopeHeadIsMarshalsPrefix pins the read fast path's head to
+// the bytes storeDisk writes: for fingerprints and salts holding every
+// character JSON escapes, the head, a payload and '}' are json.Marshal's
+// envelope. A string that is not valid UTF-8, which Marshal rewrites,
+// has no head.
+func TestEnvelopeHeadIsMarshalsPrefix(t *testing.T) {
+	ascii := make([]byte, utf8.RuneSelf)
+	for i := range ascii {
+		ascii[i] = byte(i)
+	}
+	strs := []string{"", "fp", `"quoted"`, `back\slash\`, "<tag>&amp;</tag>",
+		"line\u2028para\u2029end", "\b\f\n\r\t\x00\x1f\x7f",
+		"analytic-point-v2\x1fsensornet-exp-v3\x1f5\x1f60", "ρ=60·p=0.2 ✓ 𝄞", string(ascii)}
+	payload := json.RawMessage(`[1,{"a":null}]`)
+	for _, fp := range strs {
+		for _, salt := range strs {
+			want, err := json.Marshal(envelope{Fingerprint: fp, Salt: salt, Payload: payload})
+			if err != nil {
+				t.Fatal(err)
+			}
+			head, ok := appendEnvelopeHead(nil, fp, salt)
+			if got := string(head) + string(payload) + "}"; !ok || got != string(want) {
+				t.Fatalf("fingerprint %q, salt %q: head+payload+} = %q (ok %v), Marshal wrote %q",
+					fp, salt, got, ok, want)
+			}
+		}
+	}
+	for _, bad := range [][2]string{{"fp\xff", "salt"}, {"fp", "salt\xc3("}, {"\xed\xa0\x80", "salt"}} {
+		if head, ok := appendEnvelopeHead(nil, bad[0], bad[1]); ok {
+			t.Fatalf("fingerprint %q, salt %q: head %q for invalid UTF-8", bad[0], bad[1], head)
+		}
+	}
+}
+
+// TestCacheFastPathReadsAsFullDecode reads records at the edges of the
+// fast path with a decoder that takes any bytes, so only the cache
+// decides what is served. Each must read as the full decode reads it:
+// the payload bytes without the whitespace around them; a record whose
+// fingerprint is not valid UTF-8, rewritten by Marshal or planted raw
+// (which the decoder rewrites), as corrupt; and a payload nested 10000
+// deep, valid alone but one level too deep inside its envelope, as
+// corrupt, while one level less reads back.
+func TestCacheFastPathReadsAsFullDecode(t *testing.T) {
+	deep := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
+	for _, tc := range []struct {
+		name, fp string
+		env      string // planted whole when set, else Put's record of payload
+		payload  string
+		hit      bool
+	}{
+		{name: "canonical", fp: "fp\x1f<&>\u2028", payload: `{"a":[1,null]}`, hit: true},
+		{name: "padded payload", fp: "fp",
+			env: `{"fingerprint":"fp","salt":"salt","payload": ` + "\t[1, 2]\r\n" + `}`, payload: `[1, 2]`, hit: true},
+		{name: "invalid UTF-8 fingerprint", fp: "fp\xff", payload: "1"},
+		{name: "raw invalid UTF-8 fingerprint", fp: "fp\xff",
+			env: `{"fingerprint":"fp` + "\xff" + `","salt":"salt","payload":1}`, payload: "1"},
+		{name: "9999 levels", fp: "fp", payload: deep(9999), hit: true},
+		{name: "10000 levels", fp: "fp", payload: deep(10000)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.env != "" {
+				plantRecord(t, NewCache(dir, "salt"), "planted"+segSuffix, tc.fp, []byte(tc.env))
+			} else {
+				NewCache(dir, "salt").Put(tc.fp, []byte(tc.payload), func(v any) ([]byte, error) { return v.([]byte), nil })
+			}
+			c := NewCache(dir, "salt")
+			c.Warnf = func(string, ...any) {}
+			v, hit := c.Get(tc.fp, func(b []byte) (any, error) { return string(b), nil })
+			if hit != tc.hit || hit && v != tc.payload {
+				t.Fatalf("Get = %.40q, %v; want %.40q, %v", v, hit, tc.payload, tc.hit)
+			}
+			if corrupt := c.Stats().Corrupt; corrupt != 0 == tc.hit {
+				t.Fatalf("Corrupt = %d with hit %v", corrupt, hit)
+			}
+		})
 	}
 }
 

@@ -148,3 +148,37 @@ func BenchmarkServeWarm(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServeWarmDisk is a cold start as -serve pays it: a disk
+// cache at the quick presets with the default shootout densities,
+// filled once, then per op a fresh cache-only engine over it, NewCtx
+// and Warm. Unlike BenchmarkServeWarm's in-memory cache, every op
+// reads and decodes the 254 disk records.
+func BenchmarkServeWarmDisk(b *testing.B) {
+	pa, ps := experiments.QuickAnalytic(), experiments.QuickSim()
+	dir := b.TempDir()
+	jobs := experiments.SurfaceJobs(pa, false, 4)
+	jobs = append(jobs, experiments.SurfaceJobs(ps, true, 4)...)
+	shootJobs, err := experiments.ShootoutJobs(ps, experiments.DefaultShootoutRhos())
+	if err != nil {
+		b.Fatal(err)
+	}
+	fill := engine.New(engine.Config{Workers: 4, Cache: engine.NewCache(dir, experiments.CacheSalt)})
+	if _, err := fill.Run(b.Context(), append(jobs, shootJobs...)); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("quick", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eng := engine.New(engine.Config{Workers: 4, CacheOnly: true,
+				Cache: engine.NewCache(dir, experiments.CacheSalt)})
+			srv, err := serve.NewCtx(context.Background(), eng, pa, ps)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := srv.Warm(b.Context()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -4,8 +4,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -75,6 +78,109 @@ func TestColdTableThatCannotEncodeStaysCold(t *testing.T) {
 		finite = true
 		if rec := get(); rec.Code != http.StatusOK || tab.published.Load() == nil || loads != 3 {
 			t.Fatalf("%v, finite load: status %d after %d loads; want 200 and a published table", inf, rec.Code, loads)
+		}
+	}
+}
+
+// TestSplicedBodiesMatchEncodeJSON holds every body whose rows are
+// spliced in from once-encoded blocks to encodeJSON of the whole body:
+// random surfaces (null metrics, empty and nil rows, a single density,
+// nil and empty row lists) and random shootouts under every filter.
+func TestSplicedBodiesMatchEncodeJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	num := func() float64 {
+		return []float64{0, -0.5, 1, 1e-7, 123456789, 1e21, rng.Float64(), -rng.ExpFloat64()}[rng.Intn(8)]
+	}
+	metric := func() *float64 {
+		if rng.Intn(3) == 0 {
+			return nil
+		}
+		x := num()
+		return &x
+	}
+	check := func(what string, got []byte, want any) {
+		t.Helper()
+		enc, err := encodeJSON(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, enc) {
+			t.Fatalf("%s: spliced body\n%s\nencodeJSON\n%s", what, got, enc)
+		}
+	}
+
+	surfaces := []struct {
+		rhos []float64
+		rows [][]optimize.WirePoint
+	}{
+		{nil, nil},
+		{[]float64{}, [][]optimize.WirePoint{}},
+		{[]float64{60}, [][]optimize.WirePoint{{}}},
+		{[]float64{20, 60}, [][]optimize.WirePoint{nil, {{P: 1}}}},
+	}
+	for i := 0; i < 40; i++ {
+		n := 1 + rng.Intn(4)
+		rhos := make([]float64, n)
+		rows := make([][]optimize.WirePoint, n)
+		for j := range rows {
+			rhos[j] = num()
+			rows[j] = make([]optimize.WirePoint, rng.Intn(5))
+			for k := range rows[j] {
+				rows[j][k] = optimize.WirePoint{P: num(), ReachAtL: metric(), Latency: metric(), Broadcasts: metric(),
+					ReachAtBudget: metric(), SuccessRate: metric(), Final: metric()}
+			}
+		}
+		surfaces = append(surfaces, struct {
+			rhos []float64
+			rows [][]optimize.WirePoint
+		}{rhos, rows})
+	}
+	for i, surf := range surfaces {
+		b, err := surfaceBodies("analytic", 3, surf.rhos, surf.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("surface %d, full", i), b[key{"surface", "", -1}],
+			surfaceBody{Surface: "analytic", S: 3, Rhos: surf.rhos, Rows: surf.rows})
+		for j, rho := range surf.rhos {
+			check(fmt.Sprintf("surface %d, rho %d", i, j), b[key{"surface", "", j}],
+				surfaceBody{Surface: "analytic", S: 3, Rhos: []float64{rho}, Rows: surf.rows[j : j+1]})
+		}
+	}
+
+	models := shootoutModels()
+	for i := 0; i < 20; i++ {
+		data := &experiments.ShootoutData{Models: models, Rhos: make([]float64, rng.Intn(4))}
+		for j := range data.Rhos {
+			data.Rhos[j] = num()
+		}
+		for _, model := range models {
+			for _, rho := range data.Rhos {
+				row := experiments.ShootoutRow{Model: model, Rho: rho, Best: map[string]string{}}
+				for s := rng.Intn(4); s > 0; s-- {
+					var sc experiments.ShootoutScheme
+					sc.Scheme, sc.Display = fmt.Sprint("pb", s), fmt.Sprintf("PB(p=%g) <&>", num())
+					sc.Coverage, sc.ReachAtL, sc.Broadcasts, sc.SuccessRate = num(), num(), num(), num()
+					row.Schemes = append(row.Schemes, sc)
+					row.Best[fmt.Sprint("objective", rng.Intn(3))] = sc.Scheme
+				}
+				data.Rows = append(data.Rows, row)
+			}
+		}
+		etags := map[key]string{}
+		for _, m := range append([]string{"", "nope"}, models...) {
+			for r := -1; r < len(data.Rhos); r++ {
+				etags[key{"shootout", m, r}] = ""
+			}
+		}
+		b, err := shootoutBodies(data, etags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range etags {
+			body, rows := shootoutFilter(data, data.Rows, k)
+			body.Rows = rows
+			check(fmt.Sprintf("shootout %d, %+v", i, k), b[k], body)
 		}
 	}
 }

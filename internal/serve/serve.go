@@ -114,17 +114,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // Warm eagerly builds every snapshot — both surfaces and the shootout
 // — so a server started over a populated cache pays its cache reads
-// before the first request. Tables whose rows are not yet published
-// are left cold (their requests keep retrying); the first error is
-// returned for logging.
+// before the first request. The cold tables load side by side, each
+// through the server's engine as a request's load would, so one
+// table's encoding overlaps another's cache reads. Every table is
+// attempted; those whose rows are not yet published are left cold
+// (their requests keep retrying), and the first error in table order
+// is returned for logging.
 func (s *Server) Warm(ctx context.Context) error {
-	var firstErr error
-	for _, t := range s.tables {
-		if _, err := t.build(ctx, ctx); err != nil && firstErr == nil {
-			firstErr = err
+	errs := make([]error, len(s.tables))
+	loads := engine.New(engine.Config{Workers: len(s.tables)})
+	_, err := engine.Map(ctx, loads, "warm", s.tables, func(ctx context.Context, t *table, i int) (struct{}, error) {
+		_, errs[i] = t.build(ctx, ctx)
+		return struct{}{}, nil
+	})
+	for _, e := range errs {
+		if e != nil {
+			return e
 		}
 	}
-	return firstErr
+	return err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -18,10 +18,13 @@ import (
 // ETags, fixed at construction, and the pre-encoded 200 bodies under
 // the same keys. A warm server answers every data request from the
 // bodies: the data set loaded ONCE through the engine and every
-// response it can serve encoded to its exact wire bytes. The bodies
-// are published through an atomic pointer, so steady-state requests
-// are a single atomic load, one map lookup and a []byte write —
-// lock-free, alloc-light, zero cache reads.
+// response it can serve encoded to its exact wire bytes. A row shows
+// up in several bodies (its per-ρ slice and the full dump, or the
+// shootout's model and density filters), so each row is encoded once,
+// indented at its depth under "rows", and spliced into every body that
+// holds it. The bodies are published through an atomic pointer, so
+// steady-state requests are a single atomic load, one map lookup and a
+// []byte write — lock-free, alloc-light, zero cache reads.
 //
 // Publication is final. Every body is a pure function of its strong
 // ETag, and the ETags are fixed by the job fingerprints, which the
@@ -166,10 +169,14 @@ func surfaceTable(eng *engine.Engine, name string, pre experiments.Preset, simul
 
 // surfaceBodies runs every metric's argmax over a surface's wire rows,
 // one per density in rhos, and pre-encodes each body it can serve.
-// name is the canonical surface query value echoed in the bodies.
+// name is the canonical surface query value echoed in the bodies. Each
+// row is encoded once, for both its per-ρ body and the full dump.
 func surfaceBodies(name string, s int, rhos []float64, rows [][]optimize.WirePoint) (bodies, error) {
+	blocks, err := rowBlocks(rows)
+	if err != nil {
+		return nil, err
+	}
 	b := bodies{}
-	full := surfaceBody{Surface: name, S: s, Rhos: rhos, Rows: rows}
 	for i, rho := range rhos {
 		pts := optimize.Points(rows[i])
 		for _, sel := range optimize.Selectors() {
@@ -183,13 +190,13 @@ func surfaceBodies(name string, s int, rhos []float64, rows [][]optimize.WirePoi
 				return nil, err
 			}
 		}
-		if err := b.put(key{"surface", "", i}, surfaceBody{
-			Surface: name, S: s, Rhos: []float64{rho}, Rows: rows[i : i+1],
-		}); err != nil {
+		if err := b.putRows(key{"surface", "", i}, surfaceBody{
+			Surface: name, S: s, Rhos: []float64{rho},
+		}, blocks[i:i+1]); err != nil {
 			return nil, err
 		}
 	}
-	if err := b.put(key{"surface", "", -1}, full); err != nil {
+	if err := b.putRows(key{"surface", "", -1}, surfaceBody{Surface: name, S: s, Rhos: rhos}, blocks); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -231,15 +238,26 @@ func shootoutTable(eng *engine.Engine, pre experiments.Preset, rhos []float64) (
 		if err != nil {
 			return nil, err
 		}
-		b := bodies{}
-		for k := range t.etags {
-			if err := b.put(k, shootoutFilter(data, k)); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
+		return shootoutBodies(data, t.etags)
 	}
 	return t, nil
+}
+
+// shootoutBodies pre-encodes the campaign's body under every key of
+// etags. Each row is encoded once, for every body that holds it.
+func shootoutBodies(data *experiments.ShootoutData, etags map[key]string) (bodies, error) {
+	blocks, err := rowBlocks(data.Rows)
+	if err != nil {
+		return nil, err
+	}
+	b := bodies{}
+	for k := range etags {
+		body, rows := shootoutFilter(data, blocks, k)
+		if err := b.putRows(k, body, rows); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // shootoutBody is the JSON shape of every /api/shootout response: the
@@ -250,10 +268,14 @@ type shootoutBody struct {
 	Rows   []experiments.ShootoutRow `json:"rows"`
 }
 
-// shootoutFilter narrows the campaign to k's model and density. Rows
-// are model-major over the densities, so they are matched by index.
-func shootoutFilter(data *experiments.ShootoutData, k key) shootoutBody {
+// shootoutFilter narrows the campaign to k's model and density: it
+// returns the body's axes and, of rows, which holds one entry per
+// campaign row (the rows or their encodings), the entries the body
+// holds. Rows are model-major over the densities, so they are matched
+// by index.
+func shootoutFilter[R any](data *experiments.ShootoutData, rows []R, k key) (shootoutBody, []R) {
 	var body shootoutBody
+	var kept []R
 	for i, rho := range data.Rhos {
 		if k.rho < 0 || k.rho == i {
 			body.Rhos = append(body.Rhos, rho)
@@ -266,11 +288,11 @@ func shootoutFilter(data *experiments.ShootoutData, k key) shootoutBody {
 		body.Models = append(body.Models, model)
 		for i := range data.Rhos {
 			if k.rho < 0 || k.rho == i {
-				body.Rows = append(body.Rows, data.Rows[m*len(data.Rhos)+i])
+				kept = append(kept, rows[m*len(data.Rhos)+i])
 			}
 		}
 	}
-	return body
+	return body, kept
 }
 
 // put pre-encodes v as the body served under k.
@@ -278,6 +300,60 @@ func (b bodies) put(k key, v any) error {
 	enc, err := encodeJSON(v)
 	b[k] = enc
 	return err
+}
+
+// rowIndent is the indent encodeJSON gives an element of a body's
+// top-level "rows" array.
+const rowIndent = "    "
+
+// rowBlocks encodes each row once, indented as encodeJSON indents it
+// as an element of a body's top-level "rows" array, ready for putRows
+// to splice into every body that holds it. A nil list stays nil.
+func rowBlocks[R any](rows []R) ([][]byte, error) {
+	if rows == nil {
+		return nil, nil
+	}
+	blocks := make([][]byte, len(rows))
+	for i, row := range rows {
+		blk, err := json.MarshalIndent(row, rowIndent, "  ")
+		if err != nil {
+			return nil, err
+		}
+		blocks[i] = blk
+	}
+	return blocks, nil
+}
+
+// putRows pre-encodes v with rows spliced in as the body served under
+// k: the bytes encodeJSON writes for v with its last field, "rows", set
+// to the rows whose rowBlocks encodings are blocks (nil for a null
+// list). v's rows must be nil: their null is what the blocks replace.
+func (b bodies) putRows(k key, v any, blocks [][]byte) error {
+	head, err := encodeJSON(v)
+	if err != nil {
+		return err
+	}
+	head = bytes.TrimSuffix(head, []byte("null\n}\n"))
+	n := len(head) + len("[\n  ]\n}\n")
+	for _, blk := range blocks {
+		n += len(",\n"+rowIndent) + len(blk)
+	}
+	enc := append(make([]byte, 0, n), head...)
+	switch {
+	case blocks == nil:
+		enc = append(enc, "null"...)
+	case len(blocks) == 0:
+		enc = append(enc, "[]"...)
+	default:
+		sep := "[\n" + rowIndent
+		for _, blk := range blocks {
+			enc = append(append(enc, sep...), blk...)
+			sep = ",\n" + rowIndent
+		}
+		enc = append(enc, "\n  ]"...)
+	}
+	b[k] = append(enc, "\n}\n"...)
+	return nil
 }
 
 // encodeJSON renders v exactly as writeJSON puts it on the wire —

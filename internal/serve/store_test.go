@@ -10,8 +10,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -466,10 +468,21 @@ func TestServeWarm(t *testing.T) {
 	warmAnalyticOnly(t, dir, pa)
 	srv, cache := newServer(t, dir)
 
-	// Warm returns the sim surface's missing-rows error but still
-	// publishes the analytic snapshot.
-	if err := srv.Warm(context.Background()); err == nil {
-		t.Fatal("Warm over a half-populated cache should report the cold surface")
+	// Warm attempts every table and publishes the analytic snapshot. Of
+	// the two cold tables' errors it returns the sim surface's, the
+	// first in table order, and the shootout's jobs were looked up too.
+	err := srv.Warm(context.Background())
+	var missing *engine.MissingError
+	if !errors.As(err, &missing) || !strings.HasPrefix(missing.Jobs[0].Name, "sim-point(") {
+		t.Fatalf("Warm over a half-populated cache = %v, want the sim surface's missing rows", err)
+	}
+	_, ps := testPresets()
+	shoot, err := experiments.ShootoutJobs(ps, experiments.DefaultShootoutRhos())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cache.Stats().Misses, len(experiments.SurfaceJobs(ps, true, 1))+len(shoot); got != want {
+		t.Fatalf("Warm missed %d lookups, want the %d jobs of the sim surface and the shootout", got, want)
 	}
 	before := cache.Stats()
 	if code, _ := rawGet(srv, "GET", "/api/surface?surface=analytic"); code != http.StatusOK {

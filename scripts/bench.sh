@@ -12,7 +12,9 @@
 # ServeSurfaceRow / ServeSurfaceFull / ServeShootoutCell — steady-state
 # snapshot hits), a refresh of published tables, which reads nothing
 # (ServeRefresh), and the serving load path: a fresh server's tables
-# loaded from the cache and rendered by Warm (ServeWarm), plus the
+# loaded from the cache and rendered by Warm (ServeWarm), the same
+# cold start read from a disk cache at the quick presets, as -serve
+# pays it (ServeWarmDisk), plus the
 # layer benches under the shootout: the plain deployment build
 # (GenerateRho60), the largest plain sensing build
 # (GenerateRho140Sensing), the SINR deployment build with its gain
@@ -61,7 +63,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH.json}"
 benchtime="${2:-1x}"
 
-pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkEngineOverhead$|BenchmarkShootoutCampaign$|BenchmarkServeWarm$|BenchmarkGenerateRho60$|BenchmarkGenerateRho140Sensing$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkRunSyncRho60$|BenchmarkRunAsyncRho60$|BenchmarkResolveSlotDense$|BenchmarkResolveSlotSINR$|BenchmarkRunRho60$|BenchmarkRunRho140CarrierSense$|BenchmarkCalibrateLaw$|BenchmarkCacheDisk$|BenchmarkDistRoundTrip$|BenchmarkSurfaceJobs$'
+pattern='BenchmarkSimulatorDenseFlooding$|BenchmarkFig4Reachability$|BenchmarkFig8SimReachability$|BenchmarkEngineCampaign/workers=1$|BenchmarkEngineOverhead$|BenchmarkShootoutCampaign$|BenchmarkServeWarm$|BenchmarkServeWarmDisk$|BenchmarkGenerateRho60$|BenchmarkGenerateRho140Sensing$|BenchmarkGenerateSINR$/rho=|BenchmarkPlace$/rho=|BenchmarkRunSyncRho60$|BenchmarkRunAsyncRho60$|BenchmarkResolveSlotDense$|BenchmarkResolveSlotSINR$|BenchmarkRunRho60$|BenchmarkRunRho140CarrierSense$|BenchmarkCalibrateLaw$|BenchmarkCacheDisk$|BenchmarkDistRoundTrip$|BenchmarkSurfaceJobs$'
 serve_pattern='BenchmarkServeOptimal$|BenchmarkServeSurfaceRow$|BenchmarkServeSurfaceFull$|BenchmarkServeShootoutCell$|BenchmarkServeRefresh$'
 case "$benchtime" in
 *x) serve_benchtime="${benchtime%x}000x" ;;

@@ -33,6 +33,12 @@ go test -race ./...
 echo "== tier 2: go test -shuffle=on ./..."
 go test -shuffle=on ./...
 
+echo "== tier 2: the distributed failover test, 100 times"
+# Its fault-injected worker must die holding a lease in every run, not
+# only when it wins a race with the survivor; a reintroduced race fails
+# here rather than flaking one shuffled run in dozens.
+go test -run '^TestDistributedMergesByteIdentical$' -count=100 ./internal/dist
+
 echo "== tier 2: fuzz the cell and analytic point codecs (fixed short budget)"
 # decodeCell and decodePoints read disk-cache bytes they cannot trust;
 # the committed corpus under internal/experiments/testdata/fuzz runs in
